@@ -2,24 +2,39 @@
 
 All sums live in Z[zeta_N] with N = p*M, where M is the order bound of
 the multiplicative character.  Additive characters are indexed by
-c in 0..p-1 (0 = trivial): psi_c(z) = zeta_p^(c*Tr(z)).  Multiplicative
-characters are indexed by u in 0..M-1 (0 = trivial) and require
-M | p - 1: chi_u(w) = zeta_M^(u * ind(N(w))), with ind the discrete log
-of the norm down to GF(p).
+c in 0..p-1 (0 = trivial): psi_c(z) = zeta_p^(c*Tr(z)).
 
-The shifted sum computed here is
+Two families of multiplicative characters are used.
 
-    G_a(psi, chi) = sum over w - z = a of psi(z) chi(w)
-                  = sum over w of chi(w) psi(w - a),
+* Lifted characters (``modified_gauss_sum``) need M | p - 1 and live on
+  any level GF(p^n): chi_u(w) = zeta_M^(u * ind(N(w))), with ind the
+  discrete log of the norm down to GF(p).  The shifted sum computed is
 
-with chi(0) = 1 for the trivial character and 0 otherwise.  Closed
-forms hold when either character is trivial and are asserted on every
-call; they double as a self-check of the histogram tables.
+      G_a(psi, chi) = sum over w - z = a of psi(z) chi(w)
+                    = sum over w of chi(w) psi(w - a),
+
+  with chi(0) = 1 for the trivial character and 0 otherwise.  Closed
+  forms hold when either character is trivial and are asserted on every
+  call; they double as a self-check of the histogram tables.  These
+  sums feed the Hasse-Davenport identity grid, whose level caps are
+  ``MAX_LEVEL`` and ``MAX_CARD_HIGH_LEVEL``.
+
+* Frobenius-orbit characters (``orbit_gauss_sum``) exist for every M
+  prime to p.  The nonzero residues u mod M fall into orbits under
+  u -> p*u; the orbit of u has k = ord_d(p) members, d = M / gcd(u, M),
+  and chi_u(w) = zeta_M^(u * log w) is a character of GF(p^k)^*, log
+  being the discrete log to that field's stored generator.  Only the
+  field-table cap bounds k.
+
+Both families read one histogram per field: the counts of
+(Tr(w), log(w) mod L) over the nonzero w.
 """
 
 from __future__ import annotations
 
-from . import gf
+import math
+
+from . import gf, primes
 from .cyclo import CycloInt, cyclo
 from .errors import BudgetExceeded, CharacterUnavailable
 
@@ -38,23 +53,35 @@ def _check_level(p: int, n: int) -> None:
             f"character sum over GF({p}^{n}) exceeds the work cap")
 
 
-def _histogram(p: int, n: int, M: int) -> dict[tuple[int, int], int]:
-    """Counts of (Tr(w), ind(N(w)) mod M) over nonzero w in GF(p^n)."""
-    key = (p, n, M)
+def _histogram(p: int, n: int, L: int) -> dict[tuple[int, int], int]:
+    """Counts of (Tr(w), log(w) mod L) over nonzero w in GF(p^n)."""
+    key = (p, n, L)
     got = _HIST_CACHE.get(key)
     if got is not None:
         return got
-    _check_level(p, n)
     ctx = gf.field(p, n)
-    base = gf.field(p)
+    tr = ctx.trace_table()
     hist: dict[tuple[int, int], int] = {}
     for w in ctx.units():
-        t = ctx.trace(w)
-        u0 = base.dlog(ctx.norm(w)) % M if M > 1 else 0
-        k = (t, u0)
+        k = (tr[w], ctx.dlog(w) % L)
         hist[k] = hist.get(k, 0) + 1
     _HIST_CACHE[key] = hist
     return hist
+
+
+def _gauss_sum(p: int, n: int, M: int, c: int, u: int, a: int) -> CycloInt:
+    """Sum over nonzero w in GF(p^n) of zeta_M^(u log w) psi_c(w - a).
+
+    Exact in Z[zeta_(p*M)]; needs M / gcd(u, M) to divide p^n - 1.
+    """
+    L = math.gcd(M, p ** n - 1)
+    weights: dict[int, int] = {}
+    for (t, r), cnt in _histogram(p, n, L).items():
+        ep = (c * (t - n * a)) % p
+        em = (u * r) % M
+        e = (M * ep + p * em) % (p * M)
+        weights[e] = weights.get(e, 0) + cnt
+    return cyclo(p * M).from_zeta_exponents(weights)
 
 
 def modified_gauss_sum(p: int, q_order: int, c: int, u: int, a: int,
@@ -68,28 +95,55 @@ def modified_gauss_sum(p: int, q_order: int, c: int, u: int, a: int,
     if (p - 1) % M != 0:
         raise CharacterUnavailable(
             f"multiplicative characters of order {M} need {M} | {p - 1}")
+    _check_level(p, n)
     c %= p
     u %= M
     a %= p
-    ctx = cyclo(p * M)
-    hist = _histogram(p, n, M)
-    weights: dict[int, int] = {}
-    for (t, u0), cnt in hist.items():
-        ep = (c * (t - n * a)) % p
-        em = (u * u0) % M
-        e = (M * ep + p * em) % (p * M)
-        weights[e] = weights.get(e, 0) + cnt
-    total = ctx.from_zeta_exponents(weights)
+    ctx = gf.field(p, n)
+    # ind(N(w)) = s * log(w) with s = ind(N(g)) for the generator g
+    s = gf.field(p).dlog(ctx.norm(ctx.gen))
+    total = _gauss_sum(p, n, M, c, u * s, a)
     if u == 0:
         # chi(0) = 1: the w = 0 term contributes psi_c(-a)
         e0 = (M * ((-c * n * a) % p)) % (p * M)
-        total = total + ctx.from_zeta_exponents({e0: 1})
+        total = total + total.ctx.from_zeta_exponents({e0: 1})
     # closed forms for trivial characters, asserted as a self-check
     if c == 0 and u == 0:
         assert total == p ** n, "trivial/trivial sum must be p^n"
     elif c == 0 or u == 0:
         assert total.is_zero(), "half-trivial sum must vanish"
     return total
+
+
+def frobenius_orbits(p: int, M: int) -> list[tuple[int, int]]:
+    """(u, k) for every orbit of u -> p*u on the nonzero residues mod M:
+    its least member u and its size k = ord_(M / gcd(u, M))(p)."""
+    if M % p == 0:
+        raise CharacterUnavailable(
+            f"no Frobenius orbits mod {M} in characteristic {p}")
+    seen: set[int] = set()
+    out = []
+    for u in range(1, M):
+        if u in seen:
+            continue
+        v, k = u, 0
+        while True:
+            seen.add(v)
+            k += 1
+            v = v * p % M
+            if v == u:
+                break
+        out.append((u, k))
+    return out
+
+
+def orbit_gauss_sum(p: int, M: int, c: int, u: int, a: int) -> CycloInt:
+    """G_(c,O) = sum over nonzero w in GF(p^k) of
+    zeta_M^(u log w) zeta_p^(c (Tr w - k a)), exactly in Z[zeta_(p*M)],
+    where k = ord_(M / gcd(u, M))(p) is the size of the Frobenius orbit
+    O of u.  Every member of O gives the same sum."""
+    k = primes.multiplicative_order(p, M // math.gcd(u, M))
+    return _gauss_sum(p, k, M, c % p, u % M, a % p)
 
 
 def gauss_norm_ok(p: int, q_order: int, c: int, u: int, a: int,

@@ -4,7 +4,7 @@ One subcommand per question.  Output is readable key: value lines, or
 canonical JSON with --json (sorted keys, fixed layout, so identical
 invocations with the same seed are byte-identical).  Exit codes:
 0 success, 1 a check or hypothesis failed (a report is still printed),
-2 usage error, 3 work budget exceeded.
+2 usage error, 3 work budget or table cap exceeded.
 
 Results of the expensive subcommands can be kept in an on-disk cache
 (--cache-dir); --verify-cache recomputes on every hit and fails loudly
@@ -101,10 +101,14 @@ def _cmd_gauss(args):
                "coeffs": list(g.coeffs), "norm_is_p_to_n": ok}
 
 
+def _budget(args) -> int:
+    return args.budget if args.budget else zeta.COUNT_BUDGET
+
+
 def _counts_naive(args, upto: int) -> list[int]:
     curve = zeta.artin_schreier_curve(args.p, args.q, args.a)
-    budget = args.budget if args.budget else zeta.COUNT_BUDGET
-    return [zeta.count_points(curve, n, budget) for n in range(1, upto + 1)]
+    return [zeta.count_points(curve, n, _budget(args))
+            for n in range(1, upto + 1)]
 
 
 def _cmd_count(args):
@@ -129,11 +133,8 @@ def _cmd_count(args):
 
 def _lpoly(args) -> zeta.LPolynomial:
     _require_prime(args.p, "p")
-    if (args.p - 1) % args.q == 0:
-        return zeta.zeta_numerator_charsum(args.p, args.q, args.a)
-    curve = zeta.artin_schreier_curve(args.p, args.q, args.a)
-    counts = _counts_naive(args, curve.genus)
-    return zeta.lpoly_from_counts(args.p, counts, curve.genus)
+    _, P = zeta.artin_schreier_lpoly(args.p, args.q, args.a, _budget(args))
+    return P
 
 
 def _cmd_zeta(args):
@@ -149,15 +150,13 @@ def _cmd_jacobian_order(args):
 
 
 def _cmd_torsion_test(args):
-    budget = args.budget if args.budget else zeta.COUNT_BUDGET
     res = zeta.torsion_criterion(args.p, args.q, level=args.l, a=args.a,
-                                 budget=budget)
+                                 budget=_budget(args))
     return 0, res.to_dict()
 
 
 def _cmd_power_law(args):
-    budget = args.budget if args.budget else zeta.COUNT_BUDGET
-    rep = zeta.power_law_check(args.p, args.q, args.a, budget)
+    rep = zeta.power_law_check(args.p, args.q, args.a, _budget(args))
     return 0, rep.to_dict()
 
 
@@ -207,7 +206,8 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized sub-procedures")
     common.add_argument("--budget", type=int, default=None,
-                        help="work cap for enumeration routes")
+                        help="work cap: the largest field order enumerated "
+                             "or summed over")
     common.add_argument("--verify-cache", action="store_true",
                         help="recompute on cache hits and compare")
 

@@ -386,6 +386,19 @@ class FieldCtx:
         assert acc < self.p, "trace left the prime field"
         return acc
 
+    def trace_table(self) -> list[int]:
+        """Absolute trace of every element, indexed by packed value.
+
+        The trace is F_p-linear, so Tr(sum c_i X^i) = sum c_i Tr(X^i):
+        n traces taken one by one give all p^n of them.
+        """
+        p = self.p
+        table = [0]
+        for i in range(self.n):
+            t = self.trace(p ** i)
+            table = [(s + c * t) % p for c in range(p) for s in table]
+        return table
+
     def norm(self, a: int) -> int:
         """Absolute norm down to the prime field, returned as an integer."""
         if self.n == 1:

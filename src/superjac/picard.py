@@ -34,8 +34,8 @@ from . import gf, primes
 from .curves import (ClosedPlace, CurveSpec, Divisor, FunctionRep, InfPlace,
                      RamPlace, base_change, closed_place, local_expansion,
                      places_above, s_mul, valuation)
-from .errors import (IncompleteEnumeration, InvariantViolation, RequiresD1,
-                     UnsupportedBase)
+from .errors import (BudgetExceeded, IncompleteEnumeration,
+                     InvariantViolation, RequiresD1, UnsupportedBase)
 from .zeta import count_points, lpoly_from_counts
 
 
@@ -203,9 +203,9 @@ def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
             ext_deg = math.lcm(ext_deg, P.degree)
 
     if base.p ** (base.n * ext_deg) > gf.MAX_TABLE_CARD:
-        raise UnsupportedBase(
+        raise BudgetExceeded(
             f"splitting field GF({base.p}^{base.n * ext_deg}) "
-            "exceeds the table cap")
+            f"exceeds the table cap {gf.MAX_TABLE_CARD}")
     K = gf.field(base.p, base.n * ext_deg)
     ext = curve if ext_deg == 1 else base_change(curve, K)
     emb_base = gf.embedding(base, K)
@@ -360,7 +360,8 @@ def enumerate_places(curve: CurveSpec, max_deg: int, check: bool = True):
     out = [curve.inf_place()]
     for w in range(1, max_deg + 1):
         if base.p ** (base.n * w) > gf.MAX_TABLE_CARD:
-            raise UnsupportedBase(f"degree-{w} scan exceeds the table cap")
+            raise BudgetExceeded(f"degree-{w} scan exceeds the table cap "
+                                 f"{gf.MAX_TABLE_CARD}")
         xctx = gf.field(base.p, base.n * w)
         for x0 in xctx.elements():
             # keep only orbit-minimal coordinates of exact degree w

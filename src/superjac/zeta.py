@@ -5,10 +5,27 @@ integer coefficients, P(0) = 1, deg P = 2g, and the functional equation
 c_(2g-i) = q^(g-i) c_i.  Point counts are projective; Jacobian orders
 come from P by exact power-sum transforms, never floating point.
 
-Two independent counting routes exist for the family
-y^q = x^p - x + a over GF(p): direct enumeration, and the character-sum
-product (available when q | p - 1).  Keeping both separate is the point;
-they cross-check each other in the tests.
+Two independent routes give P for the family y^m = x^p - x + a over
+GF(p), m prime to p: direct enumeration of GF(p^n) for n = 1..g, and
+Weil's Frobenius-orbit product of Gauss sums
+
+    P(T) = prod over c in F_p^* and orbits O of u -> p*u on Z/m - 0
+           of (1 + G_(c,O) T^k_O),
+
+with G_(c,O) a Gauss sum over GF(p^k_O), k_O the orbit size.  The
+enumeration costs p^g, the character sums p^k with k the largest orbit
+size (k = 1 when m | p - 1).  ``artin_schreier_lpoly`` is the one entry
+point that picks between them, in this order:
+
+1. character sums when m | p - 1;
+2. enumeration when p^g <= budget;
+3. character sums over the orbit fields when every p^k_O <= budget;
+4. otherwise BudgetExceeded.
+
+The budget is also clipped to the field-table cap, and the route and
+any refusal are decided from p, m and the budget alone, before any
+field table is built.  Keeping both routes is the point; they
+cross-check each other in the tests.
 """
 
 from __future__ import annotations
@@ -17,7 +34,8 @@ import math
 from dataclasses import dataclass
 
 from . import gf, primes
-from .characters import modified_gauss_sum, nontrivial_pairs
+from .characters import (frobenius_orbits, modified_gauss_sum,
+                         nontrivial_pairs, orbit_gauss_sum)
 from .curves import CurveSpec, make_curve
 from .cyclo import cyclo
 from .errors import (
@@ -25,6 +43,7 @@ from .errors import (
     EvidenceFailed,
     InvariantViolation,
     RequiresD1,
+    UnsupportedBase,
 )
 
 COUNT_BUDGET = 1 << 22
@@ -70,10 +89,13 @@ class LPolynomial:
             acc = 0
             for k in range(1, j + 1):
                 acc += s[n * k - 1] * cn[j - k]
-            assert acc % j == 0, "power-sum transform must stay integral"
+            if acc % j:
+                raise InvariantViolation(
+                    "power-sum transform must stay integral")
             cn.append(-acc // j)
         order = sum(cn)
-        assert order > 0, "Jacobian order must be positive"
+        if order <= 0:
+            raise InvariantViolation("Jacobian order must be positive")
         return order
 
 
@@ -176,29 +198,76 @@ def counts_by_charsum(p: int, m: int, a: int, upto: int) -> list[int]:
         for pw in powers:
             total = total + pw
         val = ring.from_int(1 + p ** n) - total
-        assert val.is_rational(), "point count must be rational"
+        if not val.is_rational():
+            raise InvariantViolation("point count must be rational")
         out.append(val.rational_value())
     return out
 
 
 def zeta_numerator_charsum(p: int, m: int, a: int) -> LPolynomial:
-    """P(T) = prod over nontrivial pairs of (1 + G_a T), expanded exactly."""
+    """P(T) = prod over c in F_p^* and Frobenius orbits O of u -> p*u
+    on Z/m - 0 of (1 + G_(c,O) T^k_O), expanded exactly in Z[zeta_pm].
+
+    Any m prime to p; k_O = 1 for every orbit when m | p - 1.  Every
+    coefficient must come out a rational integer.
+    """
     assert a % p != 0
     ring = cyclo(p * m)
     poly = [ring.from_int(1)]
-    for c, u in nontrivial_pairs(p, m):
-        g = modified_gauss_sum(p, m, c, u, a)
-        nxt = [ring.from_int(0)] * (len(poly) + 1)
-        for i, cf in enumerate(poly):
-            nxt[i] = nxt[i] + cf
-            nxt[i + 1] = nxt[i + 1] + cf * g
-        poly = nxt
+    for u, k in frobenius_orbits(p, m):
+        for c in range(1, p):
+            g = orbit_gauss_sum(p, m, c, u, a)
+            poly.extend([ring.from_int(0)] * k)
+            for i in range(len(poly) - k - 1, -1, -1):
+                if not poly[i].is_zero():
+                    poly[i + k] = poly[i + k] + poly[i] * g
     coeffs = []
     for cf in poly:
-        assert cf.is_rational(), "numerator coefficient must be rational"
+        if not cf.is_rational():
+            raise InvariantViolation("numerator coefficient must be rational")
         coeffs.append(cf.rational_value())
     genus = (p - 1) * (m - 1) // 2
     return lpoly(p, genus, coeffs)
+
+
+def artin_schreier_lpoly(p: int, m: int, a: int, budget: int = COUNT_BUDGET,
+                         orbit_route: bool = True
+                         ) -> tuple[str, LPolynomial]:
+    """P(T) of y^m = x^p - x + a over GF(p), and the route that gave it.
+
+    The route ("character-sum" or "point-count") and any refusal follow
+    the order in the module docstring and are decided before any field
+    table is built.  With orbit_route False, character sums are used
+    only when m | p - 1.
+    """
+    if m % p == 0:
+        raise UnsupportedBase(f"characteristic {p} divides m = {m}")
+    if (p - 1) % m == 0:
+        return "character-sum", zeta_numerator_charsum(p, m, a)
+    g = (p - 1) * (m - 1) // 2
+    limit = min(budget, gf.MAX_TABLE_CARD)
+    top = _max_degree(p, limit)
+    if g <= top:
+        curve = artin_schreier_curve(p, m, a)
+        counts = [count_points(curve, n, budget) for n in range(1, g + 1)]
+        return "point-count", lpoly_from_counts(p, counts, g)
+    need = f"point counts need GF({p}^{g})"
+    if orbit_route:
+        k = max(k for _, k in frobenius_orbits(p, m))
+        if k <= top:
+            return "character-sum", zeta_numerator_charsum(p, m, a)
+        need += f", character sums GF({p}^{k})"
+    raise BudgetExceeded(
+        f"y^{m} = x^{p} - x + a over GF({p}): {need}; the budget is "
+        f"{budget} and the table cap {gf.MAX_TABLE_CARD}")
+
+
+def _max_degree(p: int, limit: int) -> int:
+    """Largest n with p^n <= limit."""
+    n, size = 0, p
+    while size <= limit:
+        n, size = n + 1, size * p
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +302,17 @@ def torsion_criterion(p: int, q: int, level: int = 1, a: int = 1,
     """Does J(y^(q^level) = x^p - x + a) have q-torsion over GF(p)?
 
     The criterion is the same for every level: q divides |J(GF(p))|
-    exactly when p divides k = ord of p modulo q.  Evidence is gathered
-    when affordable: |J(GF(p))| via character sums when q^level | p - 1,
-    else via enumeration.  The divisibility is an iff, so evidence that
-    contradicts the criterion raises EvidenceFailed.
+    exactly when p divides k = ord of p modulo q.  Evidence |J(GF(p))|
+    comes from ``artin_schreier_lpoly`` with m = q^level: character
+    sums when m | p - 1, else enumeration when p^g <= budget, else
+    character sums over the Frobenius-orbit fields GF(p^k_O) when every
+    p^k_O <= budget (both clipped to the table cap).  Beyond that the
+    evidence route is None, decided before any table is built.  The
+    divisibility is an iff, so evidence that contradicts the criterion
+    raises EvidenceFailed.
     """
     assert primes.is_prime(p) and primes.is_prime(q) and p != q
     assert level >= 1 and a % p != 0
-    m = q ** level
     k = primes.multiplicative_order(p, q)
     has = (k % p == 0)
     route = None
@@ -248,17 +320,10 @@ def torsion_criterion(p: int, q: int, level: int = 1, a: int = 1,
     qval = None
     ok = None
     try:
-        if (p - 1) % m == 0:
-            route = "character-sum"
-            jorder = zeta_numerator_charsum(p, m, a).evaluate(1)
-        else:
-            route = "point-count"
-            curve = artin_schreier_curve(p, m, a)
-            g = curve.genus
-            counts = [count_points(curve, n, budget) for n in range(1, g + 1)]
-            jorder = lpoly_from_counts(p, counts, g).evaluate(1)
+        route, P = artin_schreier_lpoly(p, q ** level, a, budget)
+        jorder = P.evaluate(1)
     except BudgetExceeded:
-        route = None
+        pass
     if jorder is not None:
         qval = 0
         t = jorder
@@ -317,15 +382,12 @@ def _power_law_report(P: LPolynomial, p: int, q: int,
 
 def power_law_check(p: int, q: int, a: int = 1,
                     budget: int = COUNT_BUDGET) -> PowerLawReport:
-    """Power-law and trivial-count checks for y^q = x^p - x + a."""
+    """Power-law and trivial-count checks for y^q = x^p - x + a.
+
+    Orbit character sums build P as a polynomial in T^k, which obeys
+    the power law by construction, so they are not used here."""
     assert a % p != 0 and primes.is_prime(q)
-    if (p - 1) % q == 0:
-        P = zeta_numerator_charsum(p, q, a)
-    else:
-        curve = artin_schreier_curve(p, q, a)
-        g = curve.genus
-        counts = [count_points(curve, n, budget) for n in range(1, g + 1)]
-        P = lpoly_from_counts(p, counts, g)
+    _, P = artin_schreier_lpoly(p, q, a, budget, orbit_route=False)
     return _power_law_report(P, p, q, a)
 
 

@@ -180,6 +180,25 @@ def test_budget_exit_code(capsys) -> None:
     assert doc["error"] == "budget-exceeded"
 
 
+def test_capacity_exit_code(capsys) -> None:
+    # the class-group oracle would need the splitting field GF(5^12)
+    code, doc = run_json(capsys, ["conjecture-test", "--p", "5", "--q", "3"])
+    assert code == 3
+    assert doc["error"] == "budget-exceeded"
+    assert "table cap 4194304" in doc["detail"]
+
+    code, doc = run_json(capsys, ["zeta", "--p", "7", "--q", "11", "--a",
+                                  "1", "--budget", "200000"])
+    assert code == 3
+    assert "GF(7^10)" in doc["detail"]
+
+
+def test_zeta_past_the_enumeration_wall(capsys) -> None:
+    argv = ["jacobian-order", "--p", "3", "--q", "13", "--a", "1"]
+    code, doc = run_json(capsys, argv + ["--budget", "200000"])
+    assert (code, doc["order"]) == (0, 1_054_729)
+
+
 def test_usage_exit_codes(capsys) -> None:
     code, _ = run(capsys, ["zeta", "--p", "4", "--q", "3", "--a", "1"])
     assert code == 2  # 4 is not prime

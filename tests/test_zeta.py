@@ -7,9 +7,13 @@ Anchor values, all hand-checked:
                               |J(GF(4))| = 25, |J(GF(16))| = 625
 """
 
+import hashlib
+import itertools
+import json
+
 import pytest
 
-from superjac import gf
+from superjac import characters, gf
 from superjac.errors import (
     BudgetExceeded,
     InvariantViolation,
@@ -17,7 +21,9 @@ from superjac.errors import (
 )
 from superjac.curves import make_curve
 from superjac.zeta import (
+    LPolynomial,
     artin_schreier_curve,
+    artin_schreier_lpoly,
     count_points,
     counts_by_charsum,
     lpoly,
@@ -166,3 +172,93 @@ def test_count_budget():
     c = artin_schreier_curve(2, 5, 1)
     with pytest.raises(BudgetExceeded):
         count_points(c, 30)
+
+
+def _enumerated_lpoly(p, m, a):
+    curve = artin_schreier_curve(p, m, a)
+    counts = [count_points(curve, n) for n in range(1, curve.genus + 1)]
+    return lpoly_from_counts(p, counts, curve.genus)
+
+
+def test_orbit_route_matches_enumeration_on_grid():
+    # every pair of the criterion-06 grid with q not dividing p - 1 whose
+    # enumeration fits its budget; (2, 13) sums over GF(2^12), past the
+    # level cap of the Hasse-Davenport grid
+    grid = itertools.permutations([2, 3, 5, 7, 11, 13], 2)
+    pairs = [(p, q) for p, q in grid
+             if (p - 1) % q and p ** ((p - 1) * (q - 1) // 2) <= 200_000]
+    assert len(pairs) == 9
+    assert max(k for _, k in characters.frobenius_orbits(2, 13)) \
+        > characters.MAX_LEVEL
+    for p, q in pairs:
+        for a in range(1, p):
+            assert zeta_numerator_charsum(p, q, a).coeffs == \
+                _enumerated_lpoly(p, q, a).coeffs, (p, q, a)
+
+
+@pytest.mark.parametrize("p,m", [(2, 9), (3, 4), (2, 25), (3, 8), (2, 27)])
+def test_orbit_route_matches_enumeration_at_level_two(p, m):
+    # orbits of mixed sizes, e.g. m = 8 over GF(3): sizes 2, 2, 1, 2
+    assert len({k for _, k in characters.frobenius_orbits(p, m)}) > 1
+    for a in range(1, p):
+        assert zeta_numerator_charsum(p, m, a).coeffs == \
+            _enumerated_lpoly(p, m, a).coeffs, (p, m, a)
+
+
+def test_orbit_route_keeps_the_k1_output():
+    # sha256 of the canonical JSON {"p/q/a": coefficients} over every
+    # p <= 19, q in {2, 3, 5, 7, 11, 13} with q | p - 1 and every a, as
+    # computed by the product over nontrivial pairs (1 + G_a T) of
+    # lifted Gauss sums, before orbits of size k > 1 existed
+    pairs = [(p, q) for p in (3, 5, 7, 11, 13, 17, 19)
+             for q in (2, 3, 5, 7, 11, 13) if (p - 1) % q == 0]
+    out = {f"{p}/{q}/{a}": list(zeta_numerator_charsum(p, q, a).coeffs)
+           for p, q in pairs for a in range(1, p)}
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode())
+    assert len(pairs) == 11
+    assert digest.hexdigest() == \
+        "0e4c983602d804cecbfabb7e5f1000402320498b6feae319dd288d59716cd2f3"
+
+
+def test_orbit_route_anchor():
+    # ord_13(3) = 3: sums over GF(27) where enumerating GF(3^12) is past
+    # the budget; the enumeration gives the same |J| at the default budget
+    res = torsion_criterion(3, 13, budget=200_000)
+    assert res.evidence_route == "character-sum"
+    assert res.jacobian_order == 1_054_729
+    assert res.has_torsion and res.q_valuation == 2 and res.evidence_ok
+
+
+def test_route_order():
+    assert artin_schreier_lpoly(7, 3, 1)[0] == "character-sum"
+    assert artin_schreier_lpoly(2, 5, 1)[0] == "point-count"
+    assert artin_schreier_lpoly(3, 13, 1, budget=200_000)[0] == \
+        "character-sum"
+    # without the orbit route the enumeration wall refuses
+    with pytest.raises(BudgetExceeded):
+        artin_schreier_lpoly(3, 13, 1, budget=200_000, orbit_route=False)
+    with pytest.raises(BudgetExceeded, match=r"GF\(2\^12\)"):
+        artin_schreier_lpoly(2, 13, 1, budget=10)
+
+
+def test_refusal_builds_no_table(monkeypatch):
+    # ord_11(7) = 10 and 7^10 is past the budget: refused before any
+    # extension of GF(7) is built
+    monkeypatch.setattr(gf, "_CTX_CACHE", {})
+    res = torsion_criterion(7, 11, budget=200_000)
+    assert res.evidence_route is None and res.jacobian_order is None
+    assert not [key for key in gf._CTX_CACHE if key[0] == 7 and key[1] >= 2]
+
+
+def test_power_law_refuses_before_counting(monkeypatch):
+    monkeypatch.setattr(gf, "_CTX_CACHE", {})
+    with pytest.raises(BudgetExceeded):
+        power_law_check(3, 13, budget=200_000)
+    assert not [key for key in gf._CTX_CACHE if key[0] == 3]
+
+
+def test_jacobian_order_invariants_are_typed():
+    # P(1) = 0 slipped past lpoly(): the order check still raises, also
+    # under python -O
+    with pytest.raises(InvariantViolation, match="positive"):
+        LPolynomial(2, 1, (1, -3, 2)).jacobian_order(1)
