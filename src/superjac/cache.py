@@ -2,9 +2,12 @@
 
 One JSON document per entry under <root>/<hh>/<hash>.json, where hash
 is the SHA-256 of the canonical key string (operation name, canonical
-parameter JSON, artifact version).  Documents hold the key in clear for
-human inspection.  Writes go to a temp file in the same directory and
-are renamed into place, so concurrent invocations never see torn files.
+parameter JSON, code version).  The code version is the package version
+plus a SHA-256 of the package's .py sources, so a result is never served
+to code other than the code that computed it.  Documents hold the key
+in clear for human inspection.  Writes go to a temp file in the same
+directory and are renamed into place, so concurrent invocations never
+see torn files.
 
 Verify mode recomputes on every hit and compares canonical result
 bytes; divergence raises CacheMismatch.
@@ -19,13 +22,20 @@ import tempfile
 import time
 from pathlib import Path
 
+from . import __version__
 from .errors import CacheMismatch
-
-VERSION = "1"
 
 
 def canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def code_version() -> str:
+    """Package version and a digest of every .py source of the package."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return f"{__version__}+{h.hexdigest()}"
 
 
 class ResultCache:
@@ -36,9 +46,10 @@ class ResultCache:
         self.verify = verify
         self.hits = 0
         self.misses = 0
+        self.code = code_version()
 
     def key(self, op: str, params: dict) -> str:
-        return f"{op}|{canonical(params)}|v{VERSION}"
+        return f"{op}|{canonical(params)}|v{self.code}"
 
     def path(self, key: str) -> Path:
         h = hashlib.sha256(key.encode()).hexdigest()

@@ -213,13 +213,18 @@ class CurveSpec:
     def splits(self) -> bool:
         return self.roots is not None and len(self.roots) == self.r
 
-    def is_rational_base(self) -> bool:
-        return self.base is None
-
     def ram_place(self, i: int) -> RamPlace:
         """R_i for 1-based i, ordered by packed root value."""
         assert self.splits, "roots of F are not all rational here"
         return RamPlace(i, self.roots[i - 1])
+
+    def ram_place_at(self, alpha) -> RamPlace:
+        """The ramification place over a rational root of F.
+
+        R_i keeps its index among the rational roots whether or not F
+        splits, so places built over a root agree everywhere.
+        """
+        return RamPlace(self.roots.index(alpha) + 1, alpha)
 
     def inf_place(self) -> InfPlace:
         return InfPlace(self.d)
@@ -500,10 +505,6 @@ class FunctionRep:
 # truncated power series over a field context
 
 
-def s_new(prec: int) -> list[int]:
-    return [0] * prec
-
-
 def s_add(ctx, a, b):
     return [ctx.add(x, y) for x, y in zip(a, b)]
 
@@ -517,14 +518,42 @@ def s_scale(ctx, a, c):
 
 
 def s_mul(ctx, a, b, prec):
-    out = [0] * prec
-    for i, ai in enumerate(a):
-        if ai and i < prec:
+    """a * b truncated to prec terms.
+
+    b's support is read once (as logs over an extension field) and no
+    term past prec is formed; extension fields accumulate in the
+    log/Zech domain, prime fields as plain ints reduced at the end.
+    """
+    if ctx.n == 1:
+        bs = [(j, bj) for j, bj in enumerate(b[:prec]) if bj]
+        out = [0] * prec
+        for i, ai in enumerate(a[:prec]):
+            if ai:
+                top = prec - i
+                for j, bj in bs:
+                    if j >= top:
+                        break
+                    out[i + j] += ai * bj
+        p = ctx.p
+        return [v % p for v in out]
+    q1, exp, log, zech, _ = ctx.log_tables()
+    bs = [(j, log[bj]) for j, bj in enumerate(b[:prec]) if bj]
+    out = [-1] * prec
+    for i, ai in enumerate(a[:prec]):
+        if ai:
+            la = log[ai]
             top = prec - i
-            for j, bj in enumerate(b[:top]):
-                if bj:
-                    out[i + j] = ctx.add(out[i + j], ctx.mul(ai, bj))
-    return out
+            for j, lb in bs:
+                if j >= top:
+                    break
+                t = la + lb
+                lo = out[i + j]
+                if lo < 0:
+                    out[i + j] = t % q1
+                else:
+                    z = zech[(t - lo) % q1]
+                    out[i + j] = -1 if z < 0 else (lo + z) % q1
+    return [exp[v] if v >= 0 else 0 for v in out]
 
 
 def s_inv(ctx, a, prec):
@@ -1152,8 +1181,7 @@ def places_above(curve: CurveSpec, sctx: gf.FieldCtx, x0: int,
                 min_orbit.append((px, py))
         if b == 1 and min_orbit[0][1] == 0:
             # base-rational ramification points keep their R_i identity
-            idx = curve.roots.index(min_orbit[0][0]) + 1
-            places.append(RamPlace(idx, min_orbit[0][0]))
+            places.append(curve.ram_place_at(min_orbit[0][0]))
         else:
             places.append(closed_place(base, b, min_orbit))
     return places

@@ -15,15 +15,6 @@ import cmath
 from functools import lru_cache
 
 
-def _zadd(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
 def _zmul(a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
         return []

@@ -277,26 +277,6 @@ def _nth_root(ctx: gf.FieldCtx, z: int, m: int) -> int | None:
     return y
 
 
-def _matrix_rank(ctx: gf.FieldCtx, rows: list[list[int]]) -> int:
-    a = [list(r) for r in rows]
-    rank = 0
-    cols = len(a[0]) if a else 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = ctx.inv(a[rank][c])
-        a[rank] = [ctx.mul(v, inv) for v in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][c]:
-                s = a[i][c]
-                a[i] = [ctx.sub(v, ctx.mul(s, w))
-                        for v, w in zip(a[i], a[rank])]
-        rank += 1
-    return rank
-
-
 def _rank_evidence(curve: CurveSpec, entries, seed: int):
     """Evaluate all basis functions at genus random curve points and
     report the rank of the value matrix; up to RANK_ATTEMPTS samplings."""
@@ -329,7 +309,7 @@ def _rank_evidence(curve: CurveSpec, entries, seed: int):
             pts.append((x0, y0))
         mat = [[ent.function.evaluate(K, x0, y0) for ent in entries]
                for x0, y0 in pts]
-        rank = _matrix_rank(K, mat)
+        rank = len(entries) - len(gf.nullspace(K, mat, len(entries)))
         attempts.append({
             "field": K.name(),
             "points": [[x0, y0] for x0, y0 in pts],

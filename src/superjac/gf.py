@@ -420,14 +420,16 @@ class FieldCtx:
             acc = self.add(acc, t)
         return acc
 
-    def rel_norm(self, a: int, sub_n: int) -> int:
-        assert self.n % sub_n == 0
-        acc = a
-        t = a
-        for _ in range(self.n // sub_n - 1):
-            t = self.frob(t, sub_n)
-            acc = self.mul(acc, t)
-        return acc
+    def log_tables(self) -> tuple[int, list[int], list[int], list[int], int]:
+        """(order - 1, exp, log, zech, log(-1)) of an extension field.
+
+        For loops that stay in the log domain: log[0] = -1 marks zero,
+        and g^a + g^b = g^(a + zech[(b - a) mod (order - 1)]), the sum
+        being zero when that zech entry is -1.
+        """
+        assert self.n > 1, "prime fields carry no arithmetic tables"
+        return (self.order - 1, self._exp, self._log, self._zech,
+                self._m1log)
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.n})" if self.n > 1 else f"GF({self.p})"
@@ -449,11 +451,107 @@ def field(p: int, n: int = 1) -> FieldCtx:
     return ctx
 
 
-def field_of_order(q: int) -> FieldCtx:
-    fac = primes.factorize(q)
-    assert len(fac) == 1, f"{q} is not a prime power"
-    [(p, n)] = fac.items()
-    return field(p, n)
+# ---------------------------------------------------------------------------
+# exact linear algebra
+
+
+def nullspace(ctx: FieldCtx, rows, ncols: int) -> list[tuple[int, ...]]:
+    """Basis of the right kernel of a matrix over ctx.
+
+    The matrix is brought to its reduced row echelon form, which is
+    unique, and the basis has one vector per free column f: 1 at f, the
+    negated f-column entries of the pivot rows at the pivot columns, 0
+    elsewhere.  Prime fields reduce ints mod p; extension fields keep
+    every entry as a discrete log (-1 for zero) and add through the Zech
+    table.  Each pivot touches only the columns where its row is
+    nonzero, and elimination stops once every row holds a pivot.
+    """
+    if ctx.n == 1:
+        red, pivots = _rref_prime(ctx.p, rows, ncols)
+
+        def neg(v: int) -> int:
+            return -v % ctx.p
+    else:
+        red, pivots = _rref_log(ctx, rows, ncols)
+        q1, exp, _, _, m1 = ctx.log_tables()
+
+        def neg(lv: int) -> int:
+            return exp[(lv + m1) % q1] if lv >= 0 else 0
+    pivset = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivset:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for row, pc in zip(red, pivots):
+            vec[pc] = neg(row[free])
+        basis.append(tuple(vec))
+    return basis
+
+
+def _rref_prime(p: int, rows, ncols: int):
+    mat = [list(r) for r in rows]
+    nrows = len(mat)
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == nrows:
+            break
+        piv = next((i for i in range(rank, nrows) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        prow = mat[rank]
+        inv = pow(prow[col], p - 2, p)
+        supp = [j for j in range(col, ncols) if prow[j]]
+        for j in supp:
+            prow[j] = prow[j] * inv % p
+        negs = [(j, p - prow[j]) for j in supp]
+        for i in range(nrows):
+            row = mat[i]
+            c = row[col]
+            if c and i != rank:
+                for j, nv in negs:
+                    row[j] = (row[j] + c * nv) % p
+        pivots.append(col)
+    return mat, pivots
+
+
+def _rref_log(ctx: FieldCtx, rows, ncols: int):
+    q1, _, log, zech, m1 = ctx.log_tables()
+    mat = [[log[v] for v in r] for r in rows]
+    nrows = len(mat)
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == nrows:
+            break
+        piv = next((i for i in range(rank, nrows) if mat[i][col] >= 0), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        prow = mat[rank]
+        shift = q1 - prow[col]
+        supp = [j for j in range(col, ncols) if prow[j] >= 0]
+        for j in supp:
+            prow[j] = (prow[j] + shift) % q1
+        # logs of the negated pivot row: row_i -= c * prow adds c * (-prow)
+        negs = [(j, prow[j] + m1) for j in supp]
+        for i in range(nrows):
+            row = mat[i]
+            lc = row[col]
+            if lc >= 0 and i != rank:
+                for j, ln in negs:
+                    t = ln + lc
+                    lr = row[j]
+                    if lr < 0:
+                        row[j] = t % q1
+                    else:
+                        z = zech[(t - lr) % q1]
+                        row[j] = -1 if z < 0 else (lr + z) % q1
+        pivots.append(col)
+    return mat, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +815,3 @@ def proots(ctx: FieldCtx, a) -> list[int]:
     assert a, "zero polynomial has every root"
     out = [x for x in ctx.elements() if peval(ctx, a, x) == 0]
     return out
-
-
-def pmap(emb: Embedding, a) -> list[int]:
-    return [emb.apply(c) for c in a]

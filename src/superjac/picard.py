@@ -40,46 +40,6 @@ from .zeta import count_points, lpoly_from_counts
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over a field context
-
-
-def _nullspace(ctx: gf.FieldCtx, rows, ncols: int):
-    """Basis of the right kernel of the matrix, as tuples of length ncols."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = ctx.inv(mat[rank][col])
-        mat[rank] = [ctx.mul(inv, v) for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [ctx.sub(a, ctx.mul(c, b))
-                          for a, b in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    pivset = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for rowi, pc in enumerate(pivots):
-            vec[pc] = ctx.neg(mat[rowi][free])
-        basis.append(tuple(vec))
-    return basis
-
-
-# ---------------------------------------------------------------------------
 # L(D) as an explicit function space
 
 
@@ -99,7 +59,8 @@ def _min_field_orbit(base: gf.FieldCtx, xctx: gf.FieldCtx, x0: int):
     mctx = gf.field(base.p, e * bx)
     if mctx.n != xctx.n:
         x0 = gf.embedding(mctx, xctx).preimage(x0)
-        assert x0 is not None, "x-coordinate fails to descend"
+        if x0 is None:
+            raise InvariantViolation("x-coordinate fails to descend")
     orb = [x0]
     cur = mctx.frob(x0, e)
     while cur != orb[0]:
@@ -111,7 +72,7 @@ def _min_field_orbit(base: gf.FieldCtx, xctx: gf.FieldCtx, x0: int):
 def _lift_point(ext: CurveSpec, K: gf.FieldCtx, xK: int, yK: int):
     """The degree-one place of the extended curve through a K-point."""
     if yK == 0 and xK in ext.roots:
-        return ext.ram_place(ext.roots.index(xK) + 1)
+        return ext.ram_place_at(xK)
     return closed_place(K, 1, [(xK, yK)])
 
 
@@ -183,7 +144,8 @@ def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
             ob = {"fiber": places_above(curve, mctx, orb[0]),
                   "bx": len(orb), "supp": [], "e": 0}
             orbits[key] = ob
-        assert place in ob["fiber"], "support place missing from its fiber"
+        if place not in ob["fiber"]:
+            raise InvariantViolation("support place missing from its fiber")
         ob["supp"].append(place)
 
     ext_deg = 1
@@ -229,7 +191,8 @@ def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
                 emb = gf.compatible_embedding(base, ctxp, K)
             for (px, py) in pts:
                 q = _lift_point(ext, K, emb.apply(px), emb.apply(py))
-                assert q not in affK, "embedded support points collide"
+                if q in affK:
+                    raise InvariantViolation("embedded support points collide")
                 affK[q] = aff[P]
                 place_map[P] = q
             if seed is None:
@@ -239,17 +202,20 @@ def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
         while cur != seed:
             xs.append(cur)
             cur = K.frob(cur, base.n)
-        assert len(xs) == ob["bx"], "x-orbit length changed under transport"
+        if len(xs) != ob["bx"]:
+            raise InvariantViolation("x-orbit length changed under transport")
         e = ob["e"]
         if e > 0:
             u_roots.extend((xk, e) for xk in sorted(xs))
             fiberK = []
             for xk in xs:
                 fiberK.extend(places_above(ext, K, xk))
-            assert all(q.degree == 1 for q in fiberK), \
-                "condition place fails to split over K"
-            assert set(affK) <= set(fiberK), \
-                "support points land outside their fiber"
+            if any(q.degree != 1 for q in fiberK):
+                raise InvariantViolation(
+                    "condition place fails to split over K")
+            if not set(affK) <= set(fiberK):
+                raise InvariantViolation(
+                    "support points land outside their fiber")
             for q in fiberK:
                 t = e * _place_mult(ext, q) - affK.get(q, 0)
                 if t > 0:
@@ -289,7 +255,7 @@ def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
             for o in range(t):
                 rows.append([cs[o] for cs in cols])
 
-    vectors = _nullspace(K, rows, len(monomials))
+    vectors = gf.nullspace(K, rows, len(monomials))
 
     degb = bound.degree()
     g = curve.genus
@@ -503,7 +469,9 @@ def _merge_invariants(per_prime: dict) -> tuple[int, ...]:
         factors.append(dt)
     factors.sort()
     for a, b in zip(factors, factors[1:]):
-        assert b % a == 0, "invariant factors fail the divisibility chain"
+        if b % a:
+            raise InvariantViolation(
+                f"invariant factors {factors} fail the divisibility chain")
     return tuple(factors)
 
 
@@ -552,7 +520,9 @@ def picard_group(curve: CurveSpec, budget: int | None = None) -> PicardGroup:
     total = 1
     for dfac in inv:
         total *= dfac
-    assert total == order, "invariant factors do not multiply to the order"
+    if total != order:
+        raise InvariantViolation(
+            f"invariant factors {inv} multiply to {total}, not {order}")
     return PicardGroup(order, inv, len(special_reps), P.coeffs, reps)
 
 

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from superjac import cache as cache_mod
 from superjac.cache import ResultCache, canonical
 from superjac.errors import CacheMismatch
 
@@ -95,3 +96,21 @@ def test_corrupt_json_is_an_error(tmp_path) -> None:
     path.write_text("{truncated")
     with pytest.raises(CacheMismatch):
         cache.get_or_compute("op", {"x": 1}, lambda: [0, {"v": 1}])
+
+
+def test_key_follows_the_code(tmp_path, monkeypatch) -> None:
+    ResultCache(tmp_path).get_or_compute("op", {"x": 1}, lambda: [0, {"v": 1}])
+
+    # same sources: the stored entry is served
+    same = ResultCache(tmp_path)
+    assert same.get_or_compute("op", {"x": 1}, lambda: [0, {"v": 9}]) \
+        == [0, {"v": 1}]
+    assert (same.hits, same.misses) == (1, 0)
+
+    # changed sources: a miss, computed afresh by the new code
+    real = cache_mod.code_version()
+    monkeypatch.setattr(cache_mod, "code_version", lambda: real + "x")
+    changed = ResultCache(tmp_path)
+    assert changed.get_or_compute("op", {"x": 1}, lambda: [0, {"v": 2}]) \
+        == [0, {"v": 2}]
+    assert (changed.hits, changed.misses) == (0, 1)

@@ -140,6 +140,13 @@ def test_picard(capsys) -> None:
                                   "--p", "2", "--ext", "2"])
     assert (code, doc["invariant_factors"]) == (0, [3, 3])
 
+    # F = x^5 + 2x + 1 has one rational root and does not split
+    code, doc = run_json(capsys, ["picard", "--m", "2", "--f",
+                                  "1,2,0,0,0,1", "--p", "5"])
+    assert code == 0
+    assert (doc["order"], doc["invariant_factors"], doc["lpoly"]) == \
+        (26, [26], [1, 0, 0, 0, 25])
+
 
 def test_conjecture_test(capsys) -> None:
     code, doc = run_json(capsys, ["conjecture-test", "--p", "2", "--q", "3",

@@ -4,6 +4,8 @@ Divisor-of-function oracles are frozen from hand calculations on small
 split curves; the expansion engine must reproduce them exactly.
 """
 
+import random
+
 import pytest
 
 from superjac import gf
@@ -20,6 +22,7 @@ from superjac.curves import (
     make_curve,
     places_above,
     principal_divisor,
+    s_mul,
     splitting_extension,
     valuation,
 )
@@ -262,3 +265,23 @@ def test_infinity_collision_detection():
     mixed = FunctionRep(c, [(0, 0, 0, 1), (1,)])
     with pytest.raises(UnsupportedCollision):
         valuation(c, mixed, c.inf_place())
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (7, 1), (2, 2), (3, 2), (2, 8),
+                                 (3, 4)])
+def test_s_mul_matches_schoolbook(p, n):
+    ctx = gf.field(p, n)
+    rng = random.Random(31 * p + n)
+    for _ in range(40):
+        a = [rng.choice((0, rng.randrange(ctx.order))) for _ in
+             range(rng.randrange(0, 12))]
+        b = [rng.choice((0, rng.randrange(ctx.order))) for _ in
+             range(rng.randrange(0, 12))]
+        full = [0] * (len(a) + len(b))
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                full[i + j] = ctx.add(full[i + j], ctx.mul(ai, bj))
+        # prec below, at and past the operand lengths
+        for prec in (1, 2, 5, len(a), len(b), 16):
+            want = (full + [0] * prec)[:prec]
+            assert s_mul(ctx, a, b, prec) == want

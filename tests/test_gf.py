@@ -180,3 +180,101 @@ def test_dlog_consistency():
         for a in K.units():
             k = K.dlog(a)
             assert K.pow(g, k) == a
+
+
+# ---------------------------------------------------------------------------
+# nullspace kernel against plain Gauss-Jordan elimination
+
+
+def _gauss_jordan_nullspace(ctx, rows, ncols):
+    """Textbook Gauss-Jordan through the field operations, kept as oracle."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = ctx.inv(mat[rank][col])
+        mat[rank] = [ctx.mul(inv, v) for v in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                c = mat[i][col]
+                mat[i] = [ctx.sub(a, ctx.mul(c, b))
+                          for a, b in zip(mat[i], mat[rank])]
+        pivots.append(col)
+        rank += 1
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for rowi, pc in enumerate(pivots):
+            vec[pc] = ctx.neg(mat[rowi][free])
+        basis.append(tuple(vec))
+    return basis
+
+
+NULLSPACE_FIELDS = [(2, 1), (3, 1), (7, 1), (2, 2), (3, 2), (2, 8), (3, 4)]
+
+
+def _check_nullspace(ctx, rows, ncols):
+    got = gf.nullspace(ctx, rows, ncols)
+    assert got == _gauss_jordan_nullspace(ctx, rows, ncols)
+    for v in got:
+        for r in rows:
+            acc = 0
+            for a, b in zip(r, v):
+                acc = ctx.add(acc, ctx.mul(a, b))
+            assert acc == 0
+    return got
+
+
+@st.composite
+def _matrices(draw):
+    p, n = draw(st.sampled_from(NULLSPACE_FIELDS))
+    ctx = gf.field(p, n)
+    ncols = draw(st.integers(min_value=0, max_value=7))
+    nrows = draw(st.integers(min_value=0, max_value=9))
+    elem = st.one_of(st.just(0), st.integers(min_value=1,
+                                             max_value=ctx.order - 1))
+    # rows mixed from a few generators, so ranks below min(rows, cols)
+    # and repeated pivots are common
+    gens = draw(st.lists(st.lists(elem, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=4))
+    rows = []
+    for _ in range(nrows):
+        coeffs = draw(st.lists(elem, min_size=len(gens), max_size=len(gens)))
+        row = [0] * ncols
+        for c, g in zip(coeffs, gens):
+            row = [ctx.add(x, ctx.mul(c, y)) for x, y in zip(row, g)]
+        rows.append(row)
+    return ctx, rows, ncols
+
+
+@given(_matrices())
+@settings(max_examples=300, deadline=None)
+def test_nullspace_matches_gauss_jordan(case):
+    ctx, rows, ncols = case
+    _check_nullspace(ctx, rows, ncols)
+
+
+@pytest.mark.parametrize("p,n", NULLSPACE_FIELDS)
+def test_nullspace_edge_shapes(p, n):
+    ctx = gf.field(p, n)
+    unit = [tuple(int(i == j) for i in range(4)) for j in range(4)]
+    assert _check_nullspace(ctx, [], 4) == unit
+    assert _check_nullspace(ctx, [[0] * 4] * 3, 4) == unit
+    assert _check_nullspace(ctx, [], 0) == []
+    assert _check_nullspace(ctx, [[], []], 0) == []
+    # more rows than columns, full column rank
+    rng = random.Random(p * 100 + n)
+    tall = [[1, 0], [0, 1]] + [[rng.randrange(ctx.order) for _ in range(2)]
+                               for _ in range(5)]
+    assert _check_nullspace(ctx, tall, 2) == []
+    # one dependency: column 2 = column 0 * c
+    c = ctx.order - 1
+    rows = [[a, b, ctx.mul(a, c)] for a, b in ((1, 0), (0, 1), (1, 1))]
+    assert _check_nullspace(ctx, rows, 3) == [(ctx.neg(c), 0, 1)]

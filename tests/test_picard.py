@@ -5,8 +5,13 @@ Anchor groups, cross-checked against zeta orders:
   y^5 = x^2 + x + 1 / GF(2):   Pic^0 = Z/5,  over GF(16) (Z/5)^4
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import superjac
 from superjac import gf
 from superjac.errors import RequiresD1
 from superjac.curves import (Divisor, FunctionRep, InfPlace, base_change,
@@ -147,3 +152,31 @@ def test_requires_single_infinite_place():
         enumerate_places(c, 1)
     with pytest.raises(RequiresD1):
         picard_group(c)
+
+
+def test_picard_group_with_a_rational_root_of_unsplit_F():
+    # x^5 + 2x + 1 over GF(5) has the single rational root 3; its
+    # ramification place must be built the same way by the fiber scan
+    # and by the transport into the splitting field
+    c = make_curve(2, [1, 2, 0, 0, 0, 1], gf.field(5))
+    assert not c.splits and c.roots == (3,)
+    G = picard_group(c)
+    assert G.lpoly_coeffs == (1, 0, 0, 0, 25)
+    # 26 = P(1) is squarefree, so the group is cyclic
+    assert (G.order, G.invariant_factors) == (26, (26,))
+
+
+def test_picard_invariants_are_typed_under_python_O():
+    # the divisibility chain check must survive assert stripping
+    code = ("from superjac.errors import InvariantViolation\n"
+            "from superjac.picard import _merge_invariants\n"
+            "try:\n"
+            "    _merge_invariants({2: [1, 2], 3: [2, 1]})\n"
+            "except InvariantViolation as exc:\n"
+            "    print(str(exc))\n")
+    src = str(Path(superjac.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert "divisibility chain" in proc.stdout
