@@ -14,8 +14,9 @@ Two families of multiplicative characters are used.
                     = sum over w of chi(w) psi(w - a),
 
   with chi(0) = 1 for the trivial character and 0 otherwise.  Closed
-  forms hold when either character is trivial and are asserted on every
-  call; they double as a self-check of the histogram tables.  These
+  forms hold when either character is trivial and are checked on every
+  such call, raising ``InvariantViolation`` (also under ``python -O``);
+  they double as a self-check of the histogram tables.  These
   sums feed the Hasse-Davenport identity grid, whose level caps are
   ``MAX_LEVEL`` and ``MAX_CARD_HIGH_LEVEL``.
 
@@ -36,7 +37,7 @@ import math
 
 from . import gf, primes
 from .cyclo import CycloInt, cyclo
-from .errors import BudgetExceeded, CharacterUnavailable
+from .errors import BudgetExceeded, CharacterUnavailable, InvariantViolation
 
 # direct summation is quadratic fun at level n; cap the field sizes
 MAX_LEVEL = 6
@@ -107,11 +108,12 @@ def modified_gauss_sum(p: int, q_order: int, c: int, u: int, a: int,
         # chi(0) = 1: the w = 0 term contributes psi_c(-a)
         e0 = (M * ((-c * n * a) % p)) % (p * M)
         total = total + total.ctx.from_zeta_exponents({e0: 1})
-    # closed forms for trivial characters, asserted as a self-check
+    # the closed forms for trivial characters double as a self-check
     if c == 0 and u == 0:
-        assert total == p ** n, "trivial/trivial sum must be p^n"
-    elif c == 0 or u == 0:
-        assert total.is_zero(), "half-trivial sum must vanish"
+        if total != p ** n:
+            raise InvariantViolation("trivial/trivial sum must be p^n")
+    elif (c == 0 or u == 0) and not total.is_zero():
+        raise InvariantViolation("half-trivial sum must vanish")
     return total
 
 

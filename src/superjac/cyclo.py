@@ -2,8 +2,24 @@
 
 Elements are coefficient vectors over the power basis 1, z, ..., z^(phi-1)
 of Z[x]/Phi_N(x), with ordinary Python integers as coefficients, so all
-computations are exact.  Phi_N itself is obtained by exact division of
-x^N - 1 by the lower-order cyclotomic polynomials.
+computations are exact.
+
+Products use Kronecker substitution: each coefficient vector is packed
+into one Python integer, one slot per coefficient, the two integers are
+multiplied, and the product is read back slot by slot.  The slot is
+wide enough (the operands' bit lengths, plus the bit length of the
+shorter length, plus a sign bit) for every coefficient of the product,
+so the unpacking is exact at any coefficient size.
+
+Reduction mod Phi_N is two sparse divisions.  With l the smallest prime
+of N, T_l = (x^N - 1) / (x^(N/l) - 1) = 1 + x^(N/l) + ... + x^((l-1)N/l)
+has l terms and is a multiple of Phi_N, so a vector is first divided by
+T_l at l - 1 updates per step, then by Phi_N over its nonzero terms for
+the deg T_l - phi(N) remaining steps (none when N is a prime power,
+where T_l = Phi_N).  For N = 1 there is no l: Z[zeta_1] = Z, and the
+division by Phi_1 = x - 1 alone leaves the coefficient sum.  The same
+sparse division builds Phi_N from x^N - 1 and the lower-order
+cyclotomic polynomials.
 
 The complex embedding (zeta_N -> exp(2*pi*i/N)) is provided only as a
 floating sanity check; nothing downstream depends on it.
@@ -12,37 +28,56 @@ floating sanity check; nothing downstream depends on it.
 from __future__ import annotations
 
 import cmath
+import math
 from functools import lru_cache
 
+from . import primes
+from .errors import InvariantViolation
 
-def _zmul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
+
+def _zmul(a, b) -> list[int]:
+    """Product of two coefficient vectors by Kronecker substitution."""
+    n = min(len(a), len(b))
+    if not n:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + n.bit_length() + 1)
+    width = (bits + 7) // 8                  # slot width in bytes
+    half = 1 << (8 * width - 1)
+    slot = half.to_bytes(width, "little")
+    # every slot is offset by half so that it holds a value in [0, 2 half)
+    fb = int.from_bytes
+    pa = fb(b"".join([(c + half).to_bytes(width, "little") for c in a]),
+            "little") - fb(slot * len(a), "little")
+    pb = fb(b"".join([(c + half).to_bytes(width, "little") for c in b]),
+            "little") - fb(slot * len(b), "little")
+    size = len(a) + len(b) - 1
+    buf = (pa * pb + fb(slot * size, "little")).to_bytes(size * width,
+                                                          "little")
+    return [fb(buf[i:i + width], "little") - half
+            for i in range(0, size * width, width)]
 
 
-def _zdivmod_monic(a: list[int], f: list[int]) -> tuple[list[int], list[int]]:
-    """Exact division by a monic integer polynomial."""
-    assert f and f[-1] == 1
-    r = list(a)
+def _monic_terms(f) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Degree n of the monic f and its nonzero lower terms (i - n, f_i)."""
     n = len(f) - 1
+    return n, tuple((i - n, c) for i, c in enumerate(f[:n]) if c)
+
+
+def _sparse_divmod(r: list[int], n: int, terms) -> list[int]:
+    """Divide r in place by the monic polynomial of degree n whose lower
+    terms are ``terms`` (from ``_monic_terms``); r is left holding the n
+    coefficients of the remainder and the quotient is returned."""
     q = [0] * max(0, len(r) - n)
     for d in range(len(r) - 1, n - 1, -1):
         c = r[d]
         if c:
             q[d - n] = c
-            for t in range(n + 1):
-                r[d - n + t] -= c * f[t]
-    while r and r[-1] == 0:
-        r.pop()
-    while len(r) < n:
-        r.append(0)
-    return q, r[:n]
+            for off, f in terms:
+                r[d + off] -= c * f
+    del r[n:]
+    r.extend([0] * (n - len(r)))
+    return q
 
 
 @lru_cache(maxsize=None)
@@ -52,27 +87,39 @@ def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
     num = [-1] + [0] * (N - 1) + [1]          # x^N - 1
     for d in range(1, N):
         if N % d == 0:
-            q, r = _zdivmod_monic(num, list(cyclotomic_polynomial(d)))
-            assert not any(r), "cyclotomic division left a remainder"
+            n, terms = _monic_terms(cyclotomic_polynomial(d))
+            q = _sparse_divmod(num, n, terms)
+            if any(num):
+                raise InvariantViolation(
+                    "cyclotomic division left a remainder")
             num = q
-    while num and num[-1] == 0:
-        num.pop()
     return tuple(num)
 
 
 class CycloCtx:
     """Ring context for Z[zeta_N]."""
 
-    __slots__ = ("N", "phi", "modulus")
+    __slots__ = ("N", "phi", "_divisors")
 
     def __init__(self, N: int):
         assert N >= 1
         self.N = N
-        self.modulus = list(cyclotomic_polynomial(N))
-        self.phi = len(self.modulus) - 1
+        phi_N = cyclotomic_polynomial(N)
+        self.phi = len(phi_N) - 1
+        # reduce divides by T_l first, then by Phi_N (see module docstring)
+        self._divisors = []
+        if N > 1:
+            m = N // min(primes.factorize(N))
+            t_l = [0] * (N - m + 1)
+            t_l[::m] = [1] * (N // m)
+            if tuple(t_l) != phi_N:
+                self._divisors.append(_monic_terms(t_l))
+        self._divisors.append(_monic_terms(phi_N))
 
-    def reduce(self, coeffs: list[int]) -> tuple[int, ...]:
-        _, r = _zdivmod_monic(coeffs, self.modulus)
+    def reduce(self, coeffs) -> tuple[int, ...]:
+        r = list(coeffs)
+        for n, terms in self._divisors:
+            _sparse_divmod(r, n, terms)
         return tuple(r)
 
     def zero(self) -> "CycloInt":
@@ -127,8 +174,8 @@ class CycloInt:
         self.coeffs = coeffs
 
     def _check(self, other: "CycloInt") -> None:
-        assert isinstance(other, CycloInt) and other.ctx.N == self.ctx.N, \
-            "mixed cyclotomic rings"
+        if not (isinstance(other, CycloInt) and other.ctx.N == self.ctx.N):
+            raise InvariantViolation("mixed cyclotomic rings")
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -152,8 +199,7 @@ class CycloInt:
             return CycloInt(self.ctx, tuple(a * other for a in self.coeffs))
         self._check(other)
         return CycloInt(self.ctx,
-                        self.ctx.reduce(_zmul(list(self.coeffs),
-                                              list(other.coeffs))))
+                        self.ctx.reduce(_zmul(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -163,13 +209,15 @@ class CycloInt:
 
     def __pow__(self, e: int):
         assert e >= 0
-        res = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                res = res * base
-            base = base * base
-            e >>= 1
+        if not e:
+            return self.ctx.one()
+        # left to right from the leading bit: no multiply by one, no spare
+        # squaring
+        res = self
+        for bit in bin(e)[3:]:
+            res = res * res
+            if bit == "1":
+                res = res * self
         return res
 
     def __eq__(self, other) -> bool:
@@ -188,12 +236,13 @@ class CycloInt:
         return not any(self.coeffs[1:])
 
     def rational_value(self) -> int:
-        assert self.is_rational(), f"not a rational integer: {self.coeffs}"
+        if not self.is_rational():
+            raise InvariantViolation(
+                f"not a rational integer: {self.coeffs}")
         return self.coeffs[0] if self.coeffs else 0
 
     def galois(self, t: int) -> "CycloInt":
         """Image under zeta -> zeta^t, gcd(t, N) = 1."""
-        import math
         assert math.gcd(t, self.ctx.N) == 1
         weights: dict[int, int] = {}
         for i, c in enumerate(self.coeffs):

@@ -5,8 +5,13 @@ G = chi(1) psi(0) + chi(2) psi(1) = 1 - zeta_3, with norm 3; squaring
 the negated sum gives the level-2 value 3 zeta_3.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import superjac
 from superjac.characters import (
     gauss_norm_ok,
     hasse_davenport_ok,
@@ -94,3 +99,24 @@ def test_a_shift_is_additive_twist():
     ctx = cyclo(10)  # zeta_5 = zeta_10^2
     tw = ctx.from_zeta_exponents({(2 * ((-2) % 5)) % 10: 1})
     assert g0 * tw == g2
+
+
+def test_closed_form_self_checks_are_typed_under_python_O():
+    # a poisoned histogram must trip both closed-form checks, with asserts
+    # stripped
+    code = ("from superjac import characters\n"
+            "from superjac.errors import InvariantViolation\n"
+            "hist = characters._histogram(3, 1, 2)\n"
+            "hist[next(iter(hist))] += 1\n"
+            "for args in ((3, 2, 0, 0, 1), (3, 2, 1, 0, 1)):\n"
+            "    try:\n"
+            "        characters.modified_gauss_sum(*args)\n"
+            "    except InvariantViolation as exc:\n"
+            "        print(str(exc))\n")
+    src = str(Path(superjac.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["trivial/trivial sum must be p^n",
+                                        "half-trivial sum must vanish"]

@@ -1,12 +1,63 @@
-"""Cyclotomic integer ring oracles and the complex-embedding cross-check."""
+"""Cyclotomic integer ring oracles and the complex-embedding cross-check.
+
+The schoolbook product ``_zmul_schoolbook`` and the dense long division
+``_zdivmod_monic`` below are the reference implementations that the
+Kronecker-substituted multiply and the sparse reduction of
+``superjac.cyclo`` are checked against.
+"""
 
 from __future__ import annotations
 
+import math
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from superjac.cyclo import cyclo, cyclotomic_polynomial
+from superjac.cyclo import CycloInt, cyclo, cyclotomic_polynomial
+
+
+def _zmul_schoolbook(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _zdivmod_monic(a: list[int], f: list[int]) -> tuple[list[int], list[int]]:
+    """Exact division by a monic integer polynomial, dense."""
+    assert f and f[-1] == 1
+    r = list(a)
+    n = len(f) - 1
+    q = [0] * max(0, len(r) - n)
+    for d in range(len(r) - 1, n - 1, -1):
+        c = r[d]
+        if c:
+            q[d - n] = c
+            for t in range(n + 1):
+                r[d - n + t] -= c * f[t]
+    while r and r[-1] == 0:
+        r.pop()
+    while len(r) < n:
+        r.append(0)
+    return q, r[:n]
+
+
+def _oracle_phi(N: int) -> list[int]:
+    """Phi_N by dense division of x^N - 1 by every lower-order Phi_d."""
+    num = [-1] + [0] * (N - 1) + [1]
+    for d in range(1, N):
+        if N % d == 0:
+            num, r = _zdivmod_monic(num, _oracle_phi(d))
+            assert not any(r)
+    return num
+
+
+def _oracle_reduce(N: int, v: list[int]) -> tuple[int, ...]:
+    return tuple(_zdivmod_monic(v, _oracle_phi(N))[1])
 
 
 def test_cyclotomic_polynomials():
@@ -18,20 +69,126 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(15) == (1, -1, 0, 1, -1, 1, 0, -1, 1)
     assert cyclotomic_polynomial(35) == tuple(
         int(c) for c in _phi35_coeffs())
+    # Phi_105 is the first cyclotomic polynomial with a coefficient -2
+    assert -2 in cyclotomic_polynomial(105)
+    assert all(abs(c) <= 1 for n in range(1, 105)
+               for c in cyclotomic_polynomial(n))
 
 
 def _phi35_coeffs():
     # Phi_35 has degree 24; reconstruct it independently from roots of unity
     # counting: (x^35-1)(x-1) / ((x^5-1)(x^7-1)) expanded by hand is overkill,
     # so check the defining product property instead.
-    from superjac.cyclo import _zmul  # noqa: internal helper, test-only
-
     acc = [1]
     for d in (1, 5, 7, 35):
-        acc = _zmul(acc, list(cyclotomic_polynomial(d)))
+        acc = _zmul_schoolbook(acc, list(cyclotomic_polynomial(d)))
     want = [-1] + [0] * 34 + [1]
     assert acc == want
     return cyclotomic_polynomial(35)
+
+
+_ORACLE_N = (1, 2, 3, 4, 6, 8, 9, 12, 15, 21, 25, 27, 38, 55, 57, 100, 105,
+             143)
+
+
+def test_cyclotomic_polynomials_match_dense_oracle():
+    for N in _ORACLE_N:
+        assert list(cyclotomic_polynomial(N)) == _oracle_phi(N), N
+
+
+_COEFF = st.one_of(st.sampled_from([0, 1, -1]),
+                   st.integers(-2 ** 8, 2 ** 8),
+                   st.integers(-2 ** 200, 2 ** 200),
+                   st.sampled_from([2 ** 200, -2 ** 200]))
+
+
+@st.composite
+def _vectors(draw, n: int) -> list[int]:
+    kind = draw(st.sampled_from(["mixed", "zero", "negative"]))
+    if kind == "zero":
+        return [0] * n
+    if kind == "negative":
+        return draw(st.lists(st.integers(-2 ** 200, -1), min_size=n,
+                             max_size=n))
+    return draw(st.lists(_COEFF, min_size=n, max_size=n))
+
+
+def _check_against_oracle(N, a, b, e, weights, t):
+    R = cyclo(N)
+    x, y = CycloInt(R, tuple(a)), CycloInt(R, tuple(b))
+
+    assert (x * y).coeffs == _oracle_reduce(N, _zmul_schoolbook(a, b))
+
+    want = _oracle_reduce(N, [1])
+    for _ in range(e):
+        want = _oracle_reduce(N, _zmul_schoolbook(list(want), a))
+    assert (x ** e).coeffs == want
+
+    dense = [0] * N
+    for k, w in weights.items():
+        dense[k % N] += w
+    assert R.from_zeta_exponents(weights).coeffs == _oracle_reduce(N, dense)
+
+    image = [0] * N
+    for i, c in enumerate(a):
+        image[i * t % N] += c
+    assert x.galois(t).coeffs == _oracle_reduce(N, image)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_schoolbook_and_dense_division(data):
+    N = data.draw(st.sampled_from(_ORACLE_N))
+    phi = len(_oracle_phi(N)) - 1
+    _check_against_oracle(
+        N, data.draw(_vectors(phi)), data.draw(_vectors(phi)),
+        data.draw(st.integers(0, 6)),
+        data.draw(st.dictionaries(st.integers(0, 3 * N), _COEFF,
+                                  max_size=2 * N)),
+        data.draw(st.sampled_from(
+            [t for t in range(1, N + 1) if math.gcd(t, N) == 1])))
+
+
+def test_kernel_extremes_match_oracle():
+    for N in _ORACLE_N:
+        phi = len(_oracle_phi(N)) - 1
+        top = {N - 1: -2 ** 200, 0: 2 ** 200}
+        _check_against_oracle(N, [-2 ** 200] * phi, [-1] * phi, 3, top, N - 1)
+        _check_against_oracle(N, [0] * phi, [2 ** 200] * phi, 2, {}, 1)
+        _check_against_oracle(N, [2 ** 200] * phi, [-2 ** 200] * phi, 1,
+                              {}, 1)
+        # product coefficients just below the slot's sign bit (N = 55, 105)
+        _check_against_oracle(N, [2 ** 201 - 1] * phi, [2 ** 201 - 1] * phi,
+                              1, {}, 1)
+
+
+def test_zeta_one_is_the_integers():
+    # Z[zeta_1] = Z: reduction mod Phi_1 = x - 1 is the coefficient sum
+    R = cyclo(1)
+    assert R.phi == 1
+    assert R.reduce([3, -5, 7, 2 ** 200]) == (5 + 2 ** 200,)
+    assert R.from_zeta_exponents({0: 4, 1: 6, 5: -1}).coeffs == (9,)
+    assert (R.from_int(-6) * R.from_int(7)).rational_value() == -42
+
+
+def test_pow_multiplies_only_as_often_as_needed():
+    R = cyclo(7)
+    z = R.zeta()
+    calls = []
+
+    class Counted(CycloInt):
+        __slots__ = ()
+
+        def __mul__(self, other):
+            calls.append(1)
+            return Counted(self.ctx, super().__mul__(other).coeffs)
+
+    a = Counted(R, (2 + z + z ** 4).coeffs)
+    assert a ** 6 == (2 + z + z ** 4) ** 6
+    assert len(calls) == 3        # a^2, a^3, a^6
+    calls.clear()
+    assert a ** 1 == a and a ** 0 == R.one()
+    assert not calls
 
 
 def test_minimal_relation_of_zeta3():
