@@ -39,7 +39,9 @@ from . import gf, primes
 from .cyclo import CycloInt, cyclo
 from .errors import BudgetExceeded, CharacterUnavailable, InvariantViolation
 
-# direct summation is quadratic fun at level n; cap the field sizes
+# a level-n sum builds the tables of GF(p^n) and makes one histogram pass
+# over its p^n - 1 units, linear in p^n but a Python loop per element;
+# these caps keep the identity grid at desk scale, far below the table cap
 MAX_LEVEL = 6
 MAX_CARD_HIGH_LEVEL = 100_000
 

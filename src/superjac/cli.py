@@ -169,7 +169,7 @@ def _picard_curve(args):
 
 
 def _cmd_picard(args):
-    G = picard.picard_group(_picard_curve(args), budget=args.budget)
+    G = picard.picard_group(_picard_curve(args), budget=_budget(args))
     payload = {"m": args.m, "f": _ints(args.f), "p": args.p,
                "ext": args.ext}
     payload.update(G.to_dict())
@@ -178,7 +178,7 @@ def _cmd_picard(args):
 
 def _cmd_conjecture_test(args):
     curve = zeta.artin_schreier_curve(args.p, args.q, args.a)
-    rep = picard.conjecture_check(curve, budget=args.budget)
+    rep = picard.conjecture_check(curve, budget=_budget(args))
     return (0 if rep.verdict == "consistent" else 1), rep.to_dict()
 
 

@@ -32,8 +32,6 @@ from .errors import (
     BudgetExceeded,
     NotSeparable,
     PrecisionExhausted,
-    RequiresD1,
-    RequiresSplitRoots,
     UnsupportedBase,
     UnsupportedCollision,
 )
@@ -380,18 +378,19 @@ def base_change(curve: CurveSpec, ctx: gf.FieldCtx) -> CurveSpec:
     return got
 
 
-def splitting_extension(curve: CurveSpec, max_degree: int = 12) -> CurveSpec:
-    """Smallest base extension over which F splits into linear factors."""
+def splitting_extension(curve: CurveSpec) -> CurveSpec:
+    """Smallest base extension over which F splits into linear factors.
+
+    The search ends at the first extension past the field-table cap,
+    where gf.field raises BudgetExceeded naming that field and the cap.
+    """
     assert curve.base is not None
-    for s in range(1, max_degree + 1):
-        try:
-            cand = curve if s == 1 else base_change(
-                curve, gf.field(curve.base.p, curve.base.n * s))
-        except BudgetExceeded:
-            break
-        if cand.splits:
-            return cand
-    raise RequiresSplitRoots(f"F does not split within degree {max_degree}")
+    s = 1
+    cand = curve
+    while not cand.splits:
+        s += 1
+        cand = base_change(curve, gf.field(curve.base.p, curve.base.n * s))
+    return cand
 
 
 # ---------------------------------------------------------------------------
@@ -418,16 +417,6 @@ class FunctionRep:
     def constant(curve: CurveSpec, c: int) -> "FunctionRep":
         nums = [() for _ in range(curve.m)]
         nums[0] = (c,)
-        return FunctionRep(curve, nums, (1,), ())
-
-    @staticmethod
-    def x_minus_root(curve: CurveSpec, i: int) -> "FunctionRep":
-        """x - alpha_i as a function, 1-based i; inverted via den elsewhere."""
-        assert curve.splits
-        ctx = curve.base
-        a = curve.roots[i - 1]
-        nums = [() for _ in range(curve.m)]
-        nums[0] = (ctx.neg(a), 1)
         return FunctionRep(curve, nums, (1,), ())
 
     @staticmethod
@@ -630,32 +619,11 @@ class LocalExpansion:
     def residual_order(self) -> int | None:
         """Order of y^m - F(x) along the expansion; None when it vanishes
         to working precision (the expected outcome)."""
-        ctx = self.ctx
-        m, r = self.curve.m, self.curve.r
-        prec = self.prec
-        cs = self.curve.ext_coeffs(ctx)
-        # common Laurent offset: min(m*y_off, r*x_off + lower terms) is
-        # handled by aligning everything at offset m*y_off == r*x_off*...;
-        # multiply the identity by t^(-m*y_off) (a unit shift) instead.
-        ym = s_pow(ctx, self.y_ser, m, prec)
-        # F(x) = sum c_i t^(i*x_off) x_ser^i; align at t^(m*y_off)
-        base_off = m * self.y_off
-        acc = [0] * prec
-        xp = [0] * prec
-        xp[0] = 1
-        for i, c in enumerate(cs):
-            if c:
-                shift = i * self.x_off - base_off
-                assert shift >= 0, "unexpected offset alignment"
-                for k in range(prec - shift):
-                    if xp[k]:
-                        acc[k + shift] = ctx.add(acc[k + shift],
-                                                 ctx.mul(c, xp[k]))
-            if i + 1 < len(cs):
-                xp = s_mul(ctx, xp, self.x_ser, prec)
-        resid = s_sub(ctx, ym, acc)
+        resid = _residual(self.ctx, self.curve.ext_coeffs(self.ctx),
+                          self.curve.m, self.x_off, self.x_ser,
+                          self.y_off, self.y_ser, self.prec)
         k = s_first_nonzero(resid)
-        return None if k is None else base_off + k
+        return None if k is None else self.curve.m * self.y_off + k
 
     def check(self) -> None:
         k = self.residual_order()
@@ -769,7 +737,7 @@ def _expand_infinity(curve: CurveSpec, prec: int) -> LocalExpansion:
     assert det != 0, "degenerate Jacobian at infinity"
     dinv = ctx.inv(det)
     while True:
-        r1 = _g1_resid(ctx, cs, m, r, c_ser, e_ser, prec)
+        r1 = _residual(ctx, cs, m, -m, c_ser, -r, e_ser, prec)
         r2 = _g2_resid(ctx, a, b, c_ser, e_ser, prec)
         ks = [k for k in (s_first_nonzero(r1), s_first_nonzero(r2))
               if k is not None]
@@ -789,21 +757,24 @@ def _expand_infinity(curve: CurveSpec, prec: int) -> LocalExpansion:
     return exp
 
 
-def _g1_resid(ctx, cs, m, r, c_ser, e_ser, prec):
-    em = s_pow(ctx, e_ser, m, prec)
+def _residual(ctx, cs, m, x_off, x_ser, y_off, y_ser, prec):
+    """t^(-m*y_off) (y^m - F(x)) to prec terms, for x = t^x_off x_ser and
+    y = t^y_off y_ser; the shift of F's i-th term is i*x_off - m*y_off."""
+    ym = s_pow(ctx, y_ser, m, prec)
     acc = [0] * prec
     xp = [0] * prec
     xp[0] = 1
-    for i, coeff in enumerate(cs):
-        if coeff:
-            shift = m * (r - i)
-            for k in range(max(0, prec - shift)):
+    for i, c in enumerate(cs):
+        if c:
+            shift = i * x_off - m * y_off
+            assert shift >= 0, "unexpected offset alignment"
+            for k in range(prec - shift):
                 if xp[k]:
                     acc[k + shift] = ctx.add(acc[k + shift],
-                                             ctx.mul(coeff, xp[k]))
+                                             ctx.mul(c, xp[k]))
         if i + 1 < len(cs):
-            xp = s_mul(ctx, xp, c_ser, prec)
-    return s_sub(ctx, em, acc)
+            xp = s_mul(ctx, xp, x_ser, prec)
+    return s_sub(ctx, ym, acc)
 
 
 def _g2_resid(ctx, a, b, c_ser, e_ser, prec):
@@ -950,8 +921,7 @@ def div_y(curve: CurveSpec) -> Divisor:
     return Divisor(items)
 
 
-def principal_divisor(curve: CurveSpec, f: FunctionRep,
-                      scan_cap: int = 1 << 22) -> Divisor:
+def principal_divisor(curve: CurveSpec, f: FunctionRep) -> Divisor:
     """Exact divisor of a nonzero function representative.
 
     Affine zeros are found through the y-resultant (the norm of the
@@ -968,12 +938,12 @@ def principal_divisor(curve: CurveSpec, f: FunctionRep,
         xcoords.setdefault((ctx.p, ctx.n * s), set()).add(x0)
 
     normpoly = _numerator_norm(curve, f)
-    for s, roots in _roots_by_degree(ctx, normpoly, scan_cap).items():
+    for s, roots in _roots_by_degree(ctx, normpoly).items():
         for x0 in roots:
             add_xcoord(s, x0)
     den = gf.pnorm(list(f.den))
     if len(den) > 1:
-        for s, roots in _roots_by_degree(ctx, den, scan_cap).items():
+        for s, roots in _roots_by_degree(ctx, den).items():
             for x0 in roots:
                 add_xcoord(s, x0)
     seen = set()
@@ -981,7 +951,7 @@ def principal_divisor(curve: CurveSpec, f: FunctionRep,
         sctx = gf.field(p, ns)
         for x0 in sorted(xs):
             # conjugate x-coordinates resolve to the same places
-            seen.update(places_above(curve, sctx, x0, scan_cap))
+            seen.update(places_above(curve, sctx, x0))
     out = []
     for place in sorted(seen, key=lambda pl: pl.sort_key()):
         v = valuation(curve, f, place)
@@ -1050,7 +1020,7 @@ def _poly_det(ctx, mat) -> list[int]:
     return det
 
 
-def _roots_by_degree(ctx, poly, scan_cap: int) -> dict[int, list[int]]:
+def _roots_by_degree(ctx, poly) -> dict[int, list[int]]:
     """Distinct roots of poly grouped by extension degree over ctx."""
     poly = gf.pnorm(list(poly))
     assert poly
@@ -1064,7 +1034,7 @@ def _roots_by_degree(ctx, poly, scan_cap: int) -> dict[int, list[int]]:
         if not der:
             # cur = U(x^p); p-th roots are Frobenius preimages, same fields
             U = [cur[i] for i in range(0, len(cur), ctx.p)]
-            for s, roots in _roots_by_degree(ctx, U, scan_cap).items():
+            for s, roots in _roots_by_degree(ctx, U).items():
                 sctx = gf.field(ctx.p, ctx.n * s)
                 pr = {sctx.frob(r, sctx.n - 1) for r in roots}
                 out.setdefault(s, set()).update(pr)
@@ -1076,19 +1046,20 @@ def _roots_by_degree(ctx, poly, scan_cap: int) -> dict[int, list[int]]:
             assert not rem
         else:
             sf = cur
-        for s, roots in _ddf_roots(ctx, sf, scan_cap).items():
+        for s, roots in _ddf_roots(ctx, sf).items():
             out.setdefault(s, set()).update(roots)
     return {s: sorted(v) for s, v in sorted(out.items())}
 
 
-def _ddf_roots(ctx, sf, scan_cap: int) -> dict[int, list[int]]:
+def _ddf_roots(ctx, sf) -> dict[int, list[int]]:
     """Roots of a squarefree polynomial, by distinct-degree splitting."""
 
     def block_roots(s: int, g) -> list[int]:
         sctx = gf.field(ctx.p, ctx.n * s)
-        if sctx.order > scan_cap:
-            raise BudgetExceeded(
-                f"root scan over {sctx.name()} exceeds the cap")
+        if sctx.order > gf.MAX_TABLE_CARD:
+            # only a prime field gets here: gf.field refuses the others
+            raise BudgetExceeded(f"root scan over {sctx.name()} exceeds "
+                                 f"the table cap {gf.MAX_TABLE_CARD}")
         emb = gf.embedding(ctx, sctx)
         roots = gf.proots(sctx, [emb.apply(c) for c in g])
         assert len(roots) == len(g) - 1, "missing roots in DDF block"
@@ -1116,8 +1087,7 @@ def _ddf_roots(ctx, sf, scan_cap: int) -> dict[int, list[int]]:
     return out
 
 
-def places_above(curve: CurveSpec, sctx: gf.FieldCtx, x0: int,
-                 scan_cap: int = 1 << 22) -> list:
+def places_above(curve: CurveSpec, sctx: gf.FieldCtx, x0: int) -> list:
     """All places of the curve over a given x-coordinate in GF(p^(n*s)).
 
     Points are grouped into base-Frobenius orbits and each orbit is
@@ -1147,8 +1117,6 @@ def places_above(curve: CurveSpec, sctx: gf.FieldCtx, x0: int,
                     yv = yctx.mul(yv, zeta)
                 break
             w += 1
-            if sctx.p ** (sctx.n * w) > scan_cap:
-                raise BudgetExceeded("fiber field exceeds the cap")
             yctx = gf.field(sctx.p, sctx.n * w)
     # group into orbits of x -> x^Q for the curve's base order Q
     e = base.n

@@ -20,14 +20,10 @@ where T_l = Phi_N).  For N = 1 there is no l: Z[zeta_1] = Z, and the
 division by Phi_1 = x - 1 alone leaves the coefficient sum.  The same
 sparse division builds Phi_N from x^N - 1 and the lower-order
 cyclotomic polynomials.
-
-The complex embedding (zeta_N -> exp(2*pi*i/N)) is provided only as a
-floating sanity check; nothing downstream depends on it.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import lru_cache
 
@@ -253,13 +249,6 @@ class CycloInt:
 
     def conjugate(self) -> "CycloInt":
         return self.galois(self.ctx.N - 1)
-
-    def embed_complex(self) -> complex:
-        z = cmath.exp(2j * cmath.pi / self.ctx.N)
-        acc = 0j
-        for i, c in enumerate(reversed(self.coeffs)):
-            acc = acc * z + c
-        return acc
 
     def __repr__(self) -> str:
         return f"CycloInt(N={self.ctx.N}, {list(self.coeffs)})"

@@ -417,8 +417,7 @@ def combo_divisor(curve: CurveSpec, coeffs) -> Divisor:
     return Divisor(items)
 
 
-def decide_principal_delta(curve: CurveSpec, coeffs,
-                           cross_check: bool = True) -> bool:
+def decide_principal_delta(curve: CurveSpec, coeffs) -> bool:
     """Is sum a_i (R_i - inf) principal?  True iff m divides every a_i.
 
     Over a finite base the verdict is re-derived with the brute-force
@@ -426,7 +425,7 @@ def decide_principal_delta(curve: CurveSpec, coeffs,
     """
     D = combo_divisor(curve, coeffs)
     verdict = all(c % curve.m == 0 for c in coeffs)
-    if cross_check and curve.base is not None:
+    if curve.base is not None:
         got = picard.is_principal(curve, D)
         if got != verdict:
             raise OracleMismatch(

@@ -17,6 +17,7 @@ Deterministic choices, fixed once per (p, n):
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import primes
@@ -27,98 +28,23 @@ from .errors import BudgetExceeded
 MAX_TABLE_CARD = 1 << 22
 
 
-# ---------------------------------------------------------------------------
-# coefficient-list arithmetic mod p, used only while building a context
-
-
-def _ldeg(a: list[int]) -> int:
-    d = len(a) - 1
-    while d >= 0 and a[d] == 0:
-        d -= 1
-    return d
-
-
-def _lmulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    n = _ldeg(f)
-    out = [0] * max(len(a) + len(b) - 1, n)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    for d in range(len(out) - 1, n - 1, -1):
-        c = out[d] % p
-        if c:
-            for t in range(n):
-                out[d - n + t] -= c * f[t]
-        out[d] = 0
-    res = [out[t] % p for t in range(n)]
-    return res
-
-
-def _lpowmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    n = _ldeg(f)
-    res = [0] * n
-    res[0] = 1
-    base = [x % p for x in a]
-    while e:
-        if e & 1:
-            res = _lmulmod(res, base, f, p)
-        base = _lmulmod(base, base, f, p)
-        e >>= 1
-    return res
-
-
-def _lgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a = a[: _ldeg(a) + 1]
-    b = b[: _ldeg(b) + 1]
-    while b:
-        # a mod b with b made monic on the fly
-        inv = pow(b[-1], p - 2, p)
-        bm = [(x * inv) % p for x in b]
-        r = [x % p for x in a]
-        while len(r) >= len(bm) and any(r):
-            c = r[-1]
-            if c:
-                off = len(r) - len(bm)
-                for t in range(len(bm)):
-                    r[off + t] = (r[off + t] - c * bm[t]) % p
-            r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-        a, b = b, r
-    return a
-
-
 def _is_irreducible(f: list[int], p: int, n: int) -> bool:
     # f monic of degree n: irreducible iff X^(p^n) = X mod f and for every
     # prime l | n, gcd(X^(p^(n/l)) - X, f) is constant.
+    fp = field(p)
     x = [0, 1]
-    xq = x
-    powers = {}
-    for i in range(1, n + 1):
-        xq = _lpowmod(xq, p, f, p)
-        powers[i] = xq
-    top = powers[n][:]
-    top[1] = (top[1] - 1) % p
-    if _ldeg(top) >= 0:
+    powers = [x]
+    for _ in range(n):
+        powers.append(ppow_mod(fp, powers[-1], p, f))
+    if psub(fp, powers[n], x):
         return False
-    for ell in primes.factorize(n):
-        sub = powers[n // ell][:]
-        sub[1] = (sub[1] - 1) % p
-        g = _lgcd(f, sub, p)
-        if _ldeg(g) > 0:
-            return False
-    return True
+    return all(len(pgcd(fp, f, psub(fp, powers[n // ell], x))) == 1
+               for ell in primes.factorize(n))
 
 
 def _find_defpoly(p: int, n: int) -> tuple[int, ...]:
     for v in range(p ** n):
-        coeffs = []
-        w = v
-        for _ in range(n):
-            coeffs.append(w % p)
-            w //= p
-        f = coeffs + [1]
+        f = [v // p ** i % p for i in range(n)] + [1]
         if _is_irreducible(f, p, n):
             return tuple(f)
     raise AssertionError("no irreducible polynomial found")
@@ -160,22 +86,13 @@ class FieldCtx:
     # -- construction helpers ------------------------------------------------
 
     def _find_generator(self) -> int:
-        p, n, f = self.p, self.n, list(self.defpoly)
+        fp, f = field(self.p), list(self.defpoly)
         qm1 = self.order - 1
         fac = primes.factorize(qm1)
-        v = 2
-        while v < self.order:
-            coeffs = self.coeffs(v)
-            elem = list(coeffs)
-            ok = True
-            for ell in fac:
-                r = _lpowmod(elem, qm1 // ell, f, p)
-                if _ldeg(r) == 0 and r[0] == 1:
-                    ok = False
-                    break
-            if ok:
+        for v in range(2, self.order):
+            elem = list(self.coeffs(v))
+            if all(ppow_mod(fp, elem, qm1 // ell, f) != [1] for ell in fac):
                 return v
-            v += 1
         raise AssertionError("no generator found")
 
     def _build_tables(self) -> None:
@@ -234,10 +151,9 @@ class FieldCtx:
         cur = [0] * n
         cur[0] = 1
         rng_n = range(n)
+        place = [p ** i for i in rng_n]
         for k in range(Q - 1):
-            v = 0
-            for i in range(n - 1, -1, -1):
-                v = v * p + cur[i]
+            v = sum(map(operator.mul, cur, place))
             exp[k] = v
             log[v] = k
             out = [0] * width
@@ -283,12 +199,6 @@ class FieldCtx:
             out.append(a % self.p)
             a //= self.p
         return tuple(out)
-
-    def from_coeffs(self, cs) -> int:
-        v = 0
-        for c in reversed(list(cs)):
-            v = v * self.p + c % self.p
-        return v
 
     def elements(self) -> range:
         return range(self.order)
@@ -409,16 +319,6 @@ class FieldCtx:
                       % (self.order - 1)]
         assert v < self.p, "norm left the prime field"
         return v
-
-    def rel_trace(self, a: int, sub_n: int) -> int:
-        """Trace to the subfield of degree sub_n, as an element of self."""
-        assert self.n % sub_n == 0
-        acc = a
-        t = a
-        for _ in range(self.n // sub_n - 1):
-            t = self.frob(t, sub_n)
-            acc = self.add(acc, t)
-        return acc
 
     def log_tables(self) -> tuple[int, list[int], list[int], list[int], int]:
         """(order - 1, exp, log, zech, log(-1)) of an extension field.
@@ -578,31 +478,19 @@ class Embedding:
             return
         img = img_x
         if img is not None:
-            acc = 0
-            for c in reversed(src.defpoly):
-                acc = dst.add(dst.mul(acc, img), c)
-            assert acc == 0, "prescribed image is not a defpoly root"
-            self._build_tables(img)
-            return
-        for z in dst.elements():
-            acc = 0
-            for c in reversed(src.defpoly):
-                acc = dst.add(dst.mul(acc, z), c)
-            if acc == 0:
-                img = z
-                break
-        assert img is not None, "defining polynomial has no root downstream"
+            assert peval(dst, src.defpoly, img) == 0, \
+                "prescribed image is not a defpoly root"
+        else:
+            img = next((z for z in dst.elements()
+                        if peval(dst, src.defpoly, z) == 0), None)
+            assert img is not None, \
+                "defining polynomial has no root downstream"
         self._build_tables(img)
 
     def _build_tables(self, img: int) -> None:
         src, dst = self.src, self.dst
         self.img_x = img
-        fwd = [0] * src.order
-        for a in src.elements():
-            acc = 0
-            for c in reversed(src.coeffs(a)):
-                acc = dst.add(dst.mul(acc, img), c)
-            fwd[a] = acc
+        fwd = [peval(dst, src.coeffs(a), img) for a in src.elements()]
         self._fwd = fwd
         self._bwd = {v: a for a, v in enumerate(fwd)}
 
@@ -648,15 +536,8 @@ def compatible_embedding(base: FieldCtx, src: FieldCtx,
     gen_src = embedding(base, src).apply(base.p)
     want = embedding(base, dst).apply(base.p)
     for z in dst.elements():
-        acc = 0
-        for c in reversed(src.defpoly):
-            acc = dst.add(dst.mul(acc, z), c)
-        if acc:
-            continue
-        acc = 0
-        for c in reversed(src.coeffs(gen_src)):
-            acc = dst.add(dst.mul(acc, z), c)
-        if acc == want:
+        if peval(dst, src.defpoly, z) == 0 and \
+                peval(dst, src.coeffs(gen_src), z) == want:
             emb = Embedding(src, dst, img_x=z)
             dst._emb_cache[key] = emb
             return emb

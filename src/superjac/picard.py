@@ -31,12 +31,12 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import gf, primes
-from .curves import (ClosedPlace, CurveSpec, Divisor, FunctionRep, InfPlace,
-                     RamPlace, base_change, closed_place, local_expansion,
+from .curves import (CurveSpec, Divisor, FunctionRep, InfPlace, RamPlace,
+                     base_change, closed_place, local_expansion,
                      places_above, s_mul, valuation)
 from .errors import (BudgetExceeded, IncompleteEnumeration,
                      InvariantViolation, RequiresD1, UnsupportedBase)
-from .zeta import count_points, lpoly_from_counts
+from .zeta import COUNT_BUDGET, count_points, lpoly_from_counts
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +273,12 @@ def ell(curve: CurveSpec, bound: Divisor) -> int:
     return function_space(curve, bound).dim
 
 
-def is_principal(curve: CurveSpec, D: Divisor, verify: bool = True) -> bool:
+def is_principal(curve: CurveSpec, D: Divisor) -> bool:
     """Whether D is the divisor of a function.
 
     Solves for f with div(f) >= D; in degree zero that forces equality.
     The found function's valuations are re-checked on the support
-    through the independent valuation engine unless verify is False.
+    through the independent valuation engine.
     """
     if curve.base is None:
         raise UnsupportedBase("principality tests need a finite base field")
@@ -291,16 +291,15 @@ def is_principal(curve: CurveSpec, D: Divisor, verify: bool = True) -> bool:
         return False
     if len(sp.vectors) != 1:
         raise InvariantViolation("degree-zero divisor with l > 1")
-    if verify:
-        f = sp.function(0)
-        for place, c in D.items():
-            if isinstance(place, InfPlace):
-                got = valuation(sp.ext, f, sp.ext.inf_place())
-            else:
-                got = valuation(sp.ext, f, sp.place_map[place])
-            if got != c:
-                raise InvariantViolation(
-                    f"witness valuation {got} != {c} at {place.label()}")
+    f = sp.function(0)
+    for place, c in D.items():
+        if isinstance(place, InfPlace):
+            got = valuation(sp.ext, f, sp.ext.inf_place())
+        else:
+            got = valuation(sp.ext, f, sp.place_map[place])
+        if got != c:
+            raise InvariantViolation(
+                f"witness valuation {got} != {c} at {place.label()}")
     return True
 
 
@@ -308,7 +307,7 @@ def is_principal(curve: CurveSpec, D: Divisor, verify: bool = True) -> bool:
 # place enumeration
 
 
-def enumerate_places(curve: CurveSpec, max_deg: int, check: bool = True):
+def enumerate_places(curve: CurveSpec, max_deg: int):
     """All places of degree <= max_deg, the infinite place included.
 
     Runs over x-coordinates of each exact degree, decides arithmetically
@@ -358,15 +357,14 @@ def enumerate_places(curve: CurveSpec, max_deg: int, check: bool = True):
             for P in places_above(curve, xctx, x0):
                 if P.degree <= max_deg:
                     out.append(P)
-    if check:
-        degs = Counter(P.degree for P in out)
-        for n in range(1, max_deg + 1):
-            total = sum(b * degs[b] for b in range(1, n + 1) if n % b == 0)
-            expect = count_points(curve, n)
-            if total != expect:
-                raise IncompleteEnumeration(
-                    f"{total} points from places of degree | {n}, "
-                    f"expected {expect}")
+    degs = Counter(P.degree for P in out)
+    for n in range(1, max_deg + 1):
+        total = sum(b * degs[b] for b in range(1, n + 1) if n % b == 0)
+        expect = count_points(curve, n)
+        if total != expect:
+            raise IncompleteEnumeration(
+                f"{total} points from places of degree | {n}, "
+                f"expected {expect}")
     return sorted(out, key=lambda P: (P.degree, P.sort_key()))
 
 
@@ -475,7 +473,7 @@ def _merge_invariants(per_prime: dict) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def picard_group(curve: CurveSpec, budget: int | None = None) -> PicardGroup:
+def picard_group(curve: CurveSpec, budget: int = COUNT_BUDGET) -> PicardGroup:
     """Order and abelian structure of the degree-zero class group."""
     base = curve.base
     if base is None:
@@ -483,10 +481,7 @@ def picard_group(curve: CurveSpec, budget: int | None = None) -> PicardGroup:
     if curve.d != 1:
         raise RequiresD1("class enumeration needs a single infinite place")
     g = curve.genus
-    if budget is None:
-        counts = [count_points(curve, n) for n in range(1, g + 1)]
-    else:
-        counts = [count_points(curve, n, budget) for n in range(1, g + 1)]
+    counts = [count_points(curve, n, budget) for n in range(1, g + 1)]
     P = lpoly_from_counts(base.order, counts, g)
     order = P.evaluate(1)
 
@@ -555,7 +550,7 @@ class ConjectureReport:
 
 
 def conjecture_check(curve: CurveSpec,
-                     budget: int | None = None) -> ConjectureReport:
+                     budget: int = COUNT_BUDGET) -> ConjectureReport:
     """Compare J(GF(p^k)) with the k-th power of J(GF(p)) as groups.
 
     For y^q = F(x) with q prime not dividing deg F, the group orders

@@ -30,9 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import gf, zeta
+from . import zeta
 from .curves import Divisor, FunctionRep, closed_place, principal_divisor
-from .errors import EvidenceFailed, HypothesisFailed
+from .errors import (EvidenceFailed, HypothesisFailed, InvariantViolation,
+                     OracleMismatch)
 from .primes import factorize, is_prime
 
 
@@ -161,7 +162,8 @@ def _verify_reduced_relation(p: int, q: int, a: int, kr: int) -> None:
 
     On y^q = x^p - x + a with a = k^q the function y - k vanishes
     exactly where x^p = x, once per base-field x0.  Re-derived with the
-    valuation engine; a mismatch means a broken engine, so assert.
+    valuation engine; a mismatch means a broken engine and raises
+    OracleMismatch.
     """
     curve = zeta.artin_schreier_curve(p, q, a)
     ctx = curve.base
@@ -170,7 +172,8 @@ def _verify_reduced_relation(p: int, q: int, a: int, kr: int) -> None:
         [(closed_place(ctx, 1, [(x0, kr)]), 1) for x0 in range(p)]
         + [(curve.inf_place(), -p)])
     got = principal_divisor(curve, f)
-    assert got == expected, f"div(y - k): {got} != {expected}"
+    if got != expected:
+        raise OracleMismatch(f"div(y - k): {got} != {expected}")
 
 
 def certify_rank(p: int, q: int, k: int) -> RankCertificate:
@@ -195,7 +198,8 @@ def certify_rank(p: int, q: int, k: int) -> RankCertificate:
             next(h.id for h in induced if not h.ok),
             HypothesisReport(rep.items + induced))
     a = pow(k, q, p)
-    assert a != 0
+    if a == 0:
+        raise InvariantViolation(f"k^q = 0 mod {p} although T4 holds")
     P = zeta.zeta_numerator_charsum(p, q, a)
     order = P.jacobian_order(1)
     if order % q == 0:

@@ -46,7 +46,7 @@ from .errors import (
     UnsupportedBase,
 )
 
-COUNT_BUDGET = 1 << 22
+COUNT_BUDGET = gf.MAX_TABLE_CARD
 
 
 @dataclass(frozen=True)
@@ -84,19 +84,23 @@ class LPolynomial:
         """|J| over the degree-n extension: prod(1 - alpha_i^n)."""
         deg = len(self.coeffs) - 1
         s = self.power_sums(n * deg)
-        cn = [1]
-        for j in range(1, deg + 1):
-            acc = 0
-            for k in range(1, j + 1):
-                acc += s[n * k - 1] * cn[j - k]
-            if acc % j:
-                raise InvariantViolation(
-                    "power-sum transform must stay integral")
-            cn.append(-acc // j)
-        order = sum(cn)
+        order = sum(_from_power_sums(s[n - 1::n]))
         if order <= 0:
             raise InvariantViolation("Jacobian order must be positive")
         return order
+
+
+def _from_power_sums(s) -> list[int]:
+    """[1, c_1, ..., c_k] of prod(1 - alpha_i T) from the power sums
+    s_j = sum alpha_i^j, j = 1..k, by Newton's identities
+    j c_j = -sum_(i <= j) s_i c_(j - i)."""
+    c = [1]
+    for j in range(1, len(s) + 1):
+        acc = sum(s[i - 1] * c[j - i] for i in range(1, j + 1))
+        if acc % j:
+            raise InvariantViolation("Newton's identities must stay integral")
+        c.append(-acc // j)
+    return c
 
 
 def lpoly(q: int, genus: int, coeffs) -> LPolynomial:
@@ -125,14 +129,8 @@ def lpoly_from_counts(q: int, counts, genus: int | None = None) -> LPolynomial:
     if genus is None:
         genus = len(counts)
     assert genus >= 1 and len(counts) >= genus, "need at least g counts"
-    s = [q ** n + 1 - counts[n - 1] for n in range(1, genus + 1)]
-    c = [1]
-    for n in range(1, genus + 1):
-        acc = s[n - 1]
-        for k in range(1, n):
-            acc += s[k - 1] * c[n - k]
-        assert acc % n == 0, "Newton recursion must stay integral"
-        c.append(-acc // n)
+    c = _from_power_sums([q ** n + 1 - counts[n - 1]
+                          for n in range(1, genus + 1)])
     for i in range(genus - 1, -1, -1):
         c.append(q ** (genus - i) * c[i])
     P = lpoly(q, genus, c)

@@ -200,6 +200,17 @@ def test_capacity_exit_code(capsys) -> None:
     assert "GF(7^10)" in doc["detail"]
 
 
+def test_splitting_field_past_the_cap_is_a_capacity_exit(capsys) -> None:
+    # x^3 + x + 1 is irreducible over GF(2^8): it splits over GF(2^24),
+    # which is past the table cap
+    code, doc = run_json(capsys, ["proof-replay", "--m", "3", "--f",
+                                  "1,1,0,1", "--field", "2^8"])
+    assert code == 3
+    assert doc["error"] == "budget-exceeded"
+    assert "GF(2^24)" in doc["detail"]
+    assert "table cap 4194304" in doc["detail"]
+
+
 def test_zeta_past_the_enumeration_wall(capsys) -> None:
     argv = ["jacobian-order", "--p", "3", "--q", "13", "--a", "1"]
     code, doc = run_json(capsys, argv + ["--budget", "200000"])

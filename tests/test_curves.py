@@ -10,6 +10,7 @@ import pytest
 
 from superjac import gf
 from superjac.curves import (
+    _residual,
     ClosedPlace,
     Divisor,
     FunctionRep,
@@ -23,6 +24,8 @@ from superjac.curves import (
     places_above,
     principal_divisor,
     s_mul,
+    s_pow,
+    s_sub,
     splitting_extension,
     valuation,
 )
@@ -31,6 +34,34 @@ from superjac.errors import (
     UnsupportedBase,
     UnsupportedCollision,
 )
+
+
+def x_minus_root(curve, i: int) -> FunctionRep:
+    """x - alpha_i as a function, 1-based i."""
+    assert curve.splits
+    nums = [() for _ in range(curve.m)]
+    nums[0] = (curve.base.neg(curve.roots[i - 1]), 1)
+    return FunctionRep(curve, nums, (1,), ())
+
+
+def _g1_resid(ctx, cs, m, r, c_ser, e_ser, prec):
+    """y^m - F(x) at infinity with x = t^-m c(t), y = t^-r e(t), times
+    t^(m r): the dedicated loop the infinite expansion used before it
+    shared curves._residual, kept as an oracle."""
+    em = s_pow(ctx, e_ser, m, prec)
+    acc = [0] * prec
+    xp = [0] * prec
+    xp[0] = 1
+    for i, coeff in enumerate(cs):
+        if coeff:
+            shift = m * (r - i)
+            for k in range(max(0, prec - shift)):
+                if xp[k]:
+                    acc[k + shift] = ctx.add(acc[k + shift],
+                                             ctx.mul(coeff, xp[k]))
+        if i + 1 < len(cs):
+            xp = s_mul(ctx, xp, c_ser, prec)
+    return s_sub(ctx, em, acc)
 
 
 def curve_34_f7():
@@ -113,6 +144,32 @@ def test_expansion_residual_at_infinity():
     assert exp.x_ser[0] != 0 and exp.y_ser[0] != 0
 
 
+@pytest.mark.parametrize("m,cs,p,n", [
+    (2, [0, 2, 5, 2, 1, 1], 11, 1),     # curve_25_f11
+    (3, [0, 1, 4, 1, 1], 7, 1),         # curve_34_f7
+    (3, [1, 1, 0, 0, 1], 2, 2),
+    (2, [1, 2, 0, 0, 0, 1], 3, 2),
+    (5, [1, 1, 1], 2, 4),
+])
+def test_residual_at_infinity_matches_g1_oracle(m, cs, p, n):
+    c = make_curve(m, cs, gf.field(p, n))
+    ctx, r = c.base, c.r
+    cs = list(c.coeffs)
+    exp = local_expansion(c, c.inf_place())
+    cases = [(exp.prec, exp.x_ser, exp.y_ser)]
+    rng = random.Random(97 * m + p ** n)
+    for _ in range(20):
+        prec = rng.randrange(1, 3 * m * r)
+        cases.append((prec, [rng.randrange(ctx.order) for _ in range(prec)],
+                      [rng.randrange(ctx.order) for _ in range(prec)]))
+    for prec, c_ser, e_ser in cases:
+        assert _residual(ctx, cs, m, -m, c_ser, -r, e_ser, prec) == \
+            _g1_resid(ctx, cs, m, r, c_ser, e_ser, prec)
+    # along the expansion itself both vanish
+    assert not any(_residual(ctx, cs, m, -m, exp.x_ser, -r, exp.y_ser,
+                             exp.prec))
+
+
 def test_infinite_valuations_of_coordinates():
     c = curve_34_f7()
     x_fn = FunctionRep(c, [(0, 1), (), ()])
@@ -123,7 +180,7 @@ def test_infinite_valuations_of_coordinates():
 
 def test_divisor_of_x_minus_root_matches_closed_form():
     c = curve_34_f7()
-    got = principal_divisor(c, FunctionRep.x_minus_root(c, 1))
+    got = principal_divisor(c, x_minus_root(c, 1))
     assert got == div_x_minus_root(c, 1)
     assert got.coeff(c.ram_place(1)) == 3
     assert got.coeff(c.inf_place()) == -3

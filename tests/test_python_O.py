@@ -1,7 +1,8 @@
 """Companion run under ``python -O``.
 
-The cyclotomic kernel and the Gauss-sum self-checks raise typed errors
-instead of asserting, so their tests must pass with asserts stripped.
+The cyclotomic kernel, the Gauss-sum self-checks and the rank
+certificate's checks raise typed errors instead of asserting, so their
+tests must pass with asserts stripped.
 pytest rewrites the asserts of test modules, which therefore still fire
 under ``-O``.
 """
@@ -22,7 +23,8 @@ def test_cyclo_and_characters_pass_under_python_O():
     src = str(Path(superjac.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_cyclo.py", "tests/test_characters.py"],
+         "tests/test_cyclo.py", "tests/test_characters.py",
+         "tests/test_rank.py"],
         cwd=ROOT, capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -4,8 +4,13 @@ Reduced Jacobian orders frozen from the character-sum route and checked
 odd/coprime to q by hand: (3,2,10) -> 7, (5,2,14) -> 71.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import superjac
 from superjac import rank
 from superjac.errors import HypothesisFailed
 
@@ -80,3 +85,22 @@ def test_evidence_orders_coprime_to_q_on_grid():
             big = next(x for x in range(p + 1, 200) if rank.is_prime(x))
             cert = rank.certify_rank(p, q, big)
             assert cert.evidence["jacobian_order"] % q != 0
+
+
+def test_relation_check_is_typed_under_python_O():
+    # a valuation engine that returns the wrong div(y - k) must stop the
+    # certificate, also with asserts stripped
+    code = ("from superjac import rank\n"
+            "from superjac.curves import Divisor\n"
+            "from superjac.errors import OracleMismatch\n"
+            "rank.principal_divisor = lambda curve, f: Divisor()\n"
+            "try:\n"
+            "    rank.certify_rank(3, 2, 10)\n"
+            "except OracleMismatch as exc:\n"
+            "    print(str(exc))\n")
+    src = str(Path(superjac.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert "div(y - k)" in proc.stdout

@@ -10,8 +10,14 @@ Anchor values, all hand-checked:
 import hashlib
 import itertools
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import superjac
 
 from superjac import characters, gf
 from superjac.errors import (
@@ -21,6 +27,7 @@ from superjac.errors import (
 )
 from superjac.curves import make_curve
 from superjac.zeta import (
+    _from_power_sums,
     LPolynomial,
     artin_schreier_curve,
     artin_schreier_lpoly,
@@ -255,6 +262,30 @@ def test_power_law_refuses_before_counting(monkeypatch):
     with pytest.raises(BudgetExceeded):
         power_law_check(3, 13, budget=200_000)
     assert not [key for key in gf._CTX_CACHE if key[0] == 3]
+
+
+@given(st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+                max_size=12), st.integers(min_value=2, max_value=50))
+@settings(max_examples=100, deadline=None)
+def test_newton_round_trip(tail, q):
+    P = LPolynomial(q, len(tail) // 2, (1, *tail))
+    assert tuple(_from_power_sums(P.power_sums(len(tail)))) == P.coeffs
+
+
+def test_non_integral_counts_are_typed_under_python_O():
+    # N_1 = 3, N_2 = 4 over GF(2) give 2 c_2 = -1: no integer L-polynomial
+    code = ("from superjac.errors import InvariantViolation\n"
+            "from superjac.zeta import lpoly_from_counts\n"
+            "try:\n"
+            "    lpoly_from_counts(2, [3, 4], 2)\n"
+            "except InvariantViolation as exc:\n"
+            "    print(str(exc))\n")
+    src = str(Path(superjac.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert "Newton's identities must stay integral" in proc.stdout
 
 
 def test_jacobian_order_invariants_are_typed():
