@@ -50,10 +50,12 @@ _HIST_CACHE: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {}
 
 def _check_level(p: int, n: int) -> None:
     if n > MAX_LEVEL:
-        raise BudgetExceeded(f"character sums capped at level {MAX_LEVEL}")
+        raise BudgetExceeded(f"character sum at level {n} exceeds the "
+                             f"level cap {MAX_LEVEL}")
     if n > 3 and p ** n > MAX_CARD_HIGH_LEVEL:
         raise BudgetExceeded(
-            f"character sum over GF({p}^{n}) exceeds the work cap")
+            f"character sum over GF({p}^{n}) has {p ** n} elements, past "
+            f"the work cap {MAX_CARD_HIGH_LEVEL} for levels above 3")
 
 
 def _histogram(p: int, n: int, L: int) -> dict[tuple[int, int], int]:

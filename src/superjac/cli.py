@@ -8,7 +8,14 @@ invocations with the same seed are byte-identical).  Exit codes:
 
 Results of the expensive subcommands can be kept in an on-disk cache
 (--cache-dir); --verify-cache recomputes on every hit and fails loudly
-on any divergence.
+on any divergence.  Exit-3 refusals are cached like answers: every cap
+depends only on the parameters and on constants in the sources, both of
+which are in the cache key.  Exit-1 check failures and exit-2 usage
+errors are never cached.
+
+This module imports only the standard library, ``cache`` and
+``errors``; each handler imports the math modules it runs, so a cache
+hit loads none of them.
 """
 
 from __future__ import annotations
@@ -18,9 +25,7 @@ import json
 import math
 import sys
 
-from . import characters, delta, gf, picard, primes, rank, zeta
 from .cache import ResultCache
-from .curves import base_change, make_curve, splitting_extension
 from .errors import (BudgetExceeded, CacheMismatch, CheckFailed,
                      EvidenceFailed, HypothesisFailed, IncompleteEnumeration,
                      InvariantViolation, OracleMismatch, SuperjacError)
@@ -34,8 +39,9 @@ def _ints(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
 
 
-def _field(text: str) -> gf.FieldCtx:
+def _field(text: str):
     """Parse a finite-field size: 7, 25, or 5^2."""
+    from . import gf, primes
     if "^" in text:
         p, n = (int(t) for t in text.split("^", 1))
         return gf.field(p, n)
@@ -48,6 +54,7 @@ def _field(text: str) -> gf.FieldCtx:
 
 
 def _require_prime(v: int, name: str) -> None:
+    from . import primes
     if not primes.is_prime(v):
         raise SuperjacError(f"--{name} must be prime, got {v}")
 
@@ -66,24 +73,27 @@ def _cmd_genus(args):
 
 
 def _cmd_delta_structure(args):
+    from . import delta
     factors = delta.delta_structure(args.m, args.r)
     return 0, {"m": args.m, "r": args.r, "factors": list(factors)}
 
 
 def _replay_curve(args):
-    curve = make_curve(args.m, _ints(args.f), _field(args.field))
-    if not curve.splits:
-        curve = splitting_extension(curve)
-    return curve
+    from .curves import make_curve, splitting_extension
+    return splitting_extension(make_curve(args.m, _ints(args.f),
+                                          _field(args.field)))
 
 
 def _cmd_proof_replay(args):
+    from . import delta
     curve = _replay_curve(args)
     cert = delta.replay_proof(curve, seed=args.seed)
     return 0, cert.to_dict()
 
 
 def _cmd_principal(args):
+    from . import delta
+    from .curves import make_curve
     base = _field(args.field) if args.field else None
     curve = make_curve(args.m, _ints(args.f), base)
     coeffs = _ints(args.coeffs)
@@ -93,6 +103,7 @@ def _cmd_principal(args):
 
 
 def _cmd_gauss(args):
+    from . import characters
     _require_prime(args.p, "p")
     g = characters.modified_gauss_sum(args.p, args.q, 1, 1, args.a, args.n)
     ok = characters.gauss_norm_ok(args.p, args.q, 1, 1, args.a, args.n)
@@ -102,16 +113,19 @@ def _cmd_gauss(args):
 
 
 def _budget(args) -> int:
+    from . import zeta
     return args.budget if args.budget else zeta.COUNT_BUDGET
 
 
 def _counts_naive(args, upto: int) -> list[int]:
+    from . import zeta
     curve = zeta.artin_schreier_curve(args.p, args.q, args.a)
     return [zeta.count_points(curve, n, _budget(args))
             for n in range(1, upto + 1)]
 
 
 def _cmd_count(args):
+    from . import zeta
     _require_prime(args.p, "p")
     naive = charsum = None
     if args.route in ("naive", "both"):
@@ -131,7 +145,8 @@ def _cmd_count(args):
     return (1 if agree is False else 0), payload
 
 
-def _lpoly(args) -> zeta.LPolynomial:
+def _lpoly(args):
+    from . import zeta
     _require_prime(args.p, "p")
     _, P = zeta.artin_schreier_lpoly(args.p, args.q, args.a, _budget(args))
     return P
@@ -150,17 +165,21 @@ def _cmd_jacobian_order(args):
 
 
 def _cmd_torsion_test(args):
+    from . import zeta
     res = zeta.torsion_criterion(args.p, args.q, level=args.l, a=args.a,
                                  budget=_budget(args))
     return 0, res.to_dict()
 
 
 def _cmd_power_law(args):
+    from . import zeta
     rep = zeta.power_law_check(args.p, args.q, args.a, _budget(args))
     return 0, rep.to_dict()
 
 
 def _picard_curve(args):
+    from . import gf
+    from .curves import base_change, make_curve
     _require_prime(args.p, "p")
     curve = make_curve(args.m, _ints(args.f), gf.field(args.p))
     if args.ext > 1:
@@ -169,6 +188,7 @@ def _picard_curve(args):
 
 
 def _cmd_picard(args):
+    from . import picard
     G = picard.picard_group(_picard_curve(args), budget=_budget(args))
     payload = {"m": args.m, "f": _ints(args.f), "p": args.p,
                "ext": args.ext}
@@ -177,17 +197,20 @@ def _cmd_picard(args):
 
 
 def _cmd_conjecture_test(args):
+    from . import picard, zeta
     curve = zeta.artin_schreier_curve(args.p, args.q, args.a)
     rep = picard.conjecture_check(curve, budget=_budget(args))
     return (0 if rep.verdict == "consistent" else 1), rep.to_dict()
 
 
 def _cmd_rank_certify(args):
+    from . import rank
     cert = rank.certify_rank(args.p, args.q, args.k)
     return 0, cert.to_dict()
 
 
 def _cmd_find_prime(args):
+    from . import rank
     p = rank.find_witness_prime(args.m, _ints(args.roots), args.k)
     return 0, {"m": args.m, "roots": _ints(args.roots), "k": args.k,
                "prime": p}
@@ -343,7 +366,11 @@ def main(argv=None) -> int:
     as_json = args.json
 
     def run():
-        code, payload = args.func(args)
+        # a refusal is a result like an answer, so the cache keeps it
+        try:
+            code, payload = args.func(args)
+        except BudgetExceeded as e:
+            return [3, {"error": "budget-exceeded", "detail": str(e)}]
         return [code, payload]
 
     try:
@@ -355,9 +382,6 @@ def main(argv=None) -> int:
             code, payload = cache.get_or_compute(args.cmd, params, run)
         else:
             code, payload = run()
-    except BudgetExceeded as e:
-        _emit({"error": "budget-exceeded", "detail": str(e)}, as_json)
-        return 3
     except CheckFailed as e:
         cert = e.certificate.to_dict() if e.certificate else None
         _emit({"error": "check-failed", "tag": e.tag,

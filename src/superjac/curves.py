@@ -30,6 +30,7 @@ from fractions import Fraction
 from . import gf
 from .errors import (
     BudgetExceeded,
+    InvariantViolation,
     NotSeparable,
     PrecisionExhausted,
     UnsupportedBase,
@@ -381,15 +382,20 @@ def base_change(curve: CurveSpec, ctx: gf.FieldCtx) -> CurveSpec:
 def splitting_extension(curve: CurveSpec) -> CurveSpec:
     """Smallest base extension over which F splits into linear factors.
 
-    The search ends at the first extension past the field-table cap,
-    where gf.field raises BudgetExceeded naming that field and the cap.
+    Its degree is the lcm of the degrees of F's irreducible factors, read
+    off the distinct-degree factorisation, so a field past the table cap
+    is refused (gf.field raises BudgetExceeded naming the field and the
+    cap) before any extension is built or scanned.
     """
-    assert curve.base is not None
-    s = 1
-    cand = curve
-    while not cand.splits:
-        s += 1
-        cand = base_change(curve, gf.field(curve.base.p, curve.base.n * s))
+    if curve.base is None:
+        raise UnsupportedBase("splitting fields are built over finite bases")
+    if curve.splits:
+        return curve
+    base = curve.base
+    s = math.lcm(*_ddf(base, list(curve.coeffs)))
+    cand = base_change(curve, gf.field(base.p, base.n * s))
+    if not cand.splits:
+        raise InvariantViolation(f"F does not split over {cand.base.name()}")
     return cand
 
 
@@ -1051,20 +1057,10 @@ def _roots_by_degree(ctx, poly) -> dict[int, list[int]]:
     return {s: sorted(v) for s, v in sorted(out.items())}
 
 
-def _ddf_roots(ctx, sf) -> dict[int, list[int]]:
-    """Roots of a squarefree polynomial, by distinct-degree splitting."""
-
-    def block_roots(s: int, g) -> list[int]:
-        sctx = gf.field(ctx.p, ctx.n * s)
-        if sctx.order > gf.MAX_TABLE_CARD:
-            # only a prime field gets here: gf.field refuses the others
-            raise BudgetExceeded(f"root scan over {sctx.name()} exceeds "
-                                 f"the table cap {gf.MAX_TABLE_CARD}")
-        emb = gf.embedding(ctx, sctx)
-        roots = gf.proots(sctx, [emb.apply(c) for c in g])
-        assert len(roots) == len(g) - 1, "missing roots in DDF block"
-        return roots
-
+def _ddf(ctx, sf) -> dict[int, list[int]]:
+    """Distinct-degree factorisation of a squarefree polynomial: for each
+    degree s of an irreducible factor, the monic product of those
+    factors."""
     out: dict[int, list[int]] = {}
     S = gf.pscale(ctx, sf, ctx.inv(sf[-1]))
     h = [0, 1]
@@ -1073,17 +1069,33 @@ def _ddf_roots(ctx, sf) -> dict[int, list[int]]:
         s += 1
         if 2 * s > len(S) - 1:
             # what remains is a single irreducible factor
-            out[len(S) - 1] = block_roots(len(S) - 1, S)
+            out[len(S) - 1] = S
             break
         h = gf.ppow_mod(ctx, h, ctx.order, S)
         g = gf.pgcd(ctx, S, gf.psub(ctx, h, [0, 1]))
         if len(g) > 1:
-            out[s] = block_roots(s, g)
+            out[s] = g
             S, rem = gf.pdivmod(ctx, S, g)
             assert not rem
             if len(S) <= 1:
                 break
             _, h = gf.pdivmod(ctx, h, S)
+    return out
+
+
+def _ddf_roots(ctx, sf) -> dict[int, list[int]]:
+    """Roots of a squarefree polynomial, by distinct-degree splitting."""
+    out: dict[int, list[int]] = {}
+    for s, g in _ddf(ctx, sf).items():
+        sctx = gf.field(ctx.p, ctx.n * s)
+        if sctx.order > gf.MAX_TABLE_CARD:
+            # only a prime field gets here: gf.field refuses the others
+            raise BudgetExceeded(f"root scan over {sctx.name()} exceeds "
+                                 f"the table cap {gf.MAX_TABLE_CARD}")
+        emb = gf.embedding(ctx, sctx)
+        roots = gf.proots(sctx, [emb.apply(c) for c in g])
+        assert len(roots) == len(g) - 1, "missing roots in DDF block"
+        out[s] = roots
     return out
 
 

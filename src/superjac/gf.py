@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 
 from . import primes
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, UnsupportedBase
 
 # Largest extension field for which full tables are built.  Prime fields
 # are exempt (they need no tables for arithmetic).
@@ -62,8 +62,10 @@ class FieldCtx:
     )
 
     def __init__(self, p: int, n: int = 1):
-        assert primes.is_prime(p), f"{p} is not prime"
-        assert n >= 1
+        if not primes.is_prime(p):
+            raise UnsupportedBase(f"field characteristic {p} is not prime")
+        if n < 1:
+            raise UnsupportedBase(f"field degree {n} is not positive")
         self.p = p
         self.n = n
         self.order = p ** n

@@ -388,16 +388,3 @@ def power_law_check(p: int, q: int, a: int = 1,
     _, P = artin_schreier_lpoly(p, q, a, budget, orbit_route=False)
     return _power_law_report(P, p, q, a)
 
-
-def power_law_check_curve(curve: CurveSpec,
-                          budget: int = COUNT_BUDGET) -> PowerLawReport:
-    """The same checks for any y^q = F(x) over GF(p) with prime q not
-    dividing deg F."""
-    assert curve.base is not None and curve.base.n == 1
-    q = curve.m
-    assert primes.is_prime(q) and curve.r % q != 0
-    p = curve.base.p
-    counts = [count_points(curve, n, budget)
-              for n in range(1, curve.genus + 1)]
-    P = lpoly_from_counts(p, counts, curve.genus)
-    return _power_law_report(P, p, q, None)

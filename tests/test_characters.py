@@ -78,9 +78,10 @@ def test_character_order_must_divide_p_minus_one():
 
 
 def test_level_caps():
-    with pytest.raises(BudgetExceeded):
+    # each refusal names what was asked for and the cap it passes
+    with pytest.raises(BudgetExceeded, match="level 7 .* level cap 6"):
         modified_gauss_sum(3, 2, 1, 1, 1, n=7)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="923521 .* work cap 100000"):
         modified_gauss_sum(31, 2, 1, 1, 1, n=4)
 
 

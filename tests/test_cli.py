@@ -1,10 +1,20 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import superjac
+from superjac import gf, picard
 from superjac.cli import main
+
+SRC = str(Path(superjac.__file__).resolve().parents[1])
+
+
+def _env() -> dict:
+    return dict(os.environ, PYTHONPATH=SRC)
 
 
 def run(capsys, argv):
@@ -82,6 +92,12 @@ def test_gauss(capsys) -> None:
     code, doc = run_json(capsys, ["gauss", "--p", "7", "--q", "3",
                                   "--a", "2", "--n", "2"])
     assert (code, doc["norm_is_p_to_n"]) == (0, True)
+
+    # GF(7^6) has 117649 elements, past the level cap of 100000
+    code, doc = run_json(capsys, ["gauss", "--p", "7", "--q", "3",
+                                  "--a", "2", "--n", "6"])
+    assert (code, doc["error"]) == (3, "budget-exceeded")
+    assert "117649" in doc["detail"] and "100000" in doc["detail"]
 
 
 def test_count_routes(capsys) -> None:
@@ -200,15 +216,28 @@ def test_capacity_exit_code(capsys) -> None:
     assert "GF(7^10)" in doc["detail"]
 
 
-def test_splitting_field_past_the_cap_is_a_capacity_exit(capsys) -> None:
+def test_splitting_field_past_the_cap_is_a_capacity_exit(capsys,
+                                                        monkeypatch) -> None:
     # x^3 + x + 1 is irreducible over GF(2^8): it splits over GF(2^24),
     # which is past the table cap
+    built = []
+    field = gf.field
+
+    def recording(p, n=1):
+        built.append((p, n))
+        return field(p, n)
+    monkeypatch.setattr(gf, "field", recording)
+
     code, doc = run_json(capsys, ["proof-replay", "--m", "3", "--f",
                                   "1,1,0,1", "--field", "2^8"])
     assert code == 3
     assert doc["error"] == "budget-exceeded"
     assert "GF(2^24)" in doc["detail"]
     assert "table cap 4194304" in doc["detail"]
+    # the splitting degree 3 comes from the factorisation: no
+    # intermediate extension such as GF(2^16) is built or scanned
+    assert (2, 16) not in built
+    assert (2, 24) in built
 
 
 def test_zeta_past_the_enumeration_wall(capsys) -> None:
@@ -260,13 +289,96 @@ def test_cache_verify_detects_tampering(tmp_path, capsys) -> None:
     assert doc["error"] == "CacheMismatch"
 
 
-def test_failures_are_not_cached(tmp_path, capsys) -> None:
+def test_refusals_are_cached_and_failures_are_not(tmp_path, capsys) -> None:
+    def entries():
+        return sorted(tmp_path.rglob("*.json"))
+
+    cache = ["--cache-dir", str(tmp_path)]
     argv = ["count", "--p", "5", "--q", "2", "--a", "1", "--n", "4",
-            "--route", "naive", "--budget", "10",
-            "--cache-dir", str(tmp_path)]
-    code, _ = run(capsys, argv)
+            "--route", "naive", "--budget", "10", "--json"] + cache
+    code, cold = run(capsys, argv)
     assert code == 3
-    assert not list(tmp_path.rglob("*.json"))
+    assert len(entries()) == 1
+    assert run(capsys, argv) == (3, cold)
+    assert run(capsys, argv + ["--verify-cache"]) == (3, cold)
+
+    # exit 2: multiplicative characters of order 5 need 5 | 6
+    code, _ = run(capsys, ["gauss", "--p", "7", "--q", "5", "--a", "1"]
+                  + cache)
+    assert code == 2
+    # exit 1: a failed certificate hypothesis
+    code, _ = run(capsys, ["rank-certify", "--p", "5", "--q", "2", "--k",
+                           "10"] + cache)
+    assert code == 1
+    assert len(entries()) == 1
+
+    # exit 1: a CacheMismatch leaves the stored entry as it is
+    path, = entries()
+    doc = json.loads(path.read_text())
+    doc["result"][1]["detail"] = "tampered"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, argv + ["--verify-cache"])
+    assert (code, json.loads(out)["error"]) == (1, "CacheMismatch")
+    assert entries() == [path]
+    assert json.loads(path.read_text()) == doc
+
+
+def test_warm_refusal_skips_the_class_group_work(tmp_path, capsys,
+                                                  monkeypatch) -> None:
+    calls = []
+    function_space = picard.function_space
+
+    def recording(*a, **k):
+        calls.append(a)
+        return function_space(*a, **k)
+    monkeypatch.setattr(picard, "function_space", recording)
+
+    argv = ["conjecture-test", "--p", "5", "--q", "3", "--a", "1", "--json",
+            "--cache-dir", str(tmp_path)]
+    code, cold = run(capsys, argv)
+    assert code == 3 and calls
+    calls.clear()
+    assert run(capsys, argv) == (3, cold)
+    assert not calls
+
+
+def test_cache_hits_load_no_math_module(tmp_path, capsys) -> None:
+    argv = ["zeta", "--p", "2", "--q", "7", "--a", "1", "--json",
+            "--cache-dir", str(tmp_path)]
+    _, cold = run(capsys, argv)
+    script = (
+        "import json, sys\n"
+        "from superjac.cli import main\n"
+        "main(['genus', '--m', '3', '--r', '5'])\n"
+        f"main({argv!r})\n"
+        "print(json.dumps(sorted(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_env())
+    assert proc.returncode == 0, proc.stderr
+    out, loaded = proc.stdout.rsplit("\n", 2)[:2]
+    assert out.endswith(cold.rstrip("\n"))
+    math_modules = {f"superjac.{m}" for m in (
+        "gf", "curves", "zeta", "picard", "delta", "rank", "characters",
+        "cyclo")}
+    assert not math_modules & set(json.loads(loaded))
+
+
+def test_package_exports_resolve() -> None:
+    for name in superjac.__all__:
+        assert getattr(superjac, name) is not None
+    with pytest.raises(AttributeError):
+        getattr(superjac, "no_such_name")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_non_prime_base_field_is_a_usage_error(flags) -> None:
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "superjac", "proof-replay", "--m",
+         "3", "--f", "1,1,1", "--field", "4^2"],
+        capture_output=True, text=True, env=_env())
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "4 is not prime" in proc.stderr
 
 
 def test_plain_output_lines(capsys) -> None:

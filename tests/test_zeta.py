@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import superjac
 
-from superjac import characters, gf
+from superjac import characters, gf, primes
 from superjac.errors import (
     BudgetExceeded,
     InvariantViolation,
@@ -27,7 +27,9 @@ from superjac.errors import (
 )
 from superjac.curves import make_curve
 from superjac.zeta import (
+    COUNT_BUDGET,
     _from_power_sums,
+    _power_law_report,
     LPolynomial,
     artin_schreier_curve,
     artin_schreier_lpoly,
@@ -36,7 +38,6 @@ from superjac.zeta import (
     lpoly,
     lpoly_from_counts,
     power_law_check,
-    power_law_check_curve,
     torsion_criterion,
     zeta_numerator_charsum,
 )
@@ -158,6 +159,19 @@ def test_power_law_family():
     rep2 = power_law_check(3, 2)
     assert rep2.ok and rep2.k == 1
     assert rep2.trivial_levels == ()
+
+
+def power_law_check_curve(curve, budget=COUNT_BUDGET):
+    """The power-law checks for any y^q = F(x) over GF(p) with prime q
+    not dividing deg F, on the L-polynomial from enumerated counts."""
+    assert curve.base is not None and curve.base.n == 1
+    q = curve.m
+    assert primes.is_prime(q) and curve.r % q != 0
+    p = curve.base.p
+    counts = [count_points(curve, n, budget)
+              for n in range(1, curve.genus + 1)]
+    P = lpoly_from_counts(p, counts, curve.genus)
+    return _power_law_report(P, p, q, None)
 
 
 def test_power_law_general_curve():
