@@ -9,12 +9,18 @@ Supported bases: the rationals (arithmetic via Fraction; only the
 combinatorial operations are available) and finite fields with
 characteristic prime to m (full local-expansion engine).
 
-Local parameters:
-  * unramified affine point (x0, y0), y0 != 0:  t = x - x0, y(t) by Hensel;
-  * ramification point (alpha, 0):              t = y,      x(t) by Newton;
-  * the infinite place when d = 1:              t = x^a y^b with
-    a*m + b*r = -1, giving x = t^(-m) c(t), y = t^(-r) e(t) for unit
-    series c, e solved order by order.
+Local expansions are taken at affine places only, with one Newton lift
+(_newton) in the local parameter:
+  * unramified affine point (x0, y0), y0 != 0:  t = x - x0, y(t) solves
+    y^m = F(x0 + t);
+  * ramification point (alpha, 0):              t = y, x(t) solves
+    F(x) = t^m.
+Affine valuations are read off these series.  At infinity valuations
+use a closed form instead: per branch v(x) = -m/d and v(y) = -r/d, so
+g_j(x) y^j has order -(m deg g_j + r j)/d.  When d = 1 these orders are
+pairwise distinct mod m for j = 0..m-1 (r is a unit mod m), so no two
+terms of a function can cancel and the smallest order is the valuation;
+for d > 1 a tie raises UnsupportedCollision.
 
 Integer coefficients passed to make_curve are interpreted as integer
 literals (reduced into the prime subfield); genuinely non-prime-subfield
@@ -33,6 +39,7 @@ from .errors import (
     InvariantViolation,
     NotSeparable,
     PrecisionExhausted,
+    SuperjacError,
     UnsupportedBase,
     UnsupportedCollision,
 )
@@ -138,9 +145,6 @@ class Divisor:
     def items(self):
         return sorted(self.data.items(), key=lambda kv: kv[0].sort_key())
 
-    def support(self):
-        return [p for p, _ in self.items()]
-
     def coeff(self, place) -> int:
         return self.data.get(place, 0)
 
@@ -188,7 +192,7 @@ class Divisor:
 class CurveSpec:
     """Validated data of a curve y^m = F(x)."""
 
-    __slots__ = ("m", "base", "coeffs", "r", "d", "genus", "lc", "roots",
+    __slots__ = ("m", "base", "coeffs", "r", "d", "genus", "roots",
                  "_exp_cache", "_ext_coeffs", "_ext_curves")
 
     def __init__(self, m, base, coeffs, roots):
@@ -200,7 +204,6 @@ class CurveSpec:
         t = (m - 1) * (self.r - 1) - (self.d - 1)
         assert t % 2 == 0, "genus formula parity"
         self.genus = t // 2
-        self.lc = self.coeffs[-1]
         self.roots = roots
         self._exp_cache = {}
         self._ext_coeffs = {}
@@ -260,13 +263,14 @@ def make_curve(m: int, coeffs, base: gf.FieldCtx | None = None) -> CurveSpec:
     literals (reduced mod p on finite bases); FieldElem entries carry
     packed extension-field values.
     """
-    assert m >= 2, "m must be at least 2"
+    if m < 2:
+        raise SuperjacError(f"m must be at least 2, got {m}")
     if base is None:
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        r = len(cs) - 1
-        assert r >= 2, "deg F must be at least 2"
+        if len(cs) < 3:
+            raise SuperjacError(f"deg F must be at least 2, got {len(cs) - 1}")
         if _qgcd_nontrivial(cs):
             raise NotSeparable("F has a repeated root")
         roots = tuple(sorted(_rational_roots(cs)))
@@ -282,8 +286,8 @@ def make_curve(m: int, coeffs, base: gf.FieldCtx | None = None) -> CurveSpec:
             cs.append(c % base.p)
     while cs and cs[-1] == 0:
         cs.pop()
-    r = len(cs) - 1
-    assert r >= 2, "deg F must be at least 2"
+    if len(cs) < 3:
+        raise SuperjacError(f"deg F must be at least 2, got {len(cs) - 1}")
     der = gf.pderiv(base, cs)
     if not der:
         raise NotSeparable("F'(x) vanishes identically")
@@ -406,24 +410,17 @@ def splitting_extension(curve: CurveSpec) -> CurveSpec:
 class FunctionRep:
     """Rational function on the curve, numerator reduced to y-degree < m."""
 
-    __slots__ = ("curve", "nums", "den", "den_roots")
+    __slots__ = ("curve", "nums", "den")
 
-    def __init__(self, curve: CurveSpec, nums, den=(1,), den_roots=None):
+    def __init__(self, curve: CurveSpec, nums, den=(1,)):
         assert curve.base is not None, \
             "function representatives need a finite base field"
         assert len(nums) == curve.m
         self.curve = curve
         self.nums = tuple(tuple(n) for n in nums)
         self.den = tuple(den)
-        self.den_roots = tuple(den_roots) if den_roots is not None else None
         assert any(any(n) for n in self.nums), "zero function representative"
         assert any(self.den), "zero denominator"
-
-    @staticmethod
-    def constant(curve: CurveSpec, c: int) -> "FunctionRep":
-        nums = [() for _ in range(curve.m)]
-        nums[0] = (c,)
-        return FunctionRep(curve, nums, (1,), ())
 
     @staticmethod
     def y_power_over_roots(curve: CurveSpec, j: int,
@@ -434,16 +431,7 @@ class FunctionRep:
         nums = [() for _ in range(curve.m)]
         nums[j % curve.m] = (1,)
         rts = [curve.roots[i - 1] for i in root_indices]
-        den = gf.pfrom_roots(ctx, rts)
-        den_roots = [(r, 1) for r in rts]
-        return FunctionRep(curve, nums, den, den_roots)
-
-    def is_single_term(self):
-        """(j, coeffs) when exactly one y-power appears, else None."""
-        live = [j for j, n in enumerate(self.nums) if any(n)]
-        if len(live) != 1:
-            return None
-        return live[0], self.nums[live[0]]
+        return FunctionRep(curve, nums, gf.pfrom_roots(ctx, rts))
 
     def __mul__(self, other: "FunctionRep") -> "FunctionRep":
         assert other.curve is self.curve
@@ -465,13 +453,7 @@ class FunctionRep:
                     j -= m
                 nums[j] = gf.padd(ctx, nums[j], prod)
         den = gf.pmul(ctx, list(self.den), list(other.den))
-        dr = None
-        if self.den_roots is not None and other.den_roots is not None:
-            acc: dict[int, int] = {}
-            for rt, mu in list(self.den_roots) + list(other.den_roots):
-                acc[rt] = acc.get(rt, 0) + mu
-            dr = sorted(acc.items())
-        return FunctionRep(self.curve, nums, den, dr)
+        return FunctionRep(self.curve, nums, den)
 
     def evaluate(self, ctx: gf.FieldCtx, x0: int, y0: int) -> int:
         """Value at a point with coordinates in ctx; poles raise."""
@@ -552,7 +534,8 @@ def s_mul(ctx, a, b, prec):
 
 
 def s_inv(ctx, a, prec):
-    assert a[0] != 0, "series inverse needs a unit"
+    if a[0] == 0:
+        raise InvariantViolation("series inverse needs a unit")
     out = [0] * prec
     out[0] = ctx.inv(a[0])
     known = 1
@@ -602,42 +585,35 @@ def s_first_nonzero(a):
 
 
 class LocalExpansion:
-    """Laurent data of (x, y) in a local parameter t at a place.
+    """Power series x = x_ser(t), y = y_ser(t) in a local parameter t at
+    an affine place, exact to prec terms."""
 
-    x = t^x_off * (x_ser as a unit-or-higher series), same for y.
-    For affine places the offsets are 0; at the infinite place (d = 1)
-    they are -m and -r.
-    """
+    __slots__ = ("curve", "place", "ctx", "prec", "x_ser", "y_ser")
 
-    __slots__ = ("curve", "place", "ctx", "prec",
-                 "x_off", "x_ser", "y_off", "y_ser")
-
-    def __init__(self, curve, place, ctx, prec, x_off, x_ser, y_off, y_ser):
+    def __init__(self, curve, place, ctx, prec, x_ser, y_ser):
         self.curve = curve
         self.place = place
         self.ctx = ctx
         self.prec = prec
-        self.x_off = x_off
         self.x_ser = x_ser
-        self.y_off = y_off
         self.y_ser = y_ser
 
     def residual_order(self) -> int | None:
         """Order of y^m - F(x) along the expansion; None when it vanishes
         to working precision (the expected outcome)."""
-        resid = _residual(self.ctx, self.curve.ext_coeffs(self.ctx),
-                          self.curve.m, self.x_off, self.x_ser,
-                          self.y_off, self.y_ser, self.prec)
-        k = s_first_nonzero(resid)
-        return None if k is None else self.curve.m * self.y_off + k
+        ctx, prec = self.ctx, self.prec
+        ym = s_pow(ctx, self.y_ser, self.curve.m, prec)
+        fx = s_poly(ctx, list(self.curve.ext_coeffs(ctx)), self.x_ser, prec)
+        return s_first_nonzero(s_sub(ctx, ym, fx))
 
     def check(self) -> None:
         k = self.residual_order()
-        assert k is None, f"expansion residual at order {k}"
+        if k is not None:
+            raise InvariantViolation(f"expansion residual at order {k}")
 
 
 def local_expansion(curve: CurveSpec, place, prec: int | None = None) -> LocalExpansion:
-    """Exact local expansion at a place, cached per (place, prec)."""
+    """Exact local expansion at an affine place, cached per (place, prec)."""
     if curve.base is None:
         raise UnsupportedBase("local expansions need a finite base field")
     if prec is None:
@@ -656,153 +632,67 @@ def _place_point(curve: CurveSpec, place):
     """(ctx, x0, y0) for an affine place, with curve coefficients visible."""
     if isinstance(place, RamPlace):
         return curve.base, place.alpha, 0
-    assert isinstance(place, ClosedPlace)
-    assert place.base_p == curve.base.p and place.base_n == curve.base.n
+    if not isinstance(place, ClosedPlace):
+        raise UnsupportedCollision(
+            f"no local expansion at {place!r}: expansions are taken at "
+            f"affine places only")
+    if place.base_p != curve.base.p or place.base_n != curve.base.n:
+        raise InvariantViolation(
+            f"place {place.label()} lies over another base than "
+            f"{curve.base.name()}")
     ctx = gf.field(place.base_p, place.base_n * place.b)
     x0, y0 = place.rep()
     return ctx, x0, y0
 
 
 def _expand(curve: CurveSpec, place, prec: int) -> LocalExpansion:
-    if isinstance(place, InfPlace):
-        if curve.d != 1:
-            raise UnsupportedCollision(
-                "collapsed infinite places (d > 1) have no single expansion")
-        return _expand_infinity(curve, prec)
     ctx, x0, y0 = _place_point(curve, place)
     cs = list(curve.ext_coeffs(ctx))
     m = curve.m
+    t = [0] * prec
+    if prec > 1:
+        t[1] = 1
     if y0 != 0:
-        # t = x - x0; Hensel for y
-        xs = [0] * prec
-        xs[0] = x0
-        if prec > 1:
-            xs[1] = 1
-        ys = [0] * prec
-        ys[0] = y0
-        known = 1
-        while known < prec:
-            known = min(2 * known, prec)
-            cur = ys[:known]
-            ym = s_pow(ctx, cur, m, known)
-            fx = s_poly(ctx, cs, xs[:known], known)
-            num = s_sub(ctx, ym, fx)
-            dy = s_pow(ctx, cur, m - 1, known)
-            dy = s_scale(ctx, dy, m % ctx.p)
-            corr = s_mul(ctx, num, s_inv(ctx, dy, known), known)
-            ys[:known] = s_sub(ctx, cur, corr)
-        exp = LocalExpansion(curve, place, ctx, prec, 0, xs, 0, ys)
+        # t = x - x0; y solves y^m = F(x0 + t)
+        xs = [x0] + t[1:]
+        fx = s_poly(ctx, cs, xs, prec)
+        mm = m % ctx.p
+        ys = _newton(ctx, y0, prec,
+                     lambda y, k: s_sub(ctx, s_pow(ctx, y, m, k), fx[:k]),
+                     lambda y, k: s_scale(ctx, s_pow(ctx, y, m - 1, k), mm))
     else:
-        # ramification point: t = y, solve F(x) = t^m by Newton
-        fve = gf.peval(ctx, gf.pderiv(ctx, cs), x0)
-        assert fve != 0, "F' vanishes at a ramification point"
-        xs = [0] * prec
-        xs[0] = x0
+        # ramification point: t = y; x solves F(x) = t^m
+        der = gf.pderiv(ctx, cs)
         tm = [0] * prec
         if m < prec:
             tm[m] = 1
-        known = 1
-        while known < prec:
-            known = min(2 * known, prec)
-            cur = xs[:known]
-            fx = s_poly(ctx, cs, cur, known)
-            num = s_sub(ctx, fx, tm[:known])
-            der = s_poly(ctx, gf.pderiv(ctx, cs), cur, known)
-            corr = s_mul(ctx, num, s_inv(ctx, der, known), known)
-            xs[:known] = s_sub(ctx, cur, corr)
-        ys = [0] * prec
-        if prec > 1:
-            ys[1] = 1
-        exp = LocalExpansion(curve, place, ctx, prec, 0, xs, 0, ys)
+        xs = _newton(ctx, x0, prec,
+                     lambda x, k: s_sub(ctx, s_poly(ctx, cs, x, k), tm[:k]),
+                     lambda x, k: s_poly(ctx, der, x, k))
+        ys = t
+    exp = LocalExpansion(curve, place, ctx, prec, xs, ys)
     exp.check()
     return exp
 
 
-def _expand_infinity(curve: CurveSpec, prec: int) -> LocalExpansion:
-    ctx = curve.base
-    m, r = curve.m, curve.r
-    # a*m + b*r = -1
-    g, u, v = _egcd(m, r)
-    assert g == 1
-    a, b = -u, -v
-    assert a * m + b * r == -1
-    cs = list(curve.coeffs)
-    lc = curve.lc
-    c0 = ctx.pow(lc, b)
-    e0 = ctx.pow(lc, -a)
-    c_ser = [0] * prec
-    c_ser[0] = c0
-    e_ser = [0] * prec
-    e_ser[0] = e0
-    # leading 2x2 Jacobian of (G1, G2) in (c, e); det is a unit by a*m+b*r=-1
-    j11 = ctx.neg(ctx.mul((r % ctx.p), ctx.mul(lc, ctx.pow(c0, r - 1))))
-    j12 = ctx.mul(m % ctx.p, ctx.pow(e0, m - 1))
-    j21 = ctx.mul(a % ctx.p, ctx.mul(ctx.pow(c0, a - 1), ctx.pow(e0, b)))
-    j22 = ctx.mul(b % ctx.p, ctx.mul(ctx.pow(c0, a), ctx.pow(e0, b - 1)))
-    det = ctx.sub(ctx.mul(j11, j22), ctx.mul(j12, j21))
-    assert det != 0, "degenerate Jacobian at infinity"
-    dinv = ctx.inv(det)
-    while True:
-        r1 = _residual(ctx, cs, m, -m, c_ser, -r, e_ser, prec)
-        r2 = _g2_resid(ctx, a, b, c_ser, e_ser, prec)
-        ks = [k for k in (s_first_nonzero(r1), s_first_nonzero(r2))
-              if k is not None]
-        if not ks:
-            break
-        k = min(ks)
-        assert k >= 1, "leading coefficients are inconsistent"
-        v1 = r1[k]
-        v2 = r2[k]
-        # solve J * (dc, de) = -(v1, v2)
-        dc = ctx.mul(dinv, ctx.sub(ctx.mul(j12, v2), ctx.mul(j22, v1)))
-        de = ctx.mul(dinv, ctx.sub(ctx.mul(j21, v1), ctx.mul(j11, v2)))
-        c_ser[k] = ctx.add(c_ser[k], dc)
-        e_ser[k] = ctx.add(e_ser[k], de)
-    exp = LocalExpansion(curve, InfPlace(1), ctx, prec, -m, c_ser, -r, e_ser)
-    exp.check()
-    return exp
+def _newton(ctx, u0, prec: int, resid, deriv) -> list[int]:
+    """The series u with u(0) = u0 and resid(u) = 0, to prec terms.
 
-
-def _residual(ctx, cs, m, x_off, x_ser, y_off, y_ser, prec):
-    """t^(-m*y_off) (y^m - F(x)) to prec terms, for x = t^x_off x_ser and
-    y = t^y_off y_ser; the shift of F's i-th term is i*x_off - m*y_off."""
-    ym = s_pow(ctx, y_ser, m, prec)
-    acc = [0] * prec
-    xp = [0] * prec
-    xp[0] = 1
-    for i, c in enumerate(cs):
-        if c:
-            shift = i * x_off - m * y_off
-            assert shift >= 0, "unexpected offset alignment"
-            for k in range(prec - shift):
-                if xp[k]:
-                    acc[k + shift] = ctx.add(acc[k + shift],
-                                             ctx.mul(c, xp[k]))
-        if i + 1 < len(cs):
-            xp = s_mul(ctx, xp, x_ser, prec)
-    return s_sub(ctx, ym, acc)
-
-
-def _g2_resid(ctx, a, b, c_ser, e_ser, prec):
-    ca = s_pow(ctx, c_ser, a, prec) if a >= 0 \
-        else s_pow(ctx, s_inv(ctx, c_ser, prec), -a, prec)
-    eb = s_pow(ctx, e_ser, b, prec) if b >= 0 \
-        else s_pow(ctx, s_inv(ctx, e_ser, prec), -b, prec)
-    out = s_mul(ctx, ca, eb, prec)
-    out[0] = ctx.sub(out[0], 1)
-    return out
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, rr = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while rr:
-        q = old_r // rr
-        old_r, rr = rr, old_r - q * rr
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+    resid and deriv map (u, k) to k terms of the equation and of its
+    derivative in u; deriv(u)(0) must be a unit (s_inv checks it), which
+    makes the root unique.  Each Newton step u <- u - resid/deriv doubles
+    the number of correct terms.
+    """
+    u = [0] * prec
+    u[0] = u0
+    known = 1
+    while known < prec:
+        known = min(2 * known, prec)
+        cur = u[:known]
+        corr = s_mul(ctx, resid(cur, known),
+                     s_inv(ctx, deriv(cur, known), known), known)
+        u[:known] = s_sub(ctx, cur, corr)
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -817,9 +707,6 @@ def valuation(curve: CurveSpec, f: FunctionRep, place) -> int:
     """Exact valuation of f at a place (per branch at infinity)."""
     if isinstance(place, InfPlace):
         return _valuation_inf(curve, f)
-    fast = _fast_val_affine(curve, f, place)
-    if fast is not None:
-        return fast
     prec = curve.default_prec()
     while prec <= PRECISION_CAP:
         try:
@@ -830,59 +717,22 @@ def valuation(curve: CurveSpec, f: FunctionRep, place) -> int:
 
 
 def _valuation_inf(curve: CurveSpec, f: FunctionRep) -> int:
+    """Closed form at infinity: g_j(x) y^j has branch order
+    -(m deg g_j + r j)/d, and the smallest order wins unless it is shared
+    (never when d = 1; see the module docstring)."""
     m, r, d = curve.m, curve.r, curve.d
-    vals = []
-    for j, g in enumerate(f.nums):
-        if any(g):
-            deg = len(g) - 1
-            while not g[deg]:
-                deg -= 1
-            # d divides both m and r, so the branch valuation is integral
-            vals.append(-((deg * m + j * r) // d))
-    den_deg = len(f.den) - 1
-    while den_deg and not f.den[den_deg]:
-        den_deg -= 1
-    den_val = -((den_deg * m) // d)
-    if len(vals) == 1:
-        return vals[0] - den_val
+
+    def deg(g) -> int:
+        return len(gf.pnorm(list(g))) - 1
+
+    # d divides both m and r, so every branch order is integral
+    vals = [-((m * deg(g) + r * j) // d)
+            for j, g in enumerate(f.nums) if any(g)]
     lo = min(vals)
     if vals.count(lo) > 1:
         raise UnsupportedCollision(
             "leading terms collide at infinity; need branch separation")
-    return lo - den_val
-
-
-def _fast_val_affine(curve, f, place):
-    """Closed-form valuation for single-y-power constants over factored
-    denominators; works over Q and finite bases alike."""
-    single = f.is_single_term()
-    if single is None or f.den_roots is None:
-        return None
-    j, g = single
-    if len(gf.pnorm(list(g))) != 1:
-        # numerator must be a nonzero constant times y^j
-        return None
-    if isinstance(place, RamPlace):
-        x0, ram = place.alpha, True
-    elif isinstance(place, ClosedPlace):
-        ctxp = gf.field(place.base_p, place.base_n * place.b)
-        x0, y0 = place.rep()
-        ram = (y0 == 0)
-        if place.b > 1:
-            # roots live in the base; compare through the embedding
-            emb = gf.embedding(curve.base, ctxp)
-            val = j * (1 if ram else 0)
-            for rt, mu in f.den_roots:
-                if emb.apply(rt) == x0:
-                    val -= mu * (curve.m if ram else 1)
-            return val
-    else:
-        return None
-    val = j * (1 if ram else 0)
-    for rt, mu in f.den_roots:
-        if rt == x0:
-            val -= mu * (curve.m if ram else 1)
-    return val
+    return lo + (m * deg(f.den)) // d
 
 
 def _series_val_affine(curve, f, place, prec: int) -> int:
@@ -967,7 +817,8 @@ def principal_divisor(curve: CurveSpec, f: FunctionRep) -> Divisor:
     inf_v = _valuation_inf(curve, f)
     if inf_v:
         div = div + Divisor.single(curve.inf_place(), inf_v)
-    assert div.degree() == 0, f"divisor degree {div.degree()} != 0"
+    if div.degree() != 0:
+        raise InvariantViolation(f"divisor degree {div.degree()} != 0")
     return div
 
 
@@ -987,7 +838,8 @@ def _numerator_norm(curve: CurveSpec, f: FunctionRep) -> list[int]:
                 entry = gf.pmul(ctx, entry, F)
             mat[t][col] = gf.padd(ctx, mat[t][col], entry)
     det = _poly_det(ctx, mat)
-    assert det, "norm of a nonzero function vanished"
+    if not det:
+        raise InvariantViolation("norm of a nonzero function vanished")
     return det
 
 
@@ -1014,7 +866,9 @@ def _poly_det(ctx, mat) -> list[int]:
                               gf.pmul(ctx, m[i][k], m[k][j]))
                 if num:
                     q, r = gf.pdivmod(ctx, num, denom)
-                    assert not r, "Bareiss division was not exact"
+                    if r:
+                        raise InvariantViolation(
+                            "Bareiss division was not exact")
                     m[i][j] = q
                 else:
                     m[i][j] = []
@@ -1094,7 +948,8 @@ def _ddf_roots(ctx, sf) -> dict[int, list[int]]:
                                  f"the table cap {gf.MAX_TABLE_CARD}")
         emb = gf.embedding(ctx, sctx)
         roots = gf.proots(sctx, [emb.apply(c) for c in g])
-        assert len(roots) == len(g) - 1, "missing roots in DDF block"
+        if len(roots) != len(g) - 1:
+            raise InvariantViolation("missing roots in DDF block")
         out[s] = roots
     return out
 
@@ -1156,8 +1011,9 @@ def places_above(curve: CurveSpec, sctx: gf.FieldCtx, x0: int) -> list:
             min_orbit = []
             for (xx, yy) in orbit:
                 px, py = emb.preimage(xx), emb.preimage(yy)
-                assert px is not None and py is not None, \
-                    "orbit does not descend to its minimal field"
+                if px is None or py is None:
+                    raise InvariantViolation(
+                        "orbit does not descend to its minimal field")
                 min_orbit.append((px, py))
         if b == 1 and min_orbit[0][1] == 0:
             # base-rational ramification points keep their R_i identity

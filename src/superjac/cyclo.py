@@ -118,9 +118,6 @@ class CycloCtx:
             _sparse_divmod(r, n, terms)
         return tuple(r)
 
-    def zero(self) -> "CycloInt":
-        return CycloInt(self, (0,) * self.phi)
-
     def one(self) -> "CycloInt":
         return self.from_int(1)
 

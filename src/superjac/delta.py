@@ -18,7 +18,8 @@ isomorphic to (Z/m)^(r-2) x Z/(m/d).  Two independent halves are glued:
   every basis element vanishes at R_r: a function realizing an extra
   relation would lie in L(E) yet keep R_r out of its divisor, which the
   basis makes impossible.  Each basis divisor is computed both from the
-  closed formula and with the local-expansion valuation engine.
+  closed formula and with the local-expansion valuation engine, which
+  expands the curve at every R_k it meets.
 
 When d = 1 the subgroup is generated by R_i - inf for i < r, and an
 integer combination sum a_i (R_i - inf) is principal exactly when m
@@ -36,7 +37,8 @@ from . import gf, picard, snf
 from .curves import (CurveSpec, Divisor, FunctionRep, div_x_minus_root,
                      div_y, principal_divisor)
 from .errors import (CheckFailed, InvariantViolation, OracleMismatch,
-                     RequiresD1, RequiresSplitRoots, UnsupportedBase)
+                     RequiresD1, RequiresSplitRoots, SuperjacError,
+                     UnsupportedBase)
 
 # retries for the randomized independence rank check
 RANK_ATTEMPTS = 3
@@ -85,7 +87,9 @@ def delta_structure(m: int, r: int) -> tuple[int, ...]:
     checked against the closed form (m/d, m, ..., m) with r - 2 copies
     of m and unit factors dropped.
     """
-    assert m >= 2 and r >= 2
+    if m < 2 or r < 2:
+        raise SuperjacError(f"m and r must be at least 2, got m = {m}, "
+                            f"r = {r}")
     d = math.gcd(m, r)
     factors = tuple(snf.cokernel_factors(relation_rows(m, r), r))
     predicted = [m] * (r - 2)
@@ -411,7 +415,9 @@ def combo_divisor(curve: CurveSpec, coeffs) -> Divisor:
     if not curve.splits:
         raise RequiresSplitRoots("combination needs the roots of F")
     a = list(coeffs)
-    assert len(a) == curve.r - 1
+    if len(a) != curve.r - 1:
+        raise SuperjacError(f"expected {curve.r - 1} coefficients "
+                            f"a_1..a_(r-1), got {len(a)}")
     items = [(curve.ram_place(i + 1), c) for i, c in enumerate(a)]
     items.append((curve.inf_place(), -sum(a)))
     return Divisor(items)

@@ -19,7 +19,8 @@ class PrecisionExhausted(SuperjacError):
 
 
 class UnsupportedCollision(SuperjacError):
-    """Valuation at a collapsed infinite place needs branch separation."""
+    """The infinite place has no local expansion, or a valuation there
+    needs branch separation."""
 
 
 class RequiresD1(SuperjacError):

@@ -333,11 +333,10 @@ class FieldCtx:
         return (self.order - 1, self._exp, self._log, self._zech,
                 self._m1log)
 
-    def __repr__(self) -> str:
-        return f"GF({self.p}^{self.n})" if self.n > 1 else f"GF({self.p})"
-
     def name(self) -> str:
         return f"GF({self.p}^{self.n})" if self.n > 1 else f"GF({self.p})"
+
+    __repr__ = name
 
 
 _CTX_CACHE: dict[tuple[int, int], FieldCtx] = {}

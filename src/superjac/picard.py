@@ -79,16 +79,14 @@ def _lift_point(ext: CurveSpec, K: gf.FieldCtx, xK: int, yK: int):
 class FunctionSpace:
     """Basis of L(D), realized over a constant field extension."""
 
-    __slots__ = ("curve", "ext", "K", "u", "u_roots",
-                 "monomials", "vectors", "place_map")
+    __slots__ = ("curve", "ext", "K", "u", "monomials", "vectors",
+                 "place_map")
 
-    def __init__(self, curve, ext, K, u, u_roots, monomials, vectors,
-                 place_map):
+    def __init__(self, curve, ext, K, u, monomials, vectors, place_map):
         self.curve = curve
         self.ext = ext
         self.K = K
         self.u = u
-        self.u_roots = u_roots
         self.monomials = monomials
         self.vectors = vectors
         self.place_map = place_map
@@ -106,10 +104,7 @@ class FunctionSpace:
                 if len(g) <= i:
                     g.extend([0] * (i + 1 - len(g)))
                 g[i] = v
-        return FunctionRep(self.ext, nums, self.u, self.u_roots)
-
-    def functions(self):
-        return [self.function(k) for k in range(self.dim)]
+        return FunctionRep(self.ext, nums, self.u)
 
 
 def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
@@ -175,7 +170,7 @@ def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
     # move every orbit into K; all coordinate transport goes through
     # base-compatible embeddings so data from different storage fields
     # lands on one consistent set of K-points
-    u_roots: list[tuple[int, int]] = []
+    u_factors: list[tuple[int, int]] = []
     place_map: dict = {}
     cond: list[tuple[object, int]] = []   # (place of ext, order to kill)
     for ob in orbits.values():
@@ -206,7 +201,7 @@ def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
             raise InvariantViolation("x-orbit length changed under transport")
         e = ob["e"]
         if e > 0:
-            u_roots.extend((xk, e) for xk in sorted(xs))
+            u_factors.extend((xk, e) for xk in sorted(xs))
             fiberK = []
             for xk in xs:
                 fiberK.extend(places_above(ext, K, xk))
@@ -229,7 +224,7 @@ def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
     # leading orders -(m deg g_j + r j) are pairwise distinct, so each
     # monomial must clear the bound on its own
     u = [1]
-    for rt, e in u_roots:
+    for rt, e in u_factors:
         lin = [K.neg(rt), 1]
         for _ in range(e):
             u = gf.pmul(K, u, lin)
@@ -264,8 +259,8 @@ def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
             (degb > 2 * g - 2 and dim != degb + 1 - g):
         raise InvariantViolation(
             f"l(D) = {dim} for deg D = {degb}, genus {g}")
-    return FunctionSpace(curve, ext, K, tuple(u), tuple(u_roots),
-                         tuple(monomials), vectors, place_map)
+    return FunctionSpace(curve, ext, K, tuple(u), tuple(monomials), vectors,
+                         place_map)
 
 
 def ell(curve: CurveSpec, bound: Divisor) -> int:

@@ -34,15 +34,16 @@ import math
 from dataclasses import dataclass
 
 from . import gf, primes
-from .characters import (frobenius_orbits, modified_gauss_sum,
-                         nontrivial_pairs, orbit_gauss_sum)
+from .characters import frobenius_orbits, orbit_gauss_sum
 from .curves import CurveSpec, make_curve
 from .cyclo import cyclo
 from .errors import (
     BudgetExceeded,
+    CharacterUnavailable,
     EvidenceFailed,
     InvariantViolation,
     RequiresD1,
+    SuperjacError,
     UnsupportedBase,
 )
 
@@ -82,6 +83,9 @@ class LPolynomial:
 
     def jacobian_order(self, n: int = 1) -> int:
         """|J| over the degree-n extension: prod(1 - alpha_i^n)."""
+        if n < 1:
+            raise SuperjacError(f"extension degree must be at least 1, "
+                                f"got {n}")
         deg = len(self.coeffs) - 1
         s = self.power_sums(n * deg)
         order = sum(_from_power_sums(s[n - 1::n]))
@@ -170,36 +174,30 @@ def count_points(curve: CurveSpec, n: int = 1,
 
 def artin_schreier_curve(p: int, m: int, a: int) -> CurveSpec:
     """y^m = x^p - x + a over GF(p); always separable since F' = -1."""
-    assert primes.is_prime(p) and m >= 2 and m % p != 0
+    if not (primes.is_prime(p) and m >= 2 and m % p != 0):
+        raise SuperjacError(f"y^m = x^p - x + a needs p prime and m >= 2 "
+                            f"prime to p, got p = {p}, m = {m}")
     coeffs = [a % p, p - 1] + [0] * (p - 2) + [1]
     return make_curve(m, coeffs, gf.field(p))
 
 
+def _require_a(p: int, a: int) -> None:
+    if a % p == 0:
+        raise SuperjacError(f"a must be nonzero mod p = {p}, got {a}")
+
+
 def counts_by_charsum(p: int, m: int, a: int, upto: int) -> list[int]:
-    """N_1..N_upto for y^m = x^p - x + a via the character-sum identity
+    """N_1..N_upto for y^m = x^p - x + a, read off the character-sum
+    numerator P(T) of ``zeta_numerator_charsum``.
 
-        N_n = 1 + p^n - sum over nontrivial pairs of (-G_a)^n.
-
-    Requires m | p - 1.  Exact in Z[zeta_pm]; every count must come out
-    a rational integer.
+    Requires m | p - 1, where every Gauss sum lives over GF(p).
     """
-    assert a % p != 0
-    ring = cyclo(p * m)
-    neg_sums = [modified_gauss_sum(p, m, c, u, a) * (-1)
-                for c, u in nontrivial_pairs(p, m)]
-    powers = list(neg_sums)
-    out = []
-    for n in range(1, upto + 1):
-        if n > 1:
-            powers = [pw * g for pw, g in zip(powers, neg_sums)]
-        total = ring.from_int(0)
-        for pw in powers:
-            total = total + pw
-        val = ring.from_int(1 + p ** n) - total
-        if not val.is_rational():
-            raise InvariantViolation("point count must be rational")
-        out.append(val.rational_value())
-    return out
+    _require_a(p, a)
+    if (p - 1) % m != 0:
+        raise CharacterUnavailable(
+            f"multiplicative characters of order {m} need {m} | {p - 1}")
+    P = zeta_numerator_charsum(p, m, a)
+    return [P.point_count(n) for n in range(1, upto + 1)]
 
 
 def zeta_numerator_charsum(p: int, m: int, a: int) -> LPolynomial:
@@ -209,7 +207,7 @@ def zeta_numerator_charsum(p: int, m: int, a: int) -> LPolynomial:
     Any m prime to p; k_O = 1 for every orbit when m | p - 1.  Every
     coefficient must come out a rational integer.
     """
-    assert a % p != 0
+    _require_a(p, a)
     ring = cyclo(p * m)
     poly = [ring.from_int(1)]
     for u, k in frobenius_orbits(p, m):
@@ -309,8 +307,12 @@ def torsion_criterion(p: int, q: int, level: int = 1, a: int = 1,
     divisibility is an iff, so evidence that contradicts the criterion
     raises EvidenceFailed.
     """
-    assert primes.is_prime(p) and primes.is_prime(q) and p != q
-    assert level >= 1 and a % p != 0
+    if not (primes.is_prime(p) and primes.is_prime(q) and p != q):
+        raise SuperjacError(f"the torsion criterion needs distinct primes "
+                            f"p and q, got p = {p}, q = {q}")
+    if level < 1:
+        raise SuperjacError(f"the level must be at least 1, got {level}")
+    _require_a(p, a)
     k = primes.multiplicative_order(p, q)
     has = (k % p == 0)
     route = None
@@ -384,7 +386,9 @@ def power_law_check(p: int, q: int, a: int = 1,
 
     Orbit character sums build P as a polynomial in T^k, which obeys
     the power law by construction, so they are not used here."""
-    assert a % p != 0 and primes.is_prime(q)
+    _require_a(p, a)
+    if not primes.is_prime(q):
+        raise SuperjacError(f"q must be prime, got {q}")
     _, P = artin_schreier_lpoly(p, q, a, budget, orbit_route=False)
     return _power_law_report(P, p, q, a)
 

@@ -256,6 +256,52 @@ def test_usage_exit_codes(capsys) -> None:
     capsys.readouterr()
 
 
+# parameters outside a routine's domain; each is refused as a usage error
+BAD_PARAMETERS = [
+    ["count", "--p", "3", "--q", "2", "--a", "3", "--n", "2"],
+    ["zeta", "--p", "3", "--q", "2", "--a", "3"],
+    ["torsion-test", "--p", "3", "--q", "2", "--a", "3"],
+    ["power-law", "--p", "3", "--q", "2", "--a", "3"],
+    ["torsion-test", "--p", "4", "--q", "3"],
+    ["torsion-test", "--p", "3", "--q", "3"],
+    ["torsion-test", "--p", "2", "--q", "5", "--l", "0"],
+    ["delta-structure", "--m", "1", "--r", "3"],
+    ["delta-structure", "--m", "3", "--r", "1"],
+    ["picard", "--m", "1", "--f", "1,1,1", "--p", "2"],
+    ["picard", "--m", "3", "--f", "1,1", "--p", "5"],
+    ["principal", "--m", "2", "--f", "0,24,-50,35,-10,1", "--coeffs", "2,0",
+     "--field", "11"],
+    ["jacobian-order", "--p", "3", "--q", "2", "--a", "1", "--ext", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_PARAMETERS, ids=" ".join)
+def test_bad_parameters_are_usage_errors(capsys, argv) -> None:
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bad_parameters_are_usage_errors_under_python_O() -> None:
+    script = ("import json, sys\n"
+              "from superjac.cli import main\n"
+              "print(json.dumps([main(a) for a in json.loads(sys.argv[1])]))")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, json.dumps(BAD_PARAMETERS)],
+        capture_output=True, text=True, env=_env())
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert json.loads(proc.stdout) == [2] * len(BAD_PARAMETERS)
+
+
+def test_domain_checks_keep_their_conditions(capsys) -> None:
+    # a = 0 is outside only the character-sum routines' domain
+    code, doc = run_json(capsys, ["jacobian-order", "--p", "5", "--q", "3",
+                                  "--a", "0"])
+    assert code == 0 and doc["order"] > 0
+    code, doc = run_json(capsys, ["count", "--p", "3", "--q", "2", "--a",
+                                  "3", "--n", "2", "--route", "naive"])
+    assert code == 0 and doc["routes"]["charsum"] is None
+
+
 def test_json_deterministic(capsys) -> None:
     argv = ["proof-replay", "--m", "2", "--f", "0,24,-50,35,-10,1",
             "--field", "11", "--seed", "3", "--json"]

@@ -8,13 +8,11 @@ import random
 
 import pytest
 
-from superjac import gf
+from superjac import curves, delta, gf
 from superjac.curves import (
-    _residual,
     ClosedPlace,
     Divisor,
     FunctionRep,
-    InfPlace,
     RamPlace,
     base_change,
     div_x_minus_root,
@@ -24,12 +22,11 @@ from superjac.curves import (
     places_above,
     principal_divisor,
     s_mul,
-    s_pow,
-    s_sub,
     splitting_extension,
     valuation,
 )
 from superjac.errors import (
+    InvariantViolation,
     NotSeparable,
     UnsupportedBase,
     UnsupportedCollision,
@@ -41,27 +38,7 @@ def x_minus_root(curve, i: int) -> FunctionRep:
     assert curve.splits
     nums = [() for _ in range(curve.m)]
     nums[0] = (curve.base.neg(curve.roots[i - 1]), 1)
-    return FunctionRep(curve, nums, (1,), ())
-
-
-def _g1_resid(ctx, cs, m, r, c_ser, e_ser, prec):
-    """y^m - F(x) at infinity with x = t^-m c(t), y = t^-r e(t), times
-    t^(m r): the dedicated loop the infinite expansion used before it
-    shared curves._residual, kept as an oracle."""
-    em = s_pow(ctx, e_ser, m, prec)
-    acc = [0] * prec
-    xp = [0] * prec
-    xp[0] = 1
-    for i, coeff in enumerate(cs):
-        if coeff:
-            shift = m * (r - i)
-            for k in range(max(0, prec - shift)):
-                if xp[k]:
-                    acc[k + shift] = ctx.add(acc[k + shift],
-                                             ctx.mul(coeff, xp[k]))
-        if i + 1 < len(cs):
-            xp = s_mul(ctx, xp, c_ser, prec)
-    return s_sub(ctx, em, acc)
+    return FunctionRep(curve, nums)
 
 
 def curve_34_f7():
@@ -136,38 +113,73 @@ def test_expansion_residuals_affine():
     assert exp2.x_ser[3] != 0
 
 
-def test_expansion_residual_at_infinity():
-    c = curve_25_f11()
-    exp = local_expansion(c, c.inf_place())
+# (x_ser, y_ser) at prec 12, frozen; an expansion is unique once the
+# local parameter t is fixed, so any correct Newton lift reproduces them
+EXPANSION_ANCHORS = [
+    # unramified point (5, 1) on y^3 = x(x-1)(x-2)(x-3) over GF(7)
+    ("34_f7", ClosedPlace(7, 1, 1, ((5, 1),)),
+     [5, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+     [1, 0, 5, 0, 1, 0, 2, 0, 3, 0, 2, 0]),
+    # ramification point R2 = (1, 0)
+    ("34_f7", RamPlace(2, 1),
+     [1, 0, 0, 4, 0, 0, 1, 0, 0, 5, 0, 0],
+     [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    # the degree-3 place over x = 4
+    ("34_f7", ClosedPlace(7, 1, 3, ((4, 147), (4, 245), (4, 294))),
+     [4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+     [147, 245, 49, 294, 294, 0, 294, 49, 49, 98, 49, 147]),
+    # (2, 3) on y^3 = x^4 + x + 1 over GF(4)
+    ("31001_f4", ClosedPlace(2, 2, 1, ((2, 3),)),
+     [2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+     [3, 3, 3, 3, 3, 0, 3, 0, 0, 0, 3, 3]),
+]
+
+
+@pytest.mark.parametrize("which,place,x_ser,y_ser", EXPANSION_ANCHORS)
+def test_expansion_anchors(which, place, x_ser, y_ser):
+    c = curve_34_f7() if which == "34_f7" else \
+        make_curve(3, [1, 1, 0, 0, 1], gf.field(2, 2))
+    exp = local_expansion(c, place, 12)
+    assert (exp.x_ser, exp.y_ser) == (x_ser, y_ser)
     assert exp.residual_order() is None
-    assert (exp.x_off, exp.y_off) == (-2, -5)
-    assert exp.x_ser[0] != 0 and exp.y_ser[0] != 0
 
 
-@pytest.mark.parametrize("m,cs,p,n", [
-    (2, [0, 2, 5, 2, 1, 1], 11, 1),     # curve_25_f11
-    (3, [0, 1, 4, 1, 1], 7, 1),         # curve_34_f7
-    (3, [1, 1, 0, 0, 1], 2, 2),
-    (2, [1, 2, 0, 0, 0, 1], 3, 2),
-    (5, [1, 1, 1], 2, 4),
-])
-def test_residual_at_infinity_matches_g1_oracle(m, cs, p, n):
-    c = make_curve(m, cs, gf.field(p, n))
-    ctx, r = c.base, c.r
-    cs = list(c.coeffs)
-    exp = local_expansion(c, c.inf_place())
-    cases = [(exp.prec, exp.x_ser, exp.y_ser)]
-    rng = random.Random(97 * m + p ** n)
-    for _ in range(20):
-        prec = rng.randrange(1, 3 * m * r)
-        cases.append((prec, [rng.randrange(ctx.order) for _ in range(prec)],
-                      [rng.randrange(ctx.order) for _ in range(prec)]))
-    for prec, c_ser, e_ser in cases:
-        assert _residual(ctx, cs, m, -m, c_ser, -r, e_ser, prec) == \
-            _g1_resid(ctx, cs, m, r, c_ser, e_ser, prec)
-    # along the expansion itself both vanish
-    assert not any(_residual(ctx, cs, m, -m, exp.x_ser, -r, exp.y_ser,
-                             exp.prec))
+@pytest.mark.parametrize("r,d", [(5, 1), (6, 2)])
+def test_no_expansion_at_infinity(r, d):
+    ctx = gf.field(11)
+    c = make_curve(2, gf.pfrom_roots(ctx, list(range(r))), ctx)
+    assert c.d == d
+    with pytest.raises(UnsupportedCollision):
+        local_expansion(c, c.inf_place())
+
+
+def test_wrong_expansion_fails_its_check():
+    c = curve_34_f7()
+    good = local_expansion(c, c.ram_place(1))
+    bad_x = list(good.x_ser)
+    bad_x[5] = (bad_x[5] + 1) % 7
+    bad = curves.LocalExpansion(c, good.place, good.ctx, good.prec, bad_x,
+                                good.y_ser)
+    assert bad.residual_order() == 5
+    with pytest.raises(InvariantViolation):
+        bad.check()
+
+
+def test_rr_basis_expands_at_every_ramification_point(monkeypatch):
+    # criterion 10's curve: the engine half of rr_basis must measure
+    # each div(f_ij) from series, not from the closed formula it checks
+    c = curve_25_f11()
+    seen = set()
+    real = curves.local_expansion
+
+    def recording(curve, place, prec=None):
+        seen.add(place)
+        return real(curve, place, prec)
+
+    monkeypatch.setattr(curves, "local_expansion", recording)
+    entries = delta.rr_basis(c)
+    assert len(entries) == c.genus
+    assert {c.ram_place(k) for k in range(1, 6)} <= seen
 
 
 def test_infinite_valuations_of_coordinates():
@@ -207,15 +219,6 @@ def test_divisor_of_basis_function_oracle():
         (c.inf_place(), 2),
     ])
     assert got == want
-
-
-def test_valuation_fast_path_matches_series():
-    c = curve_34_f7()
-    f = FunctionRep.y_power_over_roots(c, 1, [1, 2])
-    slow = FunctionRep(c, f.nums, f.den, None)  # hide the factored form
-    for i in range(1, 5):
-        p = c.ram_place(i)
-        assert valuation(c, f, p) == valuation(c, slow, p)
 
 
 def test_inert_fiber_produces_degree_three_place():
