@@ -67,7 +67,17 @@ def _require_prime(v: int, name: str) -> None:
 def _cmd_genus(args):
     if args.r is None and args.f is None:
         raise SuperjacError("genus needs --r or --f")
-    r = args.r if args.r is not None else len(_ints(args.f)) - 1
+    if args.m < 2:
+        raise SuperjacError(f"m must be at least 2, got {args.m}")
+    if args.r is not None:
+        r = args.r
+    else:
+        cs = _ints(args.f)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        r = len(cs) - 1
+    if r < 2:
+        raise SuperjacError(f"deg F must be at least 2, got {r}")
     d = math.gcd(args.m, r)
     g = ((args.m - 1) * (r - 1) - (d - 1)) // 2
     return 0, {"m": args.m, "r": r, "d": d, "genus": g}

@@ -5,8 +5,21 @@ sum(c_i * p**i) for its coefficient vector (c_0, ..., c_{n-1}).  Constants
 pack to themselves, so the prime subfield sits inside every extension as
 the identity on 0..p-1.  Extension contexts carry exp/log tables for a
 fixed generator g plus a Zech table (1 + g^k = g^zech[k]), making every
-field operation a couple of list lookups.  Prime-field contexts skip the
-tables and work directly modulo p.
+field operation a couple of list lookups.  Prime-field contexts do their
+arithmetic directly modulo p and build the same three tables only when a
+discrete log or a log-domain loop asks for them.
+
+The exp table is the chain 1, g, g^2, ... of packed values.  For p = 2
+each step is a shift-and-xor on the bit pattern.  For odd p each step is
+a precomputed multiply-by-g map: with h = ceil(n/2), a packed value
+splits as v = lo + p^h * hi, and g * v = GL[lo] + GH[hi], where GL and GH
+hold g * lo and g * (p^h * hi) in a spread form with
+s = bit_length(2p - 2) bits per coefficient.  Two reduced coefficients
+sum to at most 2p - 2, so the integer addition never carries between
+coefficients.  Three lookups in chunk tables, each indexed by the raw
+bits of ceil(n/3) coefficients, then reduce every coefficient mod p and
+repack the result in base p.  Setting up the map takes
+O(p^h + 2^(s * ceil(n/3))) entries, far fewer than the p^n elements.
 
 Deterministic choices, fixed once per (p, n):
   * defining polynomial: first monic irreducible of degree n, ordered by
@@ -17,11 +30,11 @@ Deterministic choices, fixed once per (p, n):
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from . import primes
-from .errors import BudgetExceeded, UnsupportedBase
+from .errors import (BudgetExceeded, InvariantViolation, SuperjacError,
+                     UnsupportedBase)
 
 # Largest extension field for which full tables are built.  Prime fields
 # are exempt (they need no tables for arithmetic).
@@ -47,7 +60,8 @@ def _find_defpoly(p: int, n: int) -> tuple[int, ...]:
         f = [v // p ** i % p for i in range(n)] + [1]
         if _is_irreducible(f, p, n):
             return tuple(f)
-    raise AssertionError("no irreducible polynomial found")
+    raise InvariantViolation(f"no irreducible polynomial of degree {n} "
+                             f"over GF({p})")
 
 
 # ---------------------------------------------------------------------------
@@ -95,27 +109,25 @@ class FieldCtx:
             elem = list(self.coeffs(v))
             if all(ppow_mod(fp, elem, qm1 // ell, f) != [1] for ell in fac):
                 return v
-        raise AssertionError("no generator found")
+        raise InvariantViolation(f"{self.name()} has no generator")
 
     def _build_tables(self) -> None:
-        p, n, Q = self.p, self.n, self.order
-        if p == 2:
-            exp, log = self._chain_gf2()
+        if self.p == 2:
+            self._set_tables(*self._chain_gf2())
         else:
-            exp, log = self._chain_digits()
-        assert all(v >= 0 for v in log[1:]), "exp chain did not cover the units"
+            self._set_tables(*self._chain_packed())
+
+    def _set_tables(self, exp: list[int], log: list[int]) -> None:
+        if log.count(-1) != 1:
+            raise InvariantViolation("exp chain did not cover the units")
+        p = self.p
+        pm1 = p - 1
         self._exp = exp
         self._log = log
-        # zech[k] = log(1 + g^k), -1 when 1 + g^k = 0
-        zech = [-1] * (Q - 1)
-        pm1 = p - 1
-        for k in range(Q - 1):
-            e = exp[k]
-            e2 = e + 1 if e % p != pm1 else e - pm1
-            if e2:
-                zech[k] = log[e2]
-        self._zech = zech
-        self._m1log = log[p - 1] if p > 2 else 0
+        # zech[k] = log(1 + g^k): adding 1 steps the constant digit, and
+        # log[0] = -1 marks 1 + g^k = 0
+        self._zech = [log[e + 1 if e % p != pm1 else e - pm1] for e in exp]
+        self._m1log = log[pm1] if p > 2 else 0
 
     def _chain_gf2(self) -> tuple[list[int], list[int]]:
         Q, n = self.order, self.n
@@ -137,47 +149,60 @@ class FieldCtx:
                 if nxt >> d & 1:
                     nxt ^= fmask << (d - n)
             cur = nxt
-        assert cur == 1, "generator order mismatch"
+        if cur != 1:
+            raise InvariantViolation("generator order mismatch")
         return exp, log
 
-    def _chain_digits(self) -> tuple[list[int], list[int]]:
+    def _chain_packed(self) -> tuple[list[int], list[int]]:
+        # the multiply-by-g map of the module docstring, for odd p
         p, n, Q = self.p, self.n, self.order
-        fneg = [(-c) % p for c in self.defpoly[:n]]
-        gdig = list(self.coeffs(self.gen))
-        while gdig and gdig[-1] == 0:
-            gdig.pop()
-        gl = len(gdig)
-        width = n + gl - 1
+        fp, f = field(p), list(self.defpoly)
+        g = pnorm(list(self.coeffs(self.gen)))
+        basis = [pdivmod(fp, pmul(fp, [0] * i + [1], g), f)[1]
+                 for i in range(n)]
+        s = (2 * p - 2).bit_length()
+
+        def spread_span(rows):
+            # spread form of sum c_i * rows[i], indexed by packed (c_i)
+            vecs = [[0] * n]
+            for row in rows:
+                row = row + [0] * (n - len(row))
+                vecs = [[(x + c * y) % p for x, y in zip(vec, row)]
+                        for c in range(p) for vec in vecs]
+            return [sum(c << s * i for i, c in enumerate(vec))
+                    for vec in vecs]
+        h = (n + 1) // 2
+        ph = p ** h
+        GL = spread_span(basis[:h])
+        GH = spread_span(basis[h:])
+        # raw bits of `width` spread coefficients -> reduced mod p and
+        # packed in base p; three chunks cover all n coefficients
+        width = -(-n // 3)
+        red = [0]
+        for j in range(width):
+            pj = p ** j
+            red = [t + d % p * pj for d in range(1 << s) for t in red]
+        pw = p ** width
+        R1 = [t * pw for t in red]
+        R2 = [t * pw * pw for t in red]
+        bits = width * s
+        bits2 = 2 * bits
+        mask = (1 << bits) - 1
         exp = [0] * (Q - 1)
         log = [-1] * Q
-        cur = [0] * n
-        cur[0] = 1
-        rng_n = range(n)
-        place = [p ** i for i in rng_n]
+        v = 1
         for k in range(Q - 1):
-            v = sum(map(operator.mul, cur, place))
             exp[k] = v
             log[v] = k
-            out = [0] * width
-            for i in rng_n:
-                ci = cur[i]
-                if ci:
-                    for j in range(gl):
-                        out[i + j] += ci * gdig[j]
-            for d in range(width - 1, n - 1, -1):
-                c = out[d] % p
-                if c:
-                    base = d - n
-                    for t in rng_n:
-                        ft = fneg[t]
-                        if ft:
-                            out[base + t] += c * ft
-            cur = [out[t] % p for t in rng_n]
-        assert cur[0] == 1 and not any(cur[1:]), "generator order mismatch"
+            w = GL[v % ph] + GH[v // ph]
+            v = red[w & mask] + R1[w >> bits & mask] + R2[w >> bits2]
+        if v != 1:
+            raise InvariantViolation("generator order mismatch")
         return exp, log
 
     def _prime_tables(self) -> None:
-        # lazy exp/log for a prime field, needed only for discrete logs
+        # lazy exp/log/zech for a prime field, needed only for discrete
+        # logs and log-domain loops
         if self._exp is not None:
             return
         p = self.p
@@ -190,8 +215,7 @@ class FieldCtx:
             exp[k] = cur
             log[cur] = k
             cur = cur * self.gen % p
-        self._exp = exp
-        self._log = log
+        self._set_tables(exp, log)
 
     # -- element views ---------------------------------------------------------
 
@@ -295,7 +319,8 @@ class FieldCtx:
         for _ in range(self.n - 1):
             t = self.frob(t)
             acc = self.add(acc, t)
-        assert acc < self.p, "trace left the prime field"
+        if acc >= self.p:
+            raise InvariantViolation("trace left the prime field")
         return acc
 
     def trace_table(self) -> list[int]:
@@ -319,17 +344,20 @@ class FieldCtx:
             return 0
         v = self._exp[self._log[a] * ((self.order - 1) // (self.p - 1))
                       % (self.order - 1)]
-        assert v < self.p, "norm left the prime field"
+        if v >= self.p:
+            raise InvariantViolation("norm left the prime field")
         return v
 
     def log_tables(self) -> tuple[int, list[int], list[int], list[int], int]:
-        """(order - 1, exp, log, zech, log(-1)) of an extension field.
+        """(order - 1, exp, log, zech, log(-1)) of the field.
 
         For loops that stay in the log domain: log[0] = -1 marks zero,
         and g^a + g^b = g^(a + zech[(b - a) mod (order - 1)]), the sum
-        being zero when that zech entry is -1.
+        being zero when that zech entry is -1.  A prime field builds its
+        tables on the first call.
         """
-        assert self.n > 1, "prime fields carry no arithmetic tables"
+        if self.n == 1:
+            self._prime_tables()
         return (self.order - 1, self._exp, self._log, self._zech,
                 self._m1log)
 
@@ -469,7 +497,7 @@ class Embedding:
     __slots__ = ("src", "dst", "img_x", "_fwd", "_bwd")
 
     def __init__(self, src: FieldCtx, dst: FieldCtx, img_x: int | None = None):
-        assert src.p == dst.p and dst.n % src.n == 0
+        _require_subfield(src, dst)
         self.src = src
         self.dst = dst
         if src.n == 1:
@@ -479,13 +507,15 @@ class Embedding:
             return
         img = img_x
         if img is not None:
-            assert peval(dst, src.defpoly, img) == 0, \
-                "prescribed image is not a defpoly root"
+            if peval(dst, src.defpoly, img) != 0:
+                raise InvariantViolation(
+                    "prescribed image is not a defpoly root")
         else:
             img = next((z for z in dst.elements()
                         if peval(dst, src.defpoly, z) == 0), None)
-            assert img is not None, \
-                "defining polynomial has no root downstream"
+            if img is None:
+                raise InvariantViolation(
+                    "defining polynomial has no root downstream")
         self._build_tables(img)
 
     def _build_tables(self, img: int) -> None:
@@ -507,6 +537,12 @@ class Embedding:
         return self._bwd.get(b)
 
 
+def _require_subfield(src: FieldCtx, dst: FieldCtx) -> None:
+    if src.p != dst.p or dst.n % src.n:
+        raise UnsupportedBase(f"{src.name()} is not a subfield of "
+                              f"{dst.name()}")
+
+
 def embedding(src: FieldCtx, dst: FieldCtx) -> Embedding:
     key = (src.p, src.n, dst.n)
     emb = dst._emb_cache.get(key)
@@ -524,8 +560,8 @@ def compatible_embedding(base: FieldCtx, src: FieldCtx,
     shared subfield larger than the prime field; towers that mix sources
     over a common base must pin the restriction explicitly.
     """
-    assert base.p == src.p == dst.p
-    assert src.n % base.n == 0 and dst.n % src.n == 0
+    _require_subfield(base, src)
+    _require_subfield(src, dst)
     if base.n == 1 or src.n == base.n or src.n == dst.n:
         # the canonical pick is already determined on base (identity when
         # src == dst: the generator X is the packed-smallest defpoly root)
@@ -542,7 +578,7 @@ def compatible_embedding(base: FieldCtx, src: FieldCtx,
             emb = Embedding(src, dst, img_x=z)
             dst._emb_cache[key] = emb
             return emb
-    raise AssertionError("no base-compatible embedding exists")
+    raise InvariantViolation("no base-compatible embedding exists")
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +593,10 @@ class FieldElem:
 
     def _lift(self, other) -> int:
         if isinstance(other, FieldElem):
-            assert other.ctx is self.ctx, "mixed field contexts"
+            if other.ctx is not self.ctx:
+                raise UnsupportedBase(f"mixed field contexts "
+                                      f"{self.ctx.name()} and "
+                                      f"{other.ctx.name()}")
             return other.val
         return other % self.ctx.p
 
@@ -634,7 +673,8 @@ def pmul(ctx: FieldCtx, a, b) -> list[int]:
 
 def pdivmod(ctx: FieldCtx, a, b) -> tuple[list[int], list[int]]:
     b = pnorm(list(b))
-    assert b, "polynomial division by zero"
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
     r = list(a)
     q = [0] * max(0, len(r) - len(b) + 1)
     inv_lead = ctx.inv(b[-1])
@@ -694,6 +734,7 @@ def ppow_mod(ctx: FieldCtx, a, e: int, mod) -> list[int]:
 def proots(ctx: FieldCtx, a) -> list[int]:
     """All roots in the context, by scanning; fine at desk scale."""
     a = pnorm(list(a))
-    assert a, "zero polynomial has every root"
-    out = [x for x in ctx.elements() if peval(ctx, a, x) == 0]
-    return out
+    if not a:
+        raise SuperjacError("the zero polynomial has every element as a "
+                            "root")
+    return [x for x in ctx.elements() if peval(ctx, a, x) == 0]

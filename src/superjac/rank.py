@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from . import zeta
 from .curves import Divisor, FunctionRep, closed_place, principal_divisor
 from .errors import (EvidenceFailed, HypothesisFailed, InvariantViolation,
-                     OracleMismatch)
+                     OracleMismatch, SuperjacError)
 from .primes import factorize, is_prime
 
 
@@ -96,7 +96,14 @@ def find_witness_prime(m: int, roots, k: int) -> int | None:
 
     H2 holds for any divisor by construction; scanning is in increasing
     order, so the first hit is minimal.  None when no divisor works.
+    The curve must be one that make_curve accepts up to separability:
+    m >= 2 and at least two distinct roots.
     """
+    if m < 2:
+        raise SuperjacError(f"m must be at least 2, got {m}")
+    if len(set(roots)) < 2:
+        raise SuperjacError(f"y^m = prod(x - a_i) needs at least two "
+                            f"distinct roots, got {list(roots)}")
     if k == 0:
         return None
     for p in sorted(factorize(abs(k))):

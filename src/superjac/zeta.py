@@ -109,8 +109,11 @@ def _from_power_sums(s) -> list[int]:
 
 def lpoly(q: int, genus: int, coeffs) -> LPolynomial:
     cs = tuple(int(c) for c in coeffs)
-    assert len(cs) == 2 * genus + 1, "numerator degree must be 2g"
-    assert cs[0] == 1, "P(0) must be 1"
+    if len(cs) != 2 * genus + 1:
+        raise InvariantViolation(f"numerator degree must be 2g = "
+                                 f"{2 * genus}, got {len(cs) - 1}")
+    if cs[0] != 1:
+        raise InvariantViolation("P(0) must be 1")
     for i in range(genus + 1):
         want = q ** (genus - i) * cs[i]
         if cs[2 * genus - i] != want:
@@ -132,7 +135,9 @@ def lpoly_from_counts(q: int, counts, genus: int | None = None) -> LPolynomial:
     counts = list(counts)
     if genus is None:
         genus = len(counts)
-    assert genus >= 1 and len(counts) >= genus, "need at least g counts"
+    if genus < 1 or len(counts) < genus:
+        raise SuperjacError(f"need at least g = {genus} >= 1 counts, got "
+                            f"{len(counts)}")
     c = _from_power_sums([q ** n + 1 - counts[n - 1]
                           for n in range(1, genus + 1)])
     for i in range(genus - 1, -1, -1):
@@ -151,23 +156,43 @@ def lpoly_from_counts(q: int, counts, genus: int | None = None) -> LPolynomial:
 
 def count_points(curve: CurveSpec, n: int = 1,
                  budget: int = COUNT_BUDGET) -> int:
-    """Projective point count over the degree-n extension, by enumeration."""
-    assert curve.base is not None
+    """Projective point count over the degree-n extension, by enumeration.
+
+    One rational point at infinity, one point over each root of F, and
+    t = gcd(m, order - 1) points over each x where F(x) is a nonzero
+    t-th power, that is, where its log is divisible by t.  The loop
+    stays in the log domain: at x = g^k the term c_i x^i of F has log
+    log(c_i) + i*k, and the terms are summed by Zech additions.  Logs
+    are reduced only to index the Zech table, as t divides order - 1.
+    """
+    base = curve.base
+    if base is None:
+        raise UnsupportedBase("point counts need a finite base field")
     if curve.d != 1:
         raise RequiresD1("naive counts assume one rational point at infinity")
-    base = curve.base
     order = base.order ** n
     if order > budget:
         raise BudgetExceeded(f"enumeration over order {order} exceeds budget")
     ext = gf.field(base.p, base.n * n)
-    cs = list(curve.ext_coeffs(ext))
-    t = math.gcd(curve.m, ext.order - 1)
-    cnt = 1  # the point at infinity
-    for x in ext.elements():
-        z = gf.peval(ext, cs, x)
-        if z == 0:
+    q1, _, log, zech, _ = ext.log_tables()
+    cs = curve.ext_coeffs(ext)
+    t = math.gcd(curve.m, q1)
+    (l0, i0), *rest = [(log[c], i) for i, c in enumerate(cs) if c]
+    c0 = cs[0]
+    # the point at infinity, then x = 0
+    cnt = 1 + (1 if c0 == 0 else t if log[c0] % t == 0 else 0)
+    for k in range(q1):
+        acc = l0 + i0 * k
+        for lc, i in rest:
+            e = lc + i * k
+            if acc < 0:
+                acc = e
+            else:
+                z = zech[(e - acc) % q1]
+                acc = acc + z if z >= 0 else -1
+        if acc < 0:
             cnt += 1
-        elif ext.dlog(z) % t == 0:
+        elif acc % t == 0:
             cnt += t
     return cnt
 

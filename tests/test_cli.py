@@ -36,6 +36,10 @@ def test_genus(capsys) -> None:
                          ["genus", "--m", "2", "--f", "0,24,-50,35,-10,1"])
     assert (code, doc["r"], doc["genus"]) == (0, 5, 2)
 
+    # trailing zero coefficients do not raise the degree of F
+    code, doc = run_json(capsys, ["genus", "--m", "3", "--f", "1,0,1,0,0"])
+    assert (code, doc["r"], doc["genus"]) == (0, 2, 1)
+
 
 def test_delta_structure(capsys) -> None:
     code, doc = run_json(capsys, ["delta-structure", "--m", "3", "--r", "4"])
@@ -272,6 +276,13 @@ BAD_PARAMETERS = [
     ["principal", "--m", "2", "--f", "0,24,-50,35,-10,1", "--coeffs", "2,0",
      "--field", "11"],
     ["jacobian-order", "--p", "3", "--q", "2", "--a", "1", "--ext", "0"],
+    ["genus", "--m", "0", "--r", "3"],
+    ["genus", "--m", "1", "--r", "3"],
+    ["genus", "--m", "3", "--r", "1"],
+    ["genus", "--m", "2", "--f", "1,1,0"],
+    ["find-prime", "--m", "1", "--roots", "0,1", "--k", "10"],
+    ["find-prime", "--m", "2", "--roots", "0", "--k", "10"],
+    ["find-prime", "--m", "2", "--roots", "3,3", "--k", "10"],
 ]
 
 
@@ -300,6 +311,12 @@ def test_domain_checks_keep_their_conditions(capsys) -> None:
     code, doc = run_json(capsys, ["count", "--p", "3", "--q", "2", "--a",
                                   "3", "--n", "2", "--route", "naive"])
     assert code == 0 and doc["routes"]["charsum"] is None
+    # the smallest curves the genus and find-prime checks let through
+    code, doc = run_json(capsys, ["genus", "--m", "2", "--r", "2"])
+    assert (code, doc["genus"]) == (0, 0)
+    code, doc = run_json(capsys, ["find-prime", "--m", "2", "--roots",
+                                  "0,1", "--k", "10"])
+    assert code == 0
 
 
 def test_json_deterministic(capsys) -> None:

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from superjac import gf
-from superjac.errors import BudgetExceeded
+from superjac.errors import (BudgetExceeded, InvariantViolation,
+                             SuperjacError, UnsupportedBase)
 
 
 def rel_trace(K: gf.FieldCtx, a: int, sub_n: int) -> int:
@@ -245,6 +247,119 @@ FIELD_ANCHORS = [
 def test_defpoly_and_generator_anchors(p, n, defpoly, gen):
     K = gf.field(p, n)
     assert (K.defpoly, K.gen) == (defpoly, gen)
+
+
+def _chain_digits(p, n, defpoly, gen):
+    """exp/log by the digit-vector chain, one schoolbook product with g
+    and one reduction mod the defining polynomial per step; kept as the
+    oracle for the packed multiply-by-generator chain."""
+    Q = p ** n
+    fneg = [(-c) % p for c in defpoly[:n]]
+    gdig = [gen // p ** i % p for i in range(n)]
+    while gdig and gdig[-1] == 0:
+        gdig.pop()
+    gl = len(gdig)
+    width = n + gl - 1
+    exp = [0] * (Q - 1)
+    log = [-1] * Q
+    cur = [0] * n
+    cur[0] = 1
+    rng_n = range(n)
+    place = [p ** i for i in rng_n]
+    for k in range(Q - 1):
+        v = sum(map(operator.mul, cur, place))
+        exp[k] = v
+        log[v] = k
+        out = [0] * width
+        for i in rng_n:
+            ci = cur[i]
+            if ci:
+                for j in range(gl):
+                    out[i + j] += ci * gdig[j]
+        for d in range(width - 1, n - 1, -1):
+            c = out[d] % p
+            if c:
+                base = d - n
+                for t in rng_n:
+                    ft = fneg[t]
+                    if ft:
+                        out[base + t] += c * ft
+        cur = [out[t] % p for t in rng_n]
+    assert cur == [1] + [0] * (n - 1), "generator order mismatch"
+    return exp, log
+
+
+def _zech_loop(p, exp, log):
+    """zech[k] = log(1 + g^k), -1 when 1 + g^k = 0, one entry at a time."""
+    zech = [-1] * len(exp)
+    pm1 = p - 1
+    for k, e in enumerate(exp):
+        e2 = e + 1 if e % p != pm1 else e - pm1
+        if e2:
+            zech[k] = log[e2]
+    return zech
+
+
+# every odd p <= 13 and n >= 2 with p^n <= 3^10, and the fields GF(2^n)
+# that criterion 06's grid builds
+CHAIN_FIELDS = ([(p, n) for p in (3, 5, 7, 11, 13) for n in range(2, 11)
+                 if p ** n <= 3 ** 10] + [(2, n) for n in range(2, 7)])
+
+
+@pytest.mark.parametrize("p,n", CHAIN_FIELDS)
+def test_tables_match_digit_chain(p, n):
+    K = gf.field(p, n)
+    anchor = {(ap, an): (dp, g) for ap, an, dp, g in FIELD_ANCHORS}
+    if (p, n) in anchor:
+        assert (K.defpoly, K.gen) == anchor[p, n]
+    assert K.defpoly == gf._find_defpoly(p, n)
+    exp, log = _chain_digits(p, n, K.defpoly, K.gen)
+    q1, kexp, klog, kzech, m1 = K.log_tables()
+    assert q1 == p ** n - 1
+    assert kexp == exp
+    assert klog == log
+    assert kzech == _zech_loop(p, exp, log)
+    assert m1 == (log[p - 1] if p > 2 else 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_prime_field_log_tables(p):
+    K = gf.field(p)
+    q1, exp, log, zech, m1 = K.log_tables()
+    assert q1 == p - 1
+    assert [K.exp_gen(k) for k in range(q1)] == exp
+    assert all(log[exp[k]] == k for k in range(q1))
+    assert zech == _zech_loop(p, exp, log)
+    for k in range(q1):
+        assert (exp[zech[k]] if zech[k] >= 0 else 0) == (exp[k] + 1) % p
+    assert m1 == (log[p - 1] if p > 2 else 0)
+
+
+def test_broken_generator_fails_the_chain():
+    # g = 1 has order 1: the chain returns to 1 after one step and the
+    # tables cannot cover the units
+    K = gf.FieldCtx.__new__(gf.FieldCtx)
+    K.p, K.n, K.order, K.defpoly, K.gen = 3, 2, 9, (1, 0, 1), 1
+    K._emb_cache = {}
+    with pytest.raises(InvariantViolation):
+        K._build_tables()
+
+
+def test_bad_inputs_are_typed():
+    K = gf.field(5)
+    with pytest.raises(ZeroDivisionError):
+        gf.pdivmod(K, [1, 2], [0, 0])
+    with pytest.raises(SuperjacError):
+        gf.proots(K, [0, 0])
+    with pytest.raises(UnsupportedBase):
+        gf.FieldElem(gf.field(3, 2), 1) + gf.FieldElem(gf.field(3), 1)
+    with pytest.raises(UnsupportedBase):
+        gf.Embedding(gf.field(2, 2), gf.field(2, 3))
+    with pytest.raises(UnsupportedBase):
+        gf.embedding(gf.field(3), gf.field(5, 2))
+    with pytest.raises(UnsupportedBase):
+        gf.compatible_embedding(gf.field(2, 2), gf.field(2, 4),
+                                gf.field(2, 6))
 
 
 def test_dlog_consistency():

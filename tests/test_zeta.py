@@ -10,6 +10,7 @@ Anchor values, all hand-checked:
 import hashlib
 import itertools
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,8 @@ from superjac.errors import (
     BudgetExceeded,
     InvariantViolation,
     RequiresD1,
+    SuperjacError,
+    UnsupportedBase,
 )
 from superjac.curves import make_curve
 from superjac.zeta import (
@@ -193,6 +196,96 @@ def test_count_budget():
     c = artin_schreier_curve(2, 5, 1)
     with pytest.raises(BudgetExceeded):
         count_points(c, 30)
+
+
+def _count_points_horner(curve, n=1):
+    """Projective count by Horner evaluation of F at every element and a
+    discrete log of every nonzero value; kept as the oracle for the
+    log-domain loop of count_points."""
+    base = curve.base
+    ext = gf.field(base.p, base.n * n)
+    cs = list(curve.ext_coeffs(ext))
+    t = math.gcd(curve.m, ext.order - 1)
+    cnt = 1  # the point at infinity
+    for x in ext.elements():
+        z = gf.peval(ext, cs, x)
+        if z == 0:
+            cnt += 1
+        elif ext.dlog(z) % t == 0:
+            cnt += t
+    return cnt
+
+
+def _horner_cases():
+    # Artin-Schreier curves y^m = x^p - x + a for p <= 7, n <= 4
+    for p, ms in [(2, (3, 5)), (3, (2, 4, 5)), (5, (2, 3, 4)),
+                  (7, (2, 3, 4, 5))]:
+        for m in ms:
+            for a in sorted({1, p - 1}):
+                for n in range(1, 5):
+                    yield f"as-{p}-{m}-{a}-{n}", \
+                        artin_schreier_curve(p, m, a), n
+    # F(0) = 0, so x = 0 lies under a ramification point
+    yield "f0-5", make_curve(2, [0, 4, 0, 1], gf.field(5)), 2
+    yield "f0-7", make_curve(2, [0, 1, 0, 0, 0, 1], gf.field(7)), 2
+    yield "as0-3", artin_schreier_curve(3, 2, 0), 3
+    # bases GF(4) and GF(9), with coefficients outside the prime field
+    K4 = gf.field(2, 2)
+    w4 = gf.FieldElem(K4, 2)
+    for n in (1, 2, 3):
+        yield f"gf4-{n}", make_curve(3, [w4, 1, 1], K4), n
+        yield f"gf4-5-{n}", make_curve(5, [1, w4, 0, 1], K4), n
+    K9 = gf.field(3, 2)
+    w9 = gf.FieldElem(K9, 4)
+    for n in (1, 2):
+        yield f"gf9-{n}", make_curve(2, [w9, 2, 0, 1], K9), n
+        yield f"gf9-4-{n}", make_curve(4, [1, 0, w9, 0, 0, 1], K9), n
+
+
+HORNER_CASES = list(_horner_cases())
+
+
+@pytest.mark.parametrize("name,curve,n", HORNER_CASES,
+                         ids=[c[0] for c in HORNER_CASES])
+def test_count_points_matches_horner(name, curve, n):
+    assert count_points(curve, n) == _count_points_horner(curve, n)
+
+
+def test_horner_cases_cover_the_shapes():
+    ts = set()
+    for _, curve, n in HORNER_CASES:
+        order = curve.base.order ** n
+        ts.add(math.gcd(curve.m, order - 1) > 1)
+    assert ts == {False, True}
+    assert any(c.coeffs[0] == 0 for _, c, _ in HORNER_CASES)
+    assert {c.base.name() for _, c, _ in HORNER_CASES} >= \
+        {"GF(2^2)", "GF(3^2)", "GF(2)", "GF(7)"}
+    assert any(n == 1 and c.base.n == 1 for _, c, n in HORNER_CASES)
+
+
+def test_count_points_refusals():
+    # d = gcd(6, 3) = 3 and an enumeration past the budget refuse as
+    # before; a curve over Q has nothing to enumerate
+    ctx = gf.field(7)
+    with pytest.raises(RequiresD1):
+        count_points(make_curve(6, gf.pfrom_roots(ctx, [0, 1, 2]), ctx), 1)
+    c = artin_schreier_curve(3, 2, 1)
+    with pytest.raises(BudgetExceeded, match="order 81 exceeds budget"):
+        count_points(c, 4, budget=80)
+    assert count_points(c, 4, budget=81) == _count_points_horner(c, 4)
+    with pytest.raises(UnsupportedBase):
+        count_points(make_curve(2, [1, 0, 0, 1]), 1)
+
+
+def test_bad_lpoly_shapes_are_typed():
+    with pytest.raises(InvariantViolation, match="2g"):
+        lpoly(3, 1, (1, 3))
+    with pytest.raises(InvariantViolation, match="P\\(0\\)"):
+        lpoly(3, 1, (2, 3, 6))
+    with pytest.raises(SuperjacError, match="counts"):
+        lpoly_from_counts(3, [7], 2)
+    with pytest.raises(SuperjacError, match="counts"):
+        lpoly_from_counts(3, [])
 
 
 def _enumerated_lpoly(p, m, a):
