@@ -125,7 +125,11 @@ def _cmd_gauss(args):
 
 def _budget(args) -> int:
     from . import zeta
-    return args.budget if args.budget else zeta.COUNT_BUDGET
+    if args.budget is None:
+        return zeta.COUNT_BUDGET
+    if args.budget < 1:
+        raise SuperjacError(f"--budget must be at least 1, got {args.budget}")
+    return args.budget
 
 
 def _counts_naive(args, upto: int) -> list[int]:
@@ -138,6 +142,8 @@ def _counts_naive(args, upto: int) -> list[int]:
 def _cmd_count(args):
     from . import zeta
     _require_prime(args.p, "p")
+    if args.n < 1:
+        raise SuperjacError(f"--n must be at least 1, got {args.n}")
     naive = charsum = None
     if args.route in ("naive", "both"):
         naive = _counts_naive(args, args.n)
@@ -192,6 +198,8 @@ def _picard_curve(args):
     from . import gf
     from .curves import base_change, make_curve
     _require_prime(args.p, "p")
+    if args.ext < 1:
+        raise SuperjacError(f"--ext must be at least 1, got {args.ext}")
     curve = make_curve(args.m, _ints(args.f), gf.field(args.p))
     if args.ext > 1:
         curve = base_change(curve, gf.field(args.p, args.ext))

@@ -5,6 +5,12 @@ With r = deg F and d = gcd(m, r), the smooth model has d points above
 x = infinity; they are collapsed here into a single formal place of
 degree d, and all valuations at infinity are per-branch integers.
 
+Places over an x-coordinate come from places_above alone.  It descends
+x0 to its minimal field and replaces it by the least member of its
+base-Frobenius orbit, since conjugate x-coordinates lie under the same
+closed places; each x-orbit is then resolved once per curve and kept in
+the curve's fiber table.
+
 Supported bases: the rationals (arithmetic via Fraction; only the
 combinatorial operations are available) and finite fields with
 characteristic prime to m (full local-expansion engine).
@@ -39,6 +45,7 @@ from .errors import (
     InvariantViolation,
     NotSeparable,
     PrecisionExhausted,
+    RequiresSplitRoots,
     SuperjacError,
     UnsupportedBase,
     UnsupportedCollision,
@@ -193,7 +200,7 @@ class CurveSpec:
     """Validated data of a curve y^m = F(x)."""
 
     __slots__ = ("m", "base", "coeffs", "r", "d", "genus", "roots",
-                 "_exp_cache", "_ext_coeffs", "_ext_curves")
+                 "_exp_cache", "_fibers", "_ext_coeffs", "_ext_curves")
 
     def __init__(self, m, base, coeffs, roots):
         self.m = m
@@ -202,10 +209,12 @@ class CurveSpec:
         self.r = len(coeffs) - 1
         self.d = math.gcd(m, self.r)
         t = (m - 1) * (self.r - 1) - (self.d - 1)
-        assert t % 2 == 0, "genus formula parity"
+        if t % 2:
+            raise InvariantViolation("genus formula parity")
         self.genus = t // 2
         self.roots = roots
         self._exp_cache = {}
+        self._fibers = {}
         self._ext_coeffs = {}
         self._ext_curves = {}
 
@@ -217,7 +226,8 @@ class CurveSpec:
 
     def ram_place(self, i: int) -> RamPlace:
         """R_i for 1-based i, ordered by packed root value."""
-        assert self.splits, "roots of F are not all rational here"
+        if not self.splits:
+            raise RequiresSplitRoots("roots of F are not all rational here")
         return RamPlace(i, self.roots[i - 1])
 
     def ram_place_at(self, alpha) -> RamPlace:
@@ -280,7 +290,9 @@ def make_curve(m: int, coeffs, base: gf.FieldCtx | None = None) -> CurveSpec:
     cs = []
     for c in coeffs:
         if isinstance(c, gf.FieldElem):
-            assert c.ctx is base
+            if c.ctx is not base:
+                raise UnsupportedBase(f"coefficient from {c.ctx.name()} on "
+                                      f"a curve over {base.name()}")
             cs.append(c.val)
         else:
             cs.append(c % base.p)
@@ -372,8 +384,11 @@ def base_change(curve: CurveSpec, ctx: gf.FieldCtx) -> CurveSpec:
     Memoized per extension so local-expansion caches on the extended
     curve survive across calls.
     """
-    assert curve.base is not None, "base change from Q is not supported here"
-    assert ctx.p == curve.base.p and ctx.n % curve.base.n == 0
+    if curve.base is None:
+        raise UnsupportedBase("base change from Q is not supported here")
+    if ctx.p != curve.base.p or ctx.n % curve.base.n:
+        raise UnsupportedBase(f"{curve.base.name()} is not a subfield of "
+                              f"{ctx.name()}")
     got = curve._ext_curves.get(ctx.n)
     if got is None:
         cs = curve.ext_coeffs(ctx)
@@ -413,47 +428,31 @@ class FunctionRep:
     __slots__ = ("curve", "nums", "den")
 
     def __init__(self, curve: CurveSpec, nums, den=(1,)):
-        assert curve.base is not None, \
-            "function representatives need a finite base field"
-        assert len(nums) == curve.m
+        if curve.base is None:
+            raise UnsupportedBase(
+                "function representatives need a finite base field")
+        if len(nums) != curve.m:
+            raise SuperjacError(f"expected {curve.m} numerator components, "
+                                f"got {len(nums)}")
         self.curve = curve
         self.nums = tuple(tuple(n) for n in nums)
         self.den = tuple(den)
-        assert any(any(n) for n in self.nums), "zero function representative"
-        assert any(self.den), "zero denominator"
+        if not any(any(n) for n in self.nums):
+            raise SuperjacError("zero function representative")
+        if not any(self.den):
+            raise SuperjacError("zero denominator")
 
     @staticmethod
     def y_power_over_roots(curve: CurveSpec, j: int,
                            root_indices) -> "FunctionRep":
         """y^j / prod(x - alpha_i for i in root_indices), 1-based indices."""
-        assert curve.splits
-        ctx = curve.base
+        if not curve.splits:
+            raise RequiresSplitRoots("y-power over roots needs the roots "
+                                     "of F")
         nums = [() for _ in range(curve.m)]
         nums[j % curve.m] = (1,)
         rts = [curve.roots[i - 1] for i in root_indices]
-        return FunctionRep(curve, nums, gf.pfrom_roots(ctx, rts))
-
-    def __mul__(self, other: "FunctionRep") -> "FunctionRep":
-        assert other.curve is self.curve
-        ctx = self.curve.base
-        assert ctx is not None, "function arithmetic needs a finite base"
-        m = self.curve.m
-        F = list(self.curve.coeffs)
-        nums = [[] for _ in range(m)]
-        for j1, g1 in enumerate(self.nums):
-            if not any(g1):
-                continue
-            for j2, g2 in enumerate(other.nums):
-                if not any(g2):
-                    continue
-                prod = gf.pmul(ctx, list(g1), list(g2))
-                j = j1 + j2
-                if j >= m:
-                    prod = gf.pmul(ctx, prod, F)
-                    j -= m
-                nums[j] = gf.padd(ctx, nums[j], prod)
-        den = gf.pmul(ctx, list(self.den), list(other.den))
-        return FunctionRep(self.curve, nums, den)
+        return FunctionRep(curve, nums, gf.pfrom_roots(curve.base, rts))
 
     def evaluate(self, ctx: gf.FieldCtx, x0: int, y0: int) -> int:
         """Value at a point with coordinates in ctx; poles raise."""
@@ -554,7 +553,8 @@ def s_pow(ctx, a, e, prec):
     res = [0] * prec
     res[0] = 1
     base = list(a)
-    assert e >= 0
+    if e < 0:
+        raise SuperjacError(f"negative series power {e}")
     while e:
         if e & 1:
             res = s_mul(ctx, res, base, prec)
@@ -764,14 +764,12 @@ def _series_val_affine(curve, f, place, prec: int) -> int:
 
 def div_x_minus_root(curve: CurveSpec, i: int) -> Divisor:
     """div(x - alpha_i) = m R_i - (m/d) inf  (closed form)."""
-    assert curve.splits
     return Divisor([(curve.ram_place(i), curve.m),
                     (curve.inf_place(), -(curve.m // curve.d))])
 
 
 def div_y(curve: CurveSpec) -> Divisor:
     """div(y) = sum_i R_i - (r/d) inf  (closed form)."""
-    assert curve.splits
     items = [(curve.ram_place(i), 1) for i in range(1, curve.r + 1)]
     items.append((curve.inf_place(), -(curve.r // curve.d)))
     return Divisor(items)
@@ -788,26 +786,12 @@ def principal_divisor(curve: CurveSpec, f: FunctionRep) -> Divisor:
     if curve.base is None:
         raise UnsupportedBase("principal divisors need a finite base")
     ctx = curve.base
-    xcoords: dict[tuple[int, int], set[int]] = {}
-
-    def add_xcoord(s: int, x0: int) -> None:
-        xcoords.setdefault((ctx.p, ctx.n * s), set()).add(x0)
-
-    normpoly = _numerator_norm(curve, f)
-    for s, roots in _roots_by_degree(ctx, normpoly).items():
-        for x0 in roots:
-            add_xcoord(s, x0)
-    den = gf.pnorm(list(f.den))
-    if len(den) > 1:
-        for s, roots in _roots_by_degree(ctx, den).items():
-            for x0 in roots:
-                add_xcoord(s, x0)
     seen = set()
-    for (p, ns), xs in sorted(xcoords.items()):
-        sctx = gf.field(p, ns)
-        for x0 in sorted(xs):
-            # conjugate x-coordinates resolve to the same places
-            seen.update(places_above(curve, sctx, x0))
+    for poly in (_numerator_norm(curve, f), f.den):
+        for s, roots in _roots_by_degree(ctx, poly).items():
+            sctx = gf.field(ctx.p, ctx.n * s)
+            for x0 in roots:
+                seen.update(places_above(curve, sctx, x0))
     out = []
     for place in sorted(seen, key=lambda pl: pl.sort_key()):
         v = valuation(curve, f, place)
@@ -883,7 +867,6 @@ def _poly_det(ctx, mat) -> list[int]:
 def _roots_by_degree(ctx, poly) -> dict[int, list[int]]:
     """Distinct roots of poly grouped by extension degree over ctx."""
     poly = gf.pnorm(list(poly))
-    assert poly
     out: dict[int, set[int]] = {}
     stack = [poly]
     while stack:
@@ -903,7 +886,9 @@ def _roots_by_degree(ctx, poly) -> dict[int, list[int]]:
         if len(g) > 1:
             stack.append(g)
             sf, rem = gf.pdivmod(ctx, cur, g)
-            assert not rem
+            if rem:
+                raise InvariantViolation("squarefree part division was not "
+                                         "exact")
         else:
             sf = cur
         for s, roots in _ddf_roots(ctx, sf).items():
@@ -930,7 +915,8 @@ def _ddf(ctx, sf) -> dict[int, list[int]]:
         if len(g) > 1:
             out[s] = g
             S, rem = gf.pdivmod(ctx, S, g)
-            assert not rem
+            if rem:
+                raise InvariantViolation("DDF division was not exact")
             if len(S) <= 1:
                 break
             _, h = gf.pdivmod(ctx, h, S)
@@ -955,69 +941,81 @@ def _ddf_roots(ctx, sf) -> dict[int, list[int]]:
 
 
 def places_above(curve: CurveSpec, sctx: gf.FieldCtx, x0: int) -> list:
-    """All places of the curve over a given x-coordinate in GF(p^(n*s)).
+    """All places of the curve over an x-coordinate stored in sctx.
 
-    Points are grouped into base-Frobenius orbits and each orbit is
-    descended to its minimal field of definition.
+    x0 is descended to its minimal field and replaced by the least member
+    of its base-Frobenius orbit; conjugates lie under the same places, so
+    each x-orbit is resolved once per curve.
     """
     base = curve.base
-    z = curve.eval_F(sctx, x0)
+    orb = sctx.frob_orbit(x0, base.n)
+    mctx = gf.field(base.p, base.n * len(orb))
+    key = (mctx.n, min(_descend(base, mctx, sctx, orb)))
+    got = curve._fibers.get(key)
+    if got is None:
+        got = tuple(_resolve_fiber(curve, mctx, key[1]))
+        curve._fibers[key] = got
+    return list(got)
+
+
+def _descend(base: gf.FieldCtx, sub: gf.FieldCtx, ctx: gf.FieldCtx,
+             vals) -> list[int]:
+    """Elements of ctx lying in its subfield sub, as elements of sub.
+
+    The embedding restricts to the canonical one on base, so the curve's
+    coefficients mean the same in sub and in ctx.
+    """
+    if sub.n == ctx.n:
+        return list(vals)
+    emb = gf.compatible_embedding(base, sub, ctx)
+    out = [emb.preimage(v) for v in vals]
+    if None in out:
+        raise InvariantViolation(f"element fails to descend to {sub.name()}")
+    return out
+
+
+def _resolve_fiber(curve: CurveSpec, sctx: gf.FieldCtx, x0: int) -> list:
+    """The places over x0, sctx being x0's minimal field.
+
+    The m points over x0 are taken in the least extension holding an m-th
+    root of F(x0) and the m-th roots of unity, grouped into base-Frobenius
+    orbits, and each orbit is descended to its minimal field.
+    """
+    base = curve.base
     m = curve.m
-    pts: list[tuple[gf.FieldCtx, int, int]] = []
-    if z == 0:
-        pts.append((sctx, x0, 0))
+    if curve.eval_F(sctx, x0) == 0:
+        ctx_pts, pts = sctx, [(x0, 0)]
     else:
-        w = 1
-        yctx = sctx
+        w = 0
         while True:
-            t = math.gcd(m, yctx.order - 1)
-            zi = gf.embedding(sctx, yctx).apply(x0)
-            zz = curve.eval_F(yctx, zi)
-            if t == m and zz and yctx.dlog(zz) % m == 0:
-                k = yctx.dlog(zz) // m
-                y0 = yctx.exp_gen(k)
-                zeta = yctx.exp_gen((yctx.order - 1) // m)
-                x_in = zi
-                yv = y0
-                for _ in range(m):
-                    pts.append((yctx, x_in, yv))
-                    yv = yctx.mul(yv, zeta)
-                break
             w += 1
-            yctx = gf.field(sctx.p, sctx.n * w)
-    # group into orbits of x -> x^Q for the curve's base order Q
-    e = base.n
+            if (sctx.order ** w - 1) % m:
+                continue
+            ctx_pts = gf.field(sctx.p, sctx.n * w)
+            xi = gf.compatible_embedding(base, sctx, ctx_pts).apply(x0)
+            y0 = ctx_pts.root(curve.eval_F(ctx_pts, xi), m)
+            if y0 is not None:
+                break
+        zeta = ctx_pts.exp_gen((ctx_pts.order - 1) // m)
+        pts = []
+        for _ in range(m):
+            pts.append((xi, y0))
+            y0 = ctx_pts.mul(y0, zeta)
     done = set()
     places = []
-    ctx_pts = pts[0][0]
-    norm_pts = [(x, y) for (_, x, y) in pts]
-    for pt in norm_pts:
-        if pt in done:
+    for x, y in pts:
+        if (x, y) in done:
             continue
-        orbit = []
-        cur = pt
-        while True:
-            orbit.append(cur)
-            done.add(cur)
-            cur = (ctx_pts.frob(cur[0], e), ctx_pts.frob(cur[1], e))
-            if cur == pt:
-                break
-        b = len(orbit)
-        mctx = gf.field(base.p, e * b)
-        if mctx.n == ctx_pts.n:
-            min_orbit = orbit
-        else:
-            emb = gf.embedding(mctx, ctx_pts)
-            min_orbit = []
-            for (xx, yy) in orbit:
-                px, py = emb.preimage(xx), emb.preimage(yy)
-                if px is None or py is None:
-                    raise InvariantViolation(
-                        "orbit does not descend to its minimal field")
-                min_orbit.append((px, py))
-        if b == 1 and min_orbit[0][1] == 0:
+        xs = ctx_pts.frob_orbit(x, base.n)
+        ys = ctx_pts.frob_orbit(y, base.n)
+        b = math.lcm(len(xs), len(ys))
+        done.update((xs[i % len(xs)], ys[i % len(ys)]) for i in range(b))
+        mctx = gf.field(base.p, base.n * b)
+        xs, ys = (_descend(base, mctx, ctx_pts, v) for v in (xs, ys))
+        if b == 1 and ys[0] == 0:
             # base-rational ramification points keep their R_i identity
-            places.append(curve.ram_place_at(min_orbit[0][0]))
+            places.append(curve.ram_place_at(xs[0]))
         else:
-            places.append(closed_place(base, b, min_orbit))
+            places.append(closed_place(base, b, [
+                (xs[i % len(xs)], ys[i % len(ys)]) for i in range(b)]))
     return places

@@ -136,7 +136,9 @@ def delta_presentation(curve: CurveSpec) -> DeltaPresentation:
     D = div_y(curve)
     ram = [D.coeff(curve.ram_place(k)) for k in range(1, r + 1)]
     rels.append(_ambient_coords(m, r, ram, D.coeff(inf)))
-    assert rels == relation_rows(m, r)
+    if rels != relation_rows(m, r):
+        raise InvariantViolation("closed-form divisors disagree with the "
+                                 "relation rows")
     return DeltaPresentation(m, r, d, tuple(gens), tuple(basis),
                              tuple(tuple(row) for row in rels),
                              delta_structure(m, r))
@@ -164,15 +166,15 @@ def a_set(m: int, r: int) -> tuple[tuple[int, int], ...]:
                 pos.append((i, j))
             elif s < 0:
                 neg.append((i, j))
-    assert len(pos) + len(neg) == 2 * g
-    assert {(r - i, m - j) for i, j in pos} == set(neg)
-    assert len(pos) == g
+    if len(pos) != g or len(neg) != g or \
+            {(r - i, m - j) for i, j in pos} != set(neg):
+        raise InvariantViolation("the reflection does not pair A with its "
+                                 "complement")
     return tuple(pos)
 
 
 def special_divisor(curve: CurveSpec) -> Divisor:
     """E = -inf + sum_{i<r} (m-1) R_i, the degree 2g-1 pivot divisor."""
-    assert curve.splits
     items = [(curve.ram_place(i), curve.m - 1) for i in range(1, curve.r)]
     items.append((curve.inf_place(), -1))
     return Divisor(items)
@@ -219,7 +221,9 @@ def rr_basis(curve: CurveSpec) -> tuple[BasisEntry, ...]:
         if engine != formula:
             raise OracleMismatch(
                 f"div(f_{i}{j}): engine {engine} vs formula {formula}")
-        assert formula.degree() == 0
+        if formula.degree() != 0:
+            raise InvariantViolation(f"div(f_{i}{j}) has degree "
+                                     f"{formula.degree()}")
         out.append(BasisEntry(i, j, f, formula))
     return tuple(out)
 
@@ -264,23 +268,6 @@ def _div_json(D: Divisor) -> list:
     return [[P.label(), c] for P, c in D.items()]
 
 
-def _nth_root(ctx: gf.FieldCtx, z: int, m: int) -> int | None:
-    """Some y with y^m = z, or None when z is not an m-th power."""
-    if z == 0:
-        return 0
-    card = ctx.order
-    dl = ctx.dlog(z)
-    g = math.gcd(m, card - 1)
-    if dl % g:
-        return None
-    mod = (card - 1) // g
-    # m/g is invertible mod (card-1)/g, so m*t = dl is solvable
-    t = (dl // g) * pow(m // g, -1, mod) % mod if mod > 1 else 0
-    y = ctx.exp_gen(t)
-    assert ctx.pow(y, m) == z
-    return y
-
-
 def _rank_evidence(curve: CurveSpec, entries, seed: int):
     """Evaluate all basis functions at genus random curve points and
     report the rank of the value matrix; up to RANK_ATTEMPTS samplings."""
@@ -293,7 +280,6 @@ def _rank_evidence(curve: CurveSpec, entries, seed: int):
     K = gf.field(curve.base.p, curve.base.n * e)
     emb = gf.embedding(curve.base, K)
     bad_x = {emb.apply(rt) for rt in curve.roots}
-    FK = list(curve.ext_coeffs(K))
     attempts = []
     for _ in range(RANK_ATTEMPTS):
         pts = []
@@ -301,12 +287,12 @@ def _rank_evidence(curve: CurveSpec, entries, seed: int):
         guard = 0
         while len(pts) < g:
             guard += 1
-            assert guard < 64 * need, "point sampling stalled"
+            if guard >= 64 * need:
+                raise InvariantViolation("point sampling stalled")
             x0 = rng.randrange(K.order)
             if x0 in used or x0 in bad_x:
                 continue
-            z = gf.peval(K, FK, x0)
-            y0 = _nth_root(K, z, curve.m)
+            y0 = K.root(curve.eval_F(K, x0), curve.m)
             if y0 is None or y0 == 0:
                 continue
             used.add(x0)

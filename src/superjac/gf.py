@@ -30,6 +30,7 @@ Deterministic choices, fixed once per (p, n):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import primes
@@ -309,6 +310,36 @@ class FieldCtx:
     def frob(self, a: int, t: int = 1) -> int:
         """Frobenius x -> x^(p^t)."""
         return self.pow(a, pow(self.p, t, self.order - 1) if self.order > 2 else 1)
+
+    def frob_orbit(self, a: int, t: int) -> list[int]:
+        """a, a^(p^t), a^(p^2t), ... up to the first repeat."""
+        orb = [a]
+        cur = self.frob(a, t)
+        while cur != a:
+            orb.append(cur)
+            cur = self.frob(cur, t)
+        return orb
+
+    def root(self, z: int, m: int) -> int | None:
+        """Some y with y^m = z, or None when z is not an m-th power.
+
+        y = g^t with m*t = dlog(z) mod (order - 1); when m divides
+        order - 1 that is t = dlog(z)/m.
+        """
+        if z == 0:
+            return 0
+        q1 = self.order - 1
+        dl = self.dlog(z)
+        c = math.gcd(m, q1)
+        if dl % c:
+            return None
+        mod = q1 // c
+        # m/c is invertible mod (order-1)/c, so m*t = dl is solvable
+        t = (dl // c) * pow(m // c, -1, mod) % mod
+        y = self.exp_gen(t)
+        if self.pow(y, m) != z:
+            raise InvariantViolation(f"g^{t} is not an {m}-th root")
+        return y
 
     def trace(self, a: int) -> int:
         """Absolute trace down to the prime field, returned as an integer."""

@@ -35,7 +35,8 @@ from .curves import (CurveSpec, Divisor, FunctionRep, InfPlace, RamPlace,
                      base_change, closed_place, local_expansion,
                      places_above, s_mul, valuation)
 from .errors import (BudgetExceeded, IncompleteEnumeration,
-                     InvariantViolation, RequiresD1, UnsupportedBase)
+                     InvariantViolation, RequiresD1, SuperjacError,
+                     UnsupportedBase)
 from .zeta import COUNT_BUDGET, count_points, lpoly_from_counts
 
 
@@ -48,25 +49,6 @@ def _place_mult(curve: CurveSpec, place) -> int:
     if isinstance(place, RamPlace):
         return curve.m
     return curve.m if place.rep()[1] == 0 else 1
-
-
-def _min_field_orbit(base: gf.FieldCtx, xctx: gf.FieldCtx, x0: int):
-    """Conjugacy orbit of an x-coordinate over its minimal field."""
-    e = base.n
-    bx = 1
-    while xctx.frob(x0, e * bx) != x0:
-        bx += 1
-    mctx = gf.field(base.p, e * bx)
-    if mctx.n != xctx.n:
-        x0 = gf.embedding(mctx, xctx).preimage(x0)
-        if x0 is None:
-            raise InvariantViolation("x-coordinate fails to descend")
-    orb = [x0]
-    cur = mctx.frob(x0, e)
-    while cur != orb[0]:
-        orb.append(cur)
-        cur = mctx.frob(cur, e)
-    return mctx, tuple(sorted(orb))
 
 
 def _lift_point(ext: CurveSpec, K: gf.FieldCtx, xK: int, yK: int):
@@ -124,7 +106,7 @@ def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
         else:
             aff[place] = c
 
-    # group the affine support into x-coordinate orbits and fetch fibers
+    # group the affine support by fiber: one entry per x-coordinate orbit
     orbits: dict = {}
     for place in aff:
         if isinstance(place, RamPlace):
@@ -132,13 +114,12 @@ def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
         else:
             xctx = gf.field(place.base_p, place.base_n * place.b)
             x0 = place.rep()[0]
-        mctx, orb = _min_field_orbit(base, xctx, x0)
-        key = (mctx.n, orb)
-        ob = orbits.get(key)
+        fiber = tuple(places_above(curve, xctx, x0))
+        ob = orbits.get(fiber)
         if ob is None:
-            ob = {"fiber": places_above(curve, mctx, orb[0]),
-                  "bx": len(orb), "supp": [], "e": 0}
-            orbits[key] = ob
+            ob = {"fiber": fiber, "bx": len(xctx.frob_orbit(x0, base.n)),
+                  "supp": [], "e": 0}
+            orbits[fiber] = ob
         if place not in ob["fiber"]:
             raise InvariantViolation("support place missing from its fiber")
         ob["supp"].append(place)
@@ -170,7 +151,7 @@ def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
     # move every orbit into K; all coordinate transport goes through
     # base-compatible embeddings so data from different storage fields
     # lands on one consistent set of K-points
-    u_factors: list[tuple[int, int]] = []
+    u_roots: list[int] = []
     place_map: dict = {}
     cond: list[tuple[object, int]] = []   # (place of ext, order to kill)
     for ob in orbits.values():
@@ -192,16 +173,12 @@ def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
                 place_map[P] = q
             if seed is None:
                 seed = emb.apply(pts[0][0])
-        xs = [seed]
-        cur = K.frob(seed, base.n)
-        while cur != seed:
-            xs.append(cur)
-            cur = K.frob(cur, base.n)
+        xs = K.frob_orbit(seed, base.n)
         if len(xs) != ob["bx"]:
             raise InvariantViolation("x-orbit length changed under transport")
         e = ob["e"]
         if e > 0:
-            u_factors.extend((xk, e) for xk in sorted(xs))
+            u_roots.extend(xk for xk in sorted(xs) for _ in range(e))
             fiberK = []
             for xk in xs:
                 fiberK.extend(places_above(ext, K, xk))
@@ -223,12 +200,8 @@ def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
     # degree caps at the single infinite place: v_inf(x) = -m and the m
     # leading orders -(m deg g_j + r j) are pairwise distinct, so each
     # monomial must clear the bound on its own
-    u = [1]
-    for rt, e in u_factors:
-        lin = [K.neg(rt), 1]
-        for _ in range(e):
-            u = gf.pmul(K, u, lin)
-    deg_u = len(u) - 1
+    u = gf.pfrom_roots(K, u_roots)
+    deg_u = len(u_roots)
     mcap = m * deg_u + c_inf
     monomials = [(j, i) for j in range(m) if mcap - r * j >= 0
                  for i in range((mcap - r * j) // m + 1)]
@@ -315,7 +288,8 @@ def enumerate_places(curve: CurveSpec, max_deg: int):
         raise UnsupportedBase("place enumeration needs a finite base field")
     if curve.d != 1:
         raise RequiresD1("a single infinite place needs gcd(m, r) = 1")
-    assert max_deg >= 1
+    if max_deg < 1:
+        raise SuperjacError(f"max_deg must be at least 1, got {max_deg}")
     m = curve.m
     out = [curve.inf_place()]
     for w in range(1, max_deg + 1):
@@ -325,15 +299,8 @@ def enumerate_places(curve: CurveSpec, max_deg: int):
         xctx = gf.field(base.p, base.n * w)
         for x0 in xctx.elements():
             # keep only orbit-minimal coordinates of exact degree w
-            cur = xctx.frob(x0, base.n)
-            size = 1
-            while cur != x0:
-                if cur < x0:
-                    size = 0
-                    break
-                size += 1
-                cur = xctx.frob(cur, base.n)
-            if size != w:
+            orb = xctx.frob_orbit(x0, base.n)
+            if len(orb) != w or min(orb) != x0:
                 continue
             z = curve.eval_F(xctx, x0)
             if z:

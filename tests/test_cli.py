@@ -283,6 +283,12 @@ BAD_PARAMETERS = [
     ["find-prime", "--m", "1", "--roots", "0,1", "--k", "10"],
     ["find-prime", "--m", "2", "--roots", "0", "--k", "10"],
     ["find-prime", "--m", "2", "--roots", "3,3", "--k", "10"],
+    ["picard", "--m", "3", "--f", "1,1,1", "--p", "2", "--ext", "0"],
+    ["picard", "--m", "3", "--f", "1,1,1", "--p", "2", "--ext", "-2"],
+    ["count", "--p", "3", "--q", "2", "--a", "1", "--n", "0"],
+    ["count", "--p", "3", "--q", "2", "--a", "1", "--n", "-1"],
+    ["zeta", "--p", "2", "--q", "7", "--a", "1", "--budget", "0"],
+    ["zeta", "--p", "2", "--q", "7", "--a", "1", "--budget", "-1"],
 ]
 
 

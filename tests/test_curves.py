@@ -4,6 +4,7 @@ Divisor-of-function oracles are frozen from hand calculations on small
 split curves; the expansion engine must reproduce them exactly.
 """
 
+import math
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from superjac.curves import (
     valuation,
 )
 from superjac.errors import (
+    BudgetExceeded,
     InvariantViolation,
     NotSeparable,
     UnsupportedBase,
@@ -303,16 +305,6 @@ def test_function_evaluate():
         f.evaluate(ctx, 0, 0)
 
 
-def test_function_mul_reduces_y_power():
-    c = curve_34_f7()
-    y_fn = FunctionRep(c, [(), (1,), ()])
-    y2 = y_fn * y_fn
-    y3 = y2 * y_fn
-    # y^3 = F(x) lands back in the y^0 component
-    assert not any(y3.nums[1]) and not any(y3.nums[2])
-    assert gf.pnorm(list(y3.nums[0])) == list(c.coeffs)
-
-
 def test_infinity_collision_detection():
     ctx = gf.field(11)
     c = make_curve(2, gf.pfrom_roots(ctx, [0, 1, 2, 3, 4, 5]), ctx)  # d = 2
@@ -345,3 +337,166 @@ def test_s_mul_matches_schoolbook(p, n):
         for prec in (1, 2, 5, len(a), len(b), 16):
             want = (full + [0] * prec)[:prec]
             assert s_mul(ctx, a, b, prec) == want
+
+
+# ---------------------------------------------------------------------------
+# the fiber route against the resolution it replaced
+
+
+def _places_above_reference(curve, sctx, x0):
+    """Places over x0 as resolved before the fiber table: in the storage
+    field sctx, y0 read off the discrete log, canonical embeddings, no
+    descent, no orbit minimum, no memo.  An oracle only where those
+    embeddings agree with the base's, as for x0 in its minimal field on
+    the curves it is compared on."""
+    base = curve.base
+    z = curve.eval_F(sctx, x0)
+    m = curve.m
+    pts = []
+    if z == 0:
+        pts.append((sctx, x0, 0))
+    else:
+        w = 1
+        yctx = sctx
+        while True:
+            t = math.gcd(m, yctx.order - 1)
+            zi = gf.embedding(sctx, yctx).apply(x0)
+            zz = curve.eval_F(yctx, zi)
+            if t == m and zz and yctx.dlog(zz) % m == 0:
+                y0 = yctx.exp_gen(yctx.dlog(zz) // m)
+                zeta = yctx.exp_gen((yctx.order - 1) // m)
+                yv = y0
+                for _ in range(m):
+                    pts.append((yctx, zi, yv))
+                    yv = yctx.mul(yv, zeta)
+                break
+            w += 1
+            yctx = gf.field(sctx.p, sctx.n * w)
+    e = base.n
+    done = set()
+    places = []
+    ctx_pts = pts[0][0]
+    for pt in [(x, y) for (_, x, y) in pts]:
+        if pt in done:
+            continue
+        orbit = []
+        cur = pt
+        while True:
+            orbit.append(cur)
+            done.add(cur)
+            cur = (ctx_pts.frob(cur[0], e), ctx_pts.frob(cur[1], e))
+            if cur == pt:
+                break
+        b = len(orbit)
+        mctx = gf.field(base.p, e * b)
+        if mctx.n == ctx_pts.n:
+            min_orbit = orbit
+        else:
+            emb = gf.embedding(mctx, ctx_pts)
+            min_orbit = [(emb.preimage(xx), emb.preimage(yy))
+                         for xx, yy in orbit]
+        if b == 1 and min_orbit[0][1] == 0:
+            places.append(curve.ram_place_at(min_orbit[0][0]))
+        else:
+            places.append(curves.closed_place(base, b, min_orbit))
+    return places
+
+
+def _fiber_curves():
+    return {
+        "y3_f7": curve_34_f7(),
+        "y2_f11": curve_25_f11(),
+        # y^3 = x^4 + x + 1 over GF(4), y^2 = x^5 + X x + 1 over GF(9)
+        "y3_f4": make_curve(3, [1, 1, 0, 0, 1], gf.field(2, 2)),
+        "y2_f9": make_curve(2, [1, gf.FieldElem(gf.field(3, 2), 3), 0, 0, 0,
+                                1], gf.field(3, 2)),
+        # y^5 = x^2 + x + X over GF(8): x in GF(64) takes its y in GF(2^12),
+        # where the canonical embeddings of GF(8) and GF(64) disagree
+        "y5_f8": make_curve(5, [gf.FieldElem(gf.field(2, 3), 2), 1, 1],
+                            gf.field(2, 3)),
+    }
+
+
+def _fiber_or_refusal(fn, curve, sctx, x0):
+    try:
+        return set(fn(curve, sctx, x0))
+    except BudgetExceeded:
+        return "refused"
+
+
+@pytest.mark.parametrize("name", ["y3_f7", "y2_f11", "y3_f4", "y2_f9"])
+def test_places_above_matches_reference(name):
+    # every x of GF(q^s), s <= 3, against the reference in its minimal
+    # field GF(q^d): passed as every conjugate, stored in each GF(q^s) that
+    # holds it, in GF(q^(2d)) and in GF(q^6); over GF(9) the canonical
+    # embeddings GF(9) -> GF(3^4) -> GF(3^12) do not compose to the
+    # canonical GF(9) -> GF(3^12), so that storage tests the descent
+    curve = _fiber_curves()[name]
+    base = curve.base
+    for d in (1, 2, 3):
+        sctx = gf.field(base.p, base.n * d)
+        for x0 in sctx.elements():
+            orb = sctx.frob_orbit(x0, base.n)
+            if len(orb) != d:
+                continue
+            want = _fiber_or_refusal(_places_above_reference, curve, sctx, x0)
+            for t in sorted({1, 2, 3 // d, 6 // d}):
+                big = gf.field(base.p, base.n * d * t)
+                emb = gf.compatible_embedding(base, sctx, big)
+                for xc in orb:
+                    got = _fiber_or_refusal(places_above, curve, big,
+                                            emb.apply(xc))
+                    assert got == want, (d, t, x0, xc)
+
+
+@pytest.mark.parametrize("name", ["y3_f7", "y3_f4", "y2_f9", "y5_f8"])
+def test_places_above_points_lie_over_the_orbit(name):
+    # independent of any resolution: each place's points lie on the curve
+    # over a conjugate of x, and together they are the whole fiber
+    curve = _fiber_curves()[name]
+    base = curve.base
+    for d in (1, 2):
+        sctx = gf.field(base.p, base.n * d)
+        for x0 in sctx.elements():
+            orb = sctx.frob_orbit(x0, base.n)
+            if len(orb) != d:
+                continue
+            pts = set()
+            for P in places_above(curve, sctx, x0):
+                K = gf.field(base.p, base.n * P.degree)
+                L = gf.field(base.p, base.n * math.lcm(P.degree, d))
+                over = {gf.compatible_embedding(base, sctx, L).apply(x)
+                        for x in orb}
+                emb = gf.compatible_embedding(base, K, L)
+                ppts = [(P.alpha, 0)] if isinstance(P, RamPlace) else P.pts
+                for x, y in ppts:
+                    assert K.pow(y, curve.m) == curve.eval_F(K, x)
+                    assert emb.apply(x) in over
+                    pts.add((emb.apply(x), emb.apply(y), L.n))
+            per_x = 1 if curve.eval_F(sctx, x0) == 0 else curve.m
+            assert len(pts) == d * per_x, (d, x0)
+
+
+def test_places_above_resolves_each_x_orbit_once(monkeypatch):
+    curve = curve_34_f7()
+    calls = []
+    real = curves._resolve_fiber
+
+    def counting(c, sctx, x0):
+        calls.append((sctx.n, x0))
+        return real(c, sctx, x0)
+
+    monkeypatch.setattr(curves, "_resolve_fiber", counting)
+    base = curve.base
+    orbits = set()
+    for s in (1, 2):
+        sctx = gf.field(7, s)
+        for x0 in sctx.elements():
+            orb = sctx.frob_orbit(x0, base.n)
+            orbits.add(frozenset(gf.embedding(gf.field(7, len(orb)), sctx)
+                                 .preimage(x) for x in orb))
+            for _ in range(2):
+                first = places_above(curve, sctx, x0)
+                again = places_above(curve, sctx, x0)
+                assert first == again and first is not again
+    assert len(calls) == len(set(calls)) == len(orbits)

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superjac import gf
+from superjac import gf, primes
 from superjac.errors import (BudgetExceeded, InvariantViolation,
                              SuperjacError, UnsupportedBase)
 
@@ -467,3 +467,29 @@ def test_nullspace_edge_shapes(p, n):
     c = ctx.order - 1
     rows = [[a, b, ctx.mul(a, c)] for a, b in ((1, 0), (0, 1), (1, 1))]
     assert _check_nullspace(ctx, rows, 3) == [(ctx.neg(c), 0, 1)]
+
+
+# every field with p^n <= 81
+SMALL_FIELDS = [(p, n) for p in range(2, 82) if primes.is_prime(p)
+                for n in range(1, 7) if p ** n <= 81]
+
+
+@pytest.mark.parametrize("p,n", SMALL_FIELDS)
+def test_frob_orbit_and_root_by_brute_force(p, n):
+    K = gf.field(p, n)
+    for t in range(1, n + 1):
+        for a in K.elements():
+            want = [a]
+            cur = K.pow(a, p ** t)
+            while cur != a:
+                want.append(cur)
+                cur = K.pow(cur, p ** t)
+            assert K.frob_orbit(a, t) == want
+    for m in (2, 3, 4, 5):
+        powers = {K.pow(y, m) for y in K.elements()}
+        for z in K.elements():
+            y = K.root(z, m)
+            if z in powers:
+                assert y is not None and K.pow(y, m) == z
+            else:
+                assert y is None
