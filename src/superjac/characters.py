@@ -37,7 +37,8 @@ import math
 
 from . import gf, primes
 from .cyclo import CycloInt, cyclo
-from .errors import BudgetExceeded, CharacterUnavailable, InvariantViolation
+from .errors import (BudgetExceeded, CharacterUnavailable, InvariantViolation,
+                     SuperjacError)
 
 # a level-n sum builds the tables of GF(p^n) and makes one histogram pass
 # over its p^n - 1 units, linear in p^n but a Python loop per element;
@@ -152,10 +153,17 @@ def orbit_gauss_sum(p: int, M: int, c: int, u: int, a: int) -> CycloInt:
     return _gauss_sum(p, k, M, c % p, u % M, a % p)
 
 
+def _require_nontrivial(p: int, q_order: int, c: int, u: int) -> None:
+    if c % p == 0 or u % q_order == 0:
+        raise SuperjacError(
+            f"both characters must be nontrivial, got c = {c} mod {p} "
+            f"and u = {u} mod {q_order}")
+
+
 def gauss_norm_ok(p: int, q_order: int, c: int, u: int, a: int,
                   n: int = 1) -> bool:
     """G * conj(G) = p^n for both characters nontrivial."""
-    assert c % p != 0 and u % q_order != 0
+    _require_nontrivial(p, q_order, c, u)
     g = modified_gauss_sum(p, q_order, c, u, a, n)
     return g * g.conjugate() == p ** n
 
@@ -163,7 +171,7 @@ def gauss_norm_ok(p: int, q_order: int, c: int, u: int, a: int,
 def hasse_davenport_ok(p: int, q_order: int, c: int, u: int, a: int,
                        n: int) -> bool:
     """-G_a at level n equals (-G_a at level 1)^n (nontrivial pair)."""
-    assert c % p != 0 and u % q_order != 0
+    _require_nontrivial(p, q_order, c, u)
     g1 = modified_gauss_sum(p, q_order, c, u, a, 1)
     gn = modified_gauss_sum(p, q_order, c, u, a, n)
     return (g1 * (-1)) ** n == gn * (-1)

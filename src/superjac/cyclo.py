@@ -28,7 +28,7 @@ import math
 from functools import lru_cache
 
 from . import primes
-from .errors import InvariantViolation
+from .errors import InvariantViolation, SuperjacError
 
 
 def _zmul(a, b) -> list[int]:
@@ -79,7 +79,8 @@ def _sparse_divmod(r: list[int], n: int, terms) -> list[int]:
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
     """Coefficients of Phi_N, constant term first."""
-    assert N >= 1
+    if N < 1:
+        raise SuperjacError(f"cyclotomic level must be at least 1, got {N}")
     num = [-1] + [0] * (N - 1) + [1]          # x^N - 1
     for d in range(1, N):
         if N % d == 0:
@@ -98,9 +99,8 @@ class CycloCtx:
     __slots__ = ("N", "phi", "_divisors")
 
     def __init__(self, N: int):
-        assert N >= 1
+        phi_N = cyclotomic_polynomial(N)    # refuses N < 1
         self.N = N
-        phi_N = cyclotomic_polynomial(N)
         self.phi = len(phi_N) - 1
         # reduce divides by T_l first, then by Phi_N (see module docstring)
         self._divisors = []
@@ -162,7 +162,9 @@ class CycloInt:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx: CycloCtx, coeffs: tuple[int, ...]):
-        assert len(coeffs) == ctx.phi
+        if len(coeffs) != ctx.phi:
+            raise SuperjacError(f"Z[zeta_{ctx.N}] needs {ctx.phi} "
+                                f"coefficients, got {len(coeffs)}")
         self.ctx = ctx
         self.coeffs = coeffs
 
@@ -201,7 +203,8 @@ class CycloInt:
         return (-self) + other
 
     def __pow__(self, e: int):
-        assert e >= 0
+        if e < 0:
+            raise SuperjacError(f"negative power {e} of a cyclotomic integer")
         if not e:
             return self.ctx.one()
         # left to right from the leading bit: no multiply by one, no spare
@@ -236,7 +239,9 @@ class CycloInt:
 
     def galois(self, t: int) -> "CycloInt":
         """Image under zeta -> zeta^t, gcd(t, N) = 1."""
-        assert math.gcd(t, self.ctx.N) == 1
+        if math.gcd(t, self.ctx.N) != 1:
+            raise SuperjacError(f"zeta -> zeta^{t} is not an automorphism "
+                                f"of Z[zeta_{self.ctx.N}]")
         weights: dict[int, int] = {}
         for i, c in enumerate(self.coeffs):
             if c:

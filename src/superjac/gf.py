@@ -418,42 +418,28 @@ def field(p: int, n: int = 1) -> FieldCtx:
 def nullspace(ctx: FieldCtx, rows, ncols: int) -> list[tuple[int, ...]]:
     """Basis of the right kernel of a matrix over ctx.
 
-    The matrix is brought to its reduced row echelon form, which is
-    unique, and the basis has one vector per free column f: 1 at f, the
-    negated f-column entries of the pivot rows at the pivot columns, 0
-    elsewhere.  Prime fields reduce ints mod p; extension fields keep
-    every entry as a discrete log (-1 for zero) and add through the Zech
-    table.  Each pivot touches only the columns where its row is
-    nonzero, and elimination stops once every row holds a pivot.
+    The matrix is brought to row echelon form with unit pivots,
+    eliminating only below each pivot; elimination stops once every row
+    holds a pivot.  The basis has one vector per free column f: x_f = 1,
+    every other free variable 0, and the pivot variables back-substituted
+    through the pivot rows from the last up.  That vector is the unique
+    kernel element with this pattern on the free columns, so the basis is
+    the one read off the reduced row echelon form, in the same order; a
+    full-rank matrix does no back-substitution.  Prime fields reduce ints
+    mod p; extension fields keep every entry as a discrete log (-1 for
+    zero) and add through the Zech table.  Each step touches only the
+    columns where its row is nonzero.
     """
     if ctx.n == 1:
-        red, pivots = _rref_prime(ctx.p, rows, ncols)
-
-        def neg(v: int) -> int:
-            return -v % ctx.p
-    else:
-        red, pivots = _rref_log(ctx, rows, ncols)
-        q1, exp, _, _, m1 = ctx.log_tables()
-
-        def neg(lv: int) -> int:
-            return exp[(lv + m1) % q1] if lv >= 0 else 0
-    pivset = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for row, pc in zip(red, pivots):
-            vec[pc] = neg(row[free])
-        basis.append(tuple(vec))
-    return basis
+        return _kernel_prime(ctx.p, rows, ncols)
+    return _kernel_log(ctx, rows, ncols)
 
 
-def _rref_prime(p: int, rows, ncols: int):
+def _kernel_prime(p: int, rows, ncols: int) -> list[tuple[int, ...]]:
     mat = [list(r) for r in rows]
     nrows = len(mat)
     pivots: list[int] = []
+    ech = []    # per pivot row: (column, unit-scaled entry) right of the pivot
     for col in range(ncols):
         rank = len(pivots)
         if rank == nrows:
@@ -464,25 +450,34 @@ def _rref_prime(p: int, rows, ncols: int):
         mat[rank], mat[piv] = mat[piv], mat[rank]
         prow = mat[rank]
         inv = pow(prow[col], p - 2, p)
-        supp = [j for j in range(col, ncols) if prow[j]]
-        for j in supp:
-            prow[j] = prow[j] * inv % p
-        negs = [(j, p - prow[j]) for j in supp]
-        for i in range(nrows):
+        supp = [(j, prow[j] * inv % p) for j in range(col + 1, ncols)
+                if prow[j]]
+        negs = [(j, p - v) for j, v in supp]
+        for i in range(rank + 1, nrows):
             row = mat[i]
             c = row[col]
-            if c and i != rank:
+            if c:
                 for j, nv in negs:
                     row[j] = (row[j] + c * nv) % p
         pivots.append(col)
-    return mat, pivots
+        ech.append(supp)
+    free = sorted(set(range(ncols)).difference(pivots))
+    basis = []
+    for f in free:
+        vec = [0] * ncols
+        vec[f] = 1
+        for pc, supp in zip(reversed(pivots), reversed(ech)):
+            vec[pc] = -sum(v * vec[j] for j, v in supp) % p
+        basis.append(tuple(vec))
+    return basis
 
 
-def _rref_log(ctx: FieldCtx, rows, ncols: int):
-    q1, _, log, zech, m1 = ctx.log_tables()
+def _kernel_log(ctx: FieldCtx, rows, ncols: int) -> list[tuple[int, ...]]:
+    q1, exp, log, zech, m1 = ctx.log_tables()
     mat = [[log[v] for v in r] for r in rows]
     nrows = len(mat)
     pivots: list[int] = []
+    ech = []    # per pivot row: (column, unit-scaled entry) right of the pivot
     for col in range(ncols):
         rank = len(pivots)
         if rank == nrows:
@@ -493,15 +488,14 @@ def _rref_log(ctx: FieldCtx, rows, ncols: int):
         mat[rank], mat[piv] = mat[piv], mat[rank]
         prow = mat[rank]
         shift = q1 - prow[col]
-        supp = [j for j in range(col, ncols) if prow[j] >= 0]
-        for j in supp:
-            prow[j] = (prow[j] + shift) % q1
+        supp = [(j, (prow[j] + shift) % q1) for j in range(col + 1, ncols)
+                if prow[j] >= 0]
         # logs of the negated pivot row: row_i -= c * prow adds c * (-prow)
-        negs = [(j, prow[j] + m1) for j in supp]
-        for i in range(nrows):
+        negs = [(j, lv + m1) for j, lv in supp]
+        for i in range(rank + 1, nrows):
             row = mat[i]
             lc = row[col]
-            if lc >= 0 and i != rank:
+            if lc >= 0:
                 for j, ln in negs:
                     t = ln + lc
                     lr = row[j]
@@ -511,7 +505,27 @@ def _rref_log(ctx: FieldCtx, rows, ncols: int):
                         z = zech[(t - lr) % q1]
                         row[j] = -1 if z < 0 else (lr + z) % q1
         pivots.append(col)
-    return mat, pivots
+        ech.append(supp)
+    free = sorted(set(range(ncols)).difference(pivots))
+    basis = []
+    for f in free:
+        lvec = [-1] * ncols
+        lvec[f] = 0
+        for pc, supp in zip(reversed(pivots), reversed(ech)):
+            acc = -1
+            for j, lv in supp:
+                lx = lvec[j]
+                if lx >= 0:
+                    t = lv + lx
+                    if acc < 0:
+                        acc = t % q1
+                    else:
+                        z = zech[(t - acc) % q1]
+                        acc = -1 if z < 0 else (acc + z) % q1
+            # x_pc is minus the row's sum right of the pivot
+            lvec[pc] = (acc + m1) % q1 if acc >= 0 else -1
+        basis.append(tuple(exp[lv] if lv >= 0 else 0 for lv in lvec))
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +556,7 @@ class Embedding:
                 raise InvariantViolation(
                     "prescribed image is not a defpoly root")
         else:
-            img = next((z for z in dst.elements()
-                        if peval(dst, src.defpoly, z) == 0), None)
-            if img is None:
-                raise InvariantViolation(
-                    "defining polynomial has no root downstream")
+            img = min(_defpoly_roots(src, dst))
         self._build_tables(img)
 
     def _build_tables(self, img: int) -> None:
@@ -566,6 +576,25 @@ class Embedding:
         if self.src.n == 1:
             return b if b < self.src.p else None
         return self._bwd.get(b)
+
+
+def _defpoly_roots(src: FieldCtx, dst: FieldCtx) -> list[int]:
+    """Every root of src's defining polynomial in dst, for s = src.n > 1.
+
+    The roots lie in the subfield GF(p^s) of dst, whose units are the
+    powers g^(k (Q_dst - 1)/(Q_src - 1)); the first root found there and
+    its s Frobenius conjugates are all of them.
+    """
+    step = (dst.order - 1) // (src.order - 1)
+    for k in range(src.order - 1):
+        z = dst.exp_gen(k * step)
+        if peval(dst, src.defpoly, z) == 0:
+            roots = dst.frob_orbit(z, 1)
+            if len(roots) != src.n:
+                raise InvariantViolation(
+                    "defining polynomial root of the wrong degree")
+            return roots
+    raise InvariantViolation("defining polynomial has no root downstream")
 
 
 def _require_subfield(src: FieldCtx, dst: FieldCtx) -> None:
@@ -589,7 +618,8 @@ def compatible_embedding(base: FieldCtx, src: FieldCtx,
 
     Canonical embeddings of two different sources need not agree on a
     shared subfield larger than the prime field; towers that mix sources
-    over a common base must pin the restriction explicitly.
+    over a common base must pin the restriction explicitly.  The image of
+    X is the packed-smallest defpoly root with that restriction.
     """
     _require_subfield(base, src)
     _require_subfield(src, dst)
@@ -603,13 +633,13 @@ def compatible_embedding(base: FieldCtx, src: FieldCtx,
         return emb
     gen_src = embedding(base, src).apply(base.p)
     want = embedding(base, dst).apply(base.p)
-    for z in dst.elements():
-        if peval(dst, src.defpoly, z) == 0 and \
-                peval(dst, src.coeffs(gen_src), z) == want:
-            emb = Embedding(src, dst, img_x=z)
-            dst._emb_cache[key] = emb
-            return emb
-    raise InvariantViolation("no base-compatible embedding exists")
+    imgs = [z for z in _defpoly_roots(src, dst)
+            if peval(dst, src.coeffs(gen_src), z) == want]
+    if not imgs:
+        raise InvariantViolation("no base-compatible embedding exists")
+    emb = Embedding(src, dst, img_x=min(imgs))
+    dst._emb_cache[key] = emb
+    return emb
 
 
 # ---------------------------------------------------------------------------

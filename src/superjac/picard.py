@@ -14,6 +14,16 @@ expansions.  All condition points are moved into one common extension K
 of the base; dimensions of L(D) are invariant under constant field
 extension, so solving over K decides solvability over the base.
 
+A condition (q, t) asks every monomial x^i y^j for its first t
+coefficients in a local parameter tau at q.  One coordinate is always
+linear in tau: x = x0 + tau where y0 != 0, and y = tau at a
+ramification point.  So only the powers of the other coordinate take
+series products.  At an unramified place the next x-power column is
+x0 * c + tau * c for the column c before it, one pass over t
+coefficients (in the log/Zech domain over an extension K, as ints mod
+p over a prime K); at a ramification point x^i y^j is x^i shifted by j
+orders.
+
 The class group itself is enumerated through effective divisors of
 degree g: every degree-zero class is E - g*inf for such an E, classes
 with l(E) = 1 have a unique representative, and the few with l(E) > 1
@@ -87,6 +97,63 @@ class FunctionSpace:
                     g.extend([0] * (i + 1 - len(g)))
                 g[i] = v
         return FunctionRep(self.ext, nums, self.u)
+
+
+def _condition_columns(K: gf.FieldCtx, le, tops) -> list[list[int]]:
+    """Columns x^i y^j mod tau^t, t = le.prec, of the condition at le's
+    place: j-major, i from 0 to tops[j].  Only the coordinate that is not
+    linear in tau takes series powers (see the module docstring)."""
+    t = le.prec
+    cols = []
+    if le.y_ser[0] == 0:
+        # ramification point: y = tau
+        xp = [[1] + [0] * (t - 1)]
+        for _ in range(max(tops)):
+            xp.append(s_mul(K, xp[-1], le.x_ser, t))
+        for j, top in enumerate(tops):
+            pad = [0] * min(j, t)
+            cols.extend(pad + xp[i][:t - len(pad)] for i in range(top + 1))
+        return cols
+    # unramified place: x = x0 + tau
+    yp = [1] + [0] * (t - 1)
+    x0 = le.x_ser[0]
+    if K.n == 1:
+        p = K.p
+        for j, top in enumerate(tops):
+            if j:
+                yp = s_mul(K, yp, le.y_ser, t)
+            c = yp
+            cols.append(c)
+            for _ in range(top):
+                c = [(x0 * a + b) % p for a, b in zip(c, [0] + c)]
+                cols.append(c)
+        return cols
+    q1, exp, log, zech, _ = K.log_tables()
+    lx0 = log[x0]
+    for j, top in enumerate(tops):
+        if j:
+            yp = s_mul(K, yp, le.y_ser, t)
+        cols.append(yp)
+        lc = [log[v] for v in yp]
+        for _ in range(top):
+            # logs of x0 * c + (c shifted one order up), summed by Zech
+            nxt = []
+            prev = -1
+            for a in lc:
+                if a >= 0 and lx0 >= 0:
+                    s = a + lx0
+                    if prev < 0:
+                        v = s % q1
+                    else:
+                        z = zech[(prev - s) % q1]
+                        v = -1 if z < 0 else (s + z) % q1
+                else:
+                    v = prev
+                nxt.append(v)
+                prev = a
+            lc = nxt
+            cols.append([exp[v] if v >= 0 else 0 for v in lc])
+    return cols
 
 
 def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
@@ -203,25 +270,15 @@ def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
     u = gf.pfrom_roots(K, u_roots)
     deg_u = len(u_roots)
     mcap = m * deg_u + c_inf
-    monomials = [(j, i) for j in range(m) if mcap - r * j >= 0
-                 for i in range((mcap - r * j) // m + 1)]
+    tops = [(mcap - r * j) // m for j in range(m) if mcap - r * j >= 0]
+    monomials = [(j, i) for j, top in enumerate(tops)
+                 for i in range(top + 1)]
 
     rows = []
     if monomials:
-        max_i = max(i for _, i in monomials)
         for q, t in cond:
-            le = local_expansion(ext, q, t)
-            xs_pow = [[0] * t for _ in range(max_i + 1)]
-            xs_pow[0][0] = 1
-            for i in range(1, max_i + 1):
-                xs_pow[i] = s_mul(K, xs_pow[i - 1], le.x_ser, t)
-            ys_pow = [[0] * t for _ in range(m)]
-            ys_pow[0][0] = 1
-            for j in range(1, m):
-                ys_pow[j] = s_mul(K, ys_pow[j - 1], le.y_ser, t)
-            cols = [s_mul(K, xs_pow[i], ys_pow[j], t) for j, i in monomials]
-            for o in range(t):
-                rows.append([cs[o] for cs in cols])
+            cols = _condition_columns(K, local_expansion(ext, q, t), tops)
+            rows.extend(zip(*cols))
 
     vectors = gf.nullspace(K, rows, len(monomials))
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvariantViolation, SuperjacError
 
 # Witnesses covering all n < 3,317,044,064,679,887,385,961,981.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -75,7 +75,8 @@ def _pollard_rho(n: int) -> int:
 
 def factorize(n: int) -> dict[int, int]:
     """Full prime factorization as {prime: exponent}, n >= 1."""
-    assert n >= 1
+    if n < 1:
+        raise SuperjacError(f"only positive integers factor, got {n}")
     out: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -108,7 +109,8 @@ def factorize(n: int) -> dict[int, int]:
 
 def primitive_root(p: int) -> int:
     """Smallest primitive root modulo an odd prime (or p = 2)."""
-    assert is_prime(p)
+    if not is_prime(p):
+        raise SuperjacError(f"primitive roots are taken mod a prime, got {p}")
     if p == 2:
         return 1
     fac = factorize(p - 1)
@@ -121,13 +123,15 @@ def primitive_root(p: int) -> int:
 
 def multiplicative_order(a: int, m: int) -> int:
     """Order of a modulo m, gcd(a, m) = 1, by factor-refined descent."""
-    assert m >= 2 and math.gcd(a, m) == 1
+    if m < 2 or math.gcd(a, m) != 1:
+        raise SuperjacError(f"{a} has no multiplicative order mod {m}")
     # Order divides the Carmichael-style exponent; refine from the group order.
     e = 1
     for q, v in factorize(m).items():
         block = (q - 1) * q ** (v - 1)
         e = e * block // math.gcd(e, block)
-    assert pow(a, e, m) == 1
+    if pow(a, e, m) != 1:
+        raise InvariantViolation(f"{a}^{e} != 1 mod {m}")
     order = e
     for q in factorize(e):
         while order % q == 0 and pow(a, order // q, m) == 1:

@@ -70,7 +70,8 @@ def check_freeness_hypotheses(m: int, roots, k: int,
     Failures are reported, never raised; H3 carries the first colliding
     pair of roots when it fails.
     """
-    assert is_prime(p), "the modulus must be prime"
+    if not is_prime(p):
+        raise SuperjacError(f"the modulus must be prime, got {p}")
     roots = tuple(int(a) for a in roots)
     r = len(roots)
     items = [Hypothesis("H1", "p does not divide m",

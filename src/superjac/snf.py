@@ -7,6 +7,8 @@ nonnegative entries; trailing zeros indicate free rank in the cokernel.
 
 from __future__ import annotations
 
+from .errors import SuperjacError
+
 
 def smith_normal_form(rows: list[list[int]]) -> list[int]:
     """Diagonal of the Smith form of an integer matrix.
@@ -16,7 +18,8 @@ def smith_normal_form(rows: list[list[int]]) -> list[int]:
     a = [list(r) for r in rows]
     m = len(a)
     n = len(a[0]) if m else 0
-    assert all(len(r) == n for r in a), "ragged matrix"
+    if any(len(r) != n for r in a):
+        raise SuperjacError("ragged matrix")
     diag: list[int] = []
     top = 0
     while top < min(m, n):
@@ -88,8 +91,9 @@ def cokernel_factors(rows: list[list[int]], ambient_rank: int) -> list[int]:
 
     Unit factors are dropped; zeros (free rank) are kept at the end.
     """
+    if any(len(r) != ambient_rank for r in rows):
+        raise SuperjacError(f"rows must have length {ambient_rank}")
     diag = smith_normal_form(rows)
-    assert len(rows[0]) == ambient_rank
     factors = [d for d in diag if d != 1]
     free = ambient_rank - len(diag)
     factors.extend([0] * free)

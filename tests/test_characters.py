@@ -19,7 +19,8 @@ from superjac.characters import (
     nontrivial_pairs,
 )
 from superjac.cyclo import cyclo
-from superjac.errors import BudgetExceeded, CharacterUnavailable
+from superjac.errors import (BudgetExceeded, CharacterUnavailable,
+                             SuperjacError)
 
 
 def test_quadratic_sum_over_gf3_is_one_minus_zeta3():
@@ -121,3 +122,12 @@ def test_closed_form_self_checks_are_typed_under_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["trivial/trivial sum must be p^n",
                                         "half-trivial sum must vanish"]
+
+
+def test_trivial_characters_are_usage_errors():
+    # both identities need nontrivial characters; typed, so the refusal
+    # survives python -O
+    with pytest.raises(SuperjacError):
+        gauss_norm_ok(5, 4, 5, 1, 1)
+    with pytest.raises(SuperjacError):
+        hasse_davenport_ok(5, 4, 1, 4, 1, 2)

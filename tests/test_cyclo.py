@@ -14,9 +14,11 @@ import cmath
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from superjac.cyclo import CycloInt, cyclo, cyclotomic_polynomial
+from superjac.errors import SuperjacError
 
 
 def _embed_complex(x: CycloInt) -> complex:
@@ -280,3 +282,18 @@ def test_from_zeta_exponents_reduces_once():
     assert v.is_zero()
     w = R.from_zeta_exponents({2: 1})
     assert w == R.zeta() - 1
+
+
+def test_bad_arguments_are_usage_errors():
+    # typed, so the refusal survives python -O
+    R = cyclo(5)
+    with pytest.raises(SuperjacError):
+        cyclotomic_polynomial(0)
+    with pytest.raises(SuperjacError):
+        cyclo(0)
+    with pytest.raises(SuperjacError):
+        CycloInt(R, (1, 2))
+    with pytest.raises(SuperjacError):
+        R.zeta() ** -1
+    with pytest.raises(SuperjacError):
+        R.zeta().galois(5)

@@ -154,6 +154,44 @@ def test_embedding_is_ring_hom():
             assert emb.preimage(z) is None
 
 
+# every proper subfield GF(p^s), s > 1, of every GF(p^n) with p^n <= 3^8
+EMBED_PAIRS = [(p, s, n) for p in (2, 3, 5, 7) for n in range(2, 13)
+               if p ** n <= 3 ** 8 for s in range(2, n) if n % s == 0]
+
+
+def _img_x_by_scan(src, dst, base=None):
+    """The first destination element, in packed order, that is a root of
+    src's defining polynomial (restricting to base's canonical embedding
+    when base is given)."""
+    if base is not None:
+        gen_src = gf.embedding(base, src).apply(base.p)
+        want = gf.embedding(base, dst).apply(base.p)
+    for z in dst.elements():
+        if gf.peval(dst, src.defpoly, z) == 0 and (
+                base is None
+                or gf.peval(dst, src.coeffs(gen_src), z) == want):
+            return z
+    return None
+
+
+@pytest.mark.parametrize("p,s,n", EMBED_PAIRS)
+def test_embedding_image_matches_full_scan(p, s, n):
+    src, dst = gf.field(p, s), gf.field(p, n)
+    assert gf.Embedding(src, dst).img_x == _img_x_by_scan(src, dst)
+
+
+@pytest.mark.parametrize("p,b", [(2, 2), (2, 3), (3, 2)])
+def test_compatible_embedding_matches_full_scan(p, b):
+    base = gf.field(p, b)
+    towers = [(s, n) for n in range(b, 13) if p ** n <= 3 ** 8
+              for s in range(b, n + 1) if s % b == 0 and n % s == 0]
+    assert any(b < s < n for s, n in towers)
+    for s, n in towers:
+        src, dst = gf.field(p, s), gf.field(p, n)
+        emb = gf.compatible_embedding(base, src, dst)
+        assert emb.img_x == _img_x_by_scan(src, dst, base), (s, n)
+
+
 def test_table_cap_enforced():
     with pytest.raises(BudgetExceeded):
         gf.FieldCtx(2, 23)
@@ -425,8 +463,8 @@ def _check_nullspace(ctx, rows, ncols):
 def _matrices(draw):
     p, n = draw(st.sampled_from(NULLSPACE_FIELDS))
     ctx = gf.field(p, n)
-    ncols = draw(st.integers(min_value=0, max_value=7))
-    nrows = draw(st.integers(min_value=0, max_value=9))
+    ncols = draw(st.integers(min_value=0, max_value=12))
+    nrows = draw(st.integers(min_value=0, max_value=14))
     elem = st.one_of(st.just(0), st.integers(min_value=1,
                                              max_value=ctx.order - 1))
     # rows mixed from a few generators, so ranks below min(rows, cols)
@@ -467,6 +505,78 @@ def test_nullspace_edge_shapes(p, n):
     c = ctx.order - 1
     rows = [[a, b, ctx.mul(a, c)] for a, b in ((1, 0), (0, 1), (1, 1))]
     assert _check_nullspace(ctx, rows, 3) == [(ctx.neg(c), 0, 1)]
+
+
+def _full_column_rank(ctx, rng, nrows, ncols):
+    """A dense nrows x ncols matrix of rank ncols: unit lower-trapezoidal
+    rows times a unit upper-triangular matrix, rows shuffled."""
+    low = [[rng.randrange(ctx.order) if j < i else int(j == i)
+            for j in range(ncols)] for i in range(nrows)]
+    up = [[rng.randrange(ctx.order) if j > k else int(j == k)
+           for j in range(ncols)] for k in range(ncols)]
+    rows = []
+    for r in low:
+        out = []
+        for j in range(ncols):
+            acc = 0
+            for k in range(j + 1):
+                acc = ctx.add(acc, ctx.mul(r[k], up[k][j]))
+            out.append(acc)
+        rows.append(out)
+    rng.shuffle(rows)
+    return rows
+
+
+def _assemble(ctx, rng, base, layout):
+    """Columns from a layout: None is a zero column, an int k is column k
+    of base, and a tuple of ints a random combination of those columns
+    with nonzero coefficients."""
+    rows = []
+    coeffs = [None if not isinstance(c, tuple)
+              else [(k, rng.randrange(1, ctx.order)) for k in c]
+              for c in layout]
+    for r in base:
+        out = []
+        for c, cs in zip(layout, coeffs):
+            if c is None:
+                out.append(0)
+            elif cs is None:
+                out.append(r[c])
+            else:
+                acc = 0
+                for k, a in cs:
+                    acc = ctx.add(acc, ctx.mul(a, r[k]))
+                out.append(acc)
+        rows.append(out)
+    return rows
+
+
+@pytest.mark.parametrize("p,n", NULLSPACE_FIELDS)
+def test_nullspace_riemann_roch_shapes(p, n):
+    ctx = gf.field(p, n)
+    rng = random.Random(1000 * p + n)
+    # 60 x 59 of full column rank: a typical failed principality test
+    assert _check_nullspace(ctx, _full_column_rank(ctx, rng, 60, 59),
+                            59) == []
+    # 58 x 57 with one dependent column: a one-dimensional kernel
+    base = _full_column_rank(ctx, rng, 58, 56)
+    dep = rng.randrange(57)
+    combo = tuple(sorted(rng.sample(range(56), 5)))
+    layout = list(range(56))
+    layout.insert(dep, combo)
+    got = _check_nullspace(ctx, _assemble(ctx, rng, base, layout), 57)
+    involved = {dep} | {layout.index(k) for k in combo}
+    assert len(got) == 1 and got[0][max(involved)] == 1
+    assert {j for j, v in enumerate(got[0]) if v} == involved
+    # free columns ahead of pivot columns, and all-zero columns first,
+    # in the middle and last
+    base = _full_column_rank(ctx, rng, 10, 8)
+    layout = [None, 0, (0,), 1, None, 2, (1, 2), 3, 4, 5, 6, 7, None]
+    got = _check_nullspace(ctx, _assemble(ctx, rng, base, layout), 13)
+    free = [0, 2, 4, 6, 12]
+    assert len(got) == len(free)
+    assert all(v[f] == int(f == g) for v, g in zip(got, free)
+               for f in free)
 
 
 # every field with p^n <= 81

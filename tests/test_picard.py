@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 import superjac
-from superjac import gf
+from superjac import gf, picard, zeta
 from superjac.errors import RequiresD1
-from superjac.curves import (Divisor, FunctionRep, InfPlace, base_change,
-                             make_curve, principal_divisor, valuation)
+from superjac.curves import (Divisor, FunctionRep, InfPlace, RamPlace,
+                             base_change, make_curve, principal_divisor,
+                             s_mul, valuation)
 from superjac.picard import (conjecture_check, effective_divisors, ell,
                              enumerate_places, function_space, is_principal,
                              picard_group)
@@ -180,3 +181,102 @@ def test_picard_invariants_are_typed_under_python_O():
                           env={"PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert "divisibility chain" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# condition columns against the product loop
+
+
+def _columns_by_products(K, le, monomials):
+    """x^i y^j mod tau^t as one series product per monomial, kept as
+    oracle for the linear-coordinate pass."""
+    t = le.prec
+    max_i = max(i for _, i in monomials)
+    xs_pow = [[0] * t for _ in range(max_i + 1)]
+    xs_pow[0][0] = 1
+    for i in range(1, max_i + 1):
+        xs_pow[i] = s_mul(K, xs_pow[i - 1], le.x_ser, t)
+    ys_pow = [[0] * t for _ in range(le.curve.m)]
+    ys_pow[0][0] = 1
+    for j in range(1, le.curve.m):
+        ys_pow[j] = s_mul(K, ys_pow[j - 1], le.y_ser, t)
+    return [s_mul(K, xs_pow[i], ys_pow[j], t) for j, i in monomials]
+
+
+def _multiple_of_place_class(curve, labels, k):
+    """k * (sum of the named places - deg * inf)."""
+    inf = curve.inf_place()
+    pls = {P.label(): P for P in enumerate_places(curve, 1)}
+    D = Divisor([(pls[lab], 1) for lab in labels]
+                + [(inf, -len(labels))])
+    return D.scale(k)
+
+
+def _gf9():
+    return make_curve(2, [1, 2, 0, 0, 0, 1], gf.field(3, 2))
+
+
+def _gf5():
+    return make_curve(2, [1, 2, 0, 0, 0, 1], gf.field(5))
+
+
+def _cubic4():
+    return make_curve(3, [1, 1, 1], gf.field(2, 2))
+
+
+COLUMN_CASES = {
+    # criterion 08's anchors
+    "cubic2": lambda: picard_group(make_curve(3, [1, 1, 1], gf.field(2))),
+    "hyper3": lambda: picard_group(zeta.artin_schreier_curve(3, 2, 1)),
+    "cubic4": lambda: picard_group(_cubic4()),
+    "conj_2_3": lambda: conjecture_check(zeta.artin_schreier_curve(2, 3, 1)),
+    "conj_3_2": lambda: conjecture_check(zeta.artin_schreier_curve(3, 2, 1)),
+    "conj_2_5": lambda: conjecture_check(zeta.artin_schreier_curve(2, 5, 1)),
+    # |J| = 145 = 5 * 29 on y^2 = x^5 + 2x + 1 over GF(9): a 58 x 57 system
+    "gf9_29D": lambda: is_principal(_gf9(), _multiple_of_place_class(
+        _gf9(), ["P1(0,1)", "P1(1,1)"], 29)),
+    # long conditions at ramified and unramified places, prime and
+    # extension K
+    "gf5_group": lambda: picard_group(_gf5()),
+    "gf5_29R": lambda: is_principal(_gf5(), _multiple_of_place_class(
+        _gf5(), ["R1"], 29)),
+    "gf5_29P": lambda: is_principal(_gf5(), _multiple_of_place_class(
+        _gf5(), ["P1(0,1)"], 29)),
+    "cubic4_29R": lambda: is_principal(_cubic4(), _multiple_of_place_class(
+        _cubic4(), ["R1"], 29)),
+}
+
+
+def test_condition_columns_match_products(monkeypatch):
+    build = picard._condition_columns
+    blocks = []
+
+    def record(K, le, tops):
+        cols = build(K, le, tops)
+        blocks.append((K, le, tuple(tops), cols))
+        return cols
+
+    monkeypatch.setattr(picard, "_condition_columns", record)
+    kinds = set()
+    shape = None
+    for name, run in COLUMN_CASES.items():
+        blocks.clear()
+        run()
+        assert blocks, name
+        for K, le, tops, cols in blocks:
+            monomials = [(j, i) for j, top in enumerate(tops)
+                         for i in range(top + 1)]
+            assert cols == _columns_by_products(K, le, monomials), \
+                (name, le.place, le.prec, tops)
+            ramified = isinstance(le.place, RamPlace)
+            assert ramified == (le.y_ser[0] == 0)
+            if le.prec == 1 or le.prec >= 29:
+                kinds.add((K.n == 1, ramified, le.prec >= 29))
+        if name == "gf9_29D":
+            shape = (sum(le.prec for _, le, _, _ in blocks),
+                     len(blocks[0][3]))
+    # every combination of prime/extension K, ramified/unramified place
+    # and t = 1 / t >= 29 is exercised
+    assert kinds == {(a, b, c) for a in (False, True) for b in (False, True)
+                     for c in (False, True)}
+    assert shape == (58, 57)

@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from superjac import primes
+from superjac.errors import SuperjacError
 
 
 def test_is_prime_small():
@@ -74,3 +76,16 @@ def test_order_divides_and_is_minimal(seed):
     assert pow(a, k, m) == 1
     for q in primes.factorize(k):
         assert pow(a, k // q, m) != 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: primes.factorize(0),
+    lambda: primes.factorize(-6),
+    lambda: primes.primitive_root(9),
+    lambda: primes.multiplicative_order(2, 1),
+    lambda: primes.multiplicative_order(2, 6),
+])
+def test_bad_arguments_are_usage_errors(call):
+    # typed, so the refusal survives python -O
+    with pytest.raises(SuperjacError):
+        call()

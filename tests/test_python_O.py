@@ -1,11 +1,11 @@
 """Companion run under ``python -O``, and a guard on the modules that
 no longer assert.
 
-The cyclotomic kernel, the Gauss-sum self-checks, the rank
-certificate's checks, the curve model's and valuation engine's checks,
-the field-table checks, the point-count and L-polynomial checks, and the
-class-group and proof-replay checks raise typed errors instead of
-asserting, so their tests must pass with asserts stripped;
+No module of the package asserts: every check, from the cyclotomic
+kernel, the Gauss sums, primes and Smith forms to the rank certificate,
+the curve model, the valuation engine, the field tables, the point
+counts, the class groups and proof replay, raises a typed error, so
+their tests must pass with asserts stripped;
 test_curves checks that a wrong expansion fails its residual check, and
 test_gf that a generator of the wrong order fails the table build.
 pytest rewrites the asserts of test modules, which therefore still fire
@@ -27,10 +27,8 @@ import superjac
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(superjac.__file__).resolve().parent
 
-# modules whose every check raises a typed error; a module joins the list
-# once its last assert is gone
-ASSERT_FREE = ["gf", "zeta", "curves", "picard", "delta", "cache", "cli",
-               "errors", "__init__", "__main__"]
+# every module of the package, read from disk, so a new one is guarded too
+ASSERT_FREE = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 
 def test_cyclo_and_characters_pass_under_python_O():
@@ -39,7 +37,8 @@ def test_cyclo_and_characters_pass_under_python_O():
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "tests/test_cyclo.py", "tests/test_characters.py",
          "tests/test_rank.py", "tests/test_curves.py", "tests/test_gf.py",
-         "tests/test_zeta.py", "tests/test_picard.py", "tests/test_delta.py"],
+         "tests/test_zeta.py", "tests/test_picard.py", "tests/test_delta.py",
+         "tests/test_primes.py", "tests/test_snf.py"],
         cwd=ROOT, capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -12,7 +12,7 @@ import pytest
 
 import superjac
 from superjac import rank
-from superjac.errors import HypothesisFailed
+from superjac.errors import HypothesisFailed, SuperjacError
 
 
 def test_hypothesis_report_h2_failure():
@@ -104,3 +104,8 @@ def test_relation_check_is_typed_under_python_O():
                           env={"PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert "div(y - k)" in proc.stdout
+
+
+def test_composite_modulus_is_a_usage_error():
+    with pytest.raises(SuperjacError):
+        rank.check_freeness_hypotheses(2, [0, 1, 2], 15, 4)

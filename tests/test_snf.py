@@ -5,8 +5,10 @@ from __future__ import annotations
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from superjac.errors import SuperjacError
 from superjac.snf import cokernel_factors, smith_normal_form
 
 
@@ -64,3 +66,12 @@ def test_square_matrix_invariants(seed):
     d = _det(mat)
     prod = math.prod(diag)
     assert abs(d) == prod
+
+
+def test_malformed_matrices_are_usage_errors():
+    # typed, so the refusal survives python -O
+    with pytest.raises(SuperjacError):
+        smith_normal_form([[1, 2], [3]])
+    with pytest.raises(SuperjacError):
+        cokernel_factors([[1, 2], [3, 4]], 3)
+    assert cokernel_factors([], 2) == [0, 0]
