@@ -713,7 +713,8 @@ def valuation(curve: CurveSpec, f: FunctionRep, place) -> int:
             return _series_val_affine(curve, f, place, prec)
         except _NeedMorePrecision:
             prec *= 2
-    raise PrecisionExhausted(f"valuation at {place.label()} beyond cap")
+    raise PrecisionExhausted(f"valuation at {place.label()} past the "
+                             f"precision cap PRECISION_CAP = {PRECISION_CAP}")
 
 
 def _valuation_inf(curve: CurveSpec, f: FunctionRep) -> int:

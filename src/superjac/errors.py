@@ -14,7 +14,7 @@ class BudgetExceeded(SuperjacError):
     """A computation would exceed the configured work budget."""
 
 
-class PrecisionExhausted(SuperjacError):
+class PrecisionExhausted(BudgetExceeded):
     """A local expansion hit the precision cap without settling."""
 
 

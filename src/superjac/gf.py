@@ -354,18 +354,33 @@ class FieldCtx:
             raise InvariantViolation("trace left the prime field")
         return acc
 
-    def trace_table(self) -> list[int]:
-        """Absolute trace of every element, indexed by packed value.
+    def trace_table(self, sub: FieldCtx | None = None) -> list[int]:
+        """Trace down to the subfield sub (the prime field when omitted)
+        of every element, indexed by packed value, as packed elements of
+        sub under the canonical embedding.
 
         The trace is F_p-linear, so Tr(sum c_i X^i) = sum c_i Tr(X^i):
         n traces taken one by one give all p^n of them.
         """
         p = self.p
+        if sub is None or sub.n == 1:
+            table = [0]
+            for i in range(self.n):
+                t = self.trace(p ** i)
+                table = [(s + c * t) % p for c in range(p) for s in table]
+            return table
+        emb = embedding(sub, self)
         table = [0]
         for i in range(self.n):
-            t = self.trace(p ** i)
-            table = [(s + c * t) % p for c in range(p) for s in table]
-        return table
+            acc = 0
+            for k in range(0, self.n, sub.n):
+                acc = self.add(acc, self.frob(p ** i, k))
+            table = [self.add(s, self.mul(c, acc))
+                     for c in range(p) for s in table]
+        out = [emb.preimage(v) for v in table]
+        if None in out:
+            raise InvariantViolation(f"trace left {sub.name()}")
+        return out
 
     def norm(self, a: int) -> int:
         """Absolute norm down to the prime field, returned as an integer."""

@@ -9,20 +9,23 @@ where u collects the x-coordinates over which poles are allowed.  The
 numerator is then an honest polynomial in x and y (the coordinate ring
 is integrally closed for separable F with m prime to the
 characteristic), so membership reduces to degree caps at infinity plus
-vanishing conditions at finitely many points, read off from exact local
-expansions.  All condition points are moved into one common extension K
-of the base; dimensions of L(D) are invariant under constant field
-extension, so solving over K decides solvability over the base.
+vanishing conditions at finitely many places, read off from exact local
+expansions.  Unknowns and u (a product of minimal polynomials of
+x-orbits) stay over the base GF(q).  Each condition is expanded at one
+point of its place P, in P's residue field GF(q^d), and a coefficient c
+there becomes the d base rows Tr(g^i c), i < d, g the generator of
+GF(q^d): the g^i are a basis over GF(q) and the trace form is
+nondegenerate, so the kernel over the base is unchanged.
 
-A condition (q, t) asks every monomial x^i y^j for its first t
-coefficients in a local parameter tau at q.  One coordinate is always
+A condition (P, t) asks every monomial x^i y^j for its first t
+coefficients in a local parameter tau at P.  One coordinate is always
 linear in tau: x = x0 + tau where y0 != 0, and y = tau at a
 ramification point.  So only the powers of the other coordinate take
 series products.  At an unramified place the next x-power column is
 x0 * c + tau * c for the column c before it, one pass over t
-coefficients (in the log/Zech domain over an extension K, as ints mod
-p over a prime K); at a ramification point x^i y^j is x^i shifted by j
-orders.
+coefficients (in the log/Zech domain over an extension field, as ints
+mod p over a prime field); at a ramification point x^i y^j is x^i
+shifted by j orders.
 
 The class group itself is enumerated through effective divisors of
 degree g: every degree-zero class is E - g*inf for such an E, classes
@@ -30,7 +33,9 @@ with l(E) = 1 have a unique representative, and the few with l(E) > 1
 are merged by principality tests.  The resulting class count must match
 the zeta-function order before any structure is reported; the abelian
 structure is then recovered from the sizes of the kernels of
-multiplication by prime powers.
+multiplication by prime powers.  The first kernel scan, l * D for all
+|J| classes and every prime l | |J|, is sized from |J| = P(1) before any
+place is enumerated, and refused past SCAN_CAP.
 
 Everything here assumes gcd(m, r) = 1, so there is a single rational
 place at infinity.
@@ -39,15 +44,23 @@ place at infinity.
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import gf, primes
 from .curves import (CurveSpec, Divisor, FunctionRep, InfPlace, RamPlace,
-                     base_change, closed_place, local_expansion,
-                     places_above, s_mul, valuation)
+                     _descend, base_change, local_expansion, places_above,
+                     s_mul, valuation)
 from .errors import (BudgetExceeded, IncompleteEnumeration,
                      InvariantViolation, RequiresD1, SuperjacError,
                      UnsupportedBase)
 from .zeta import COUNT_BUDGET, count_points, lpoly_from_counts
+
+# Cap on the first kernel scan's unknowns, |J| * sum_{l | |J|} N(l g); a
+# test costs more than linearly in its N unknowns.  On a 2-core Xeon
+# 38 394 (y^2 = x^5 + 2x + 1 over GF(11)) answers in about 9 s, and
+# 1 084 201 (y^3 = x^5 - x + 1 over GF(5): 521 tests of 2 081 unknowns,
+# 31-61 s each) would take hours; criterion 08 stays below 11 500.
+SCAN_CAP = 50_000
 
 
 # ---------------------------------------------------------------------------
@@ -55,33 +68,27 @@ from .zeta import COUNT_BUDGET, count_points, lpoly_from_counts
 
 
 def _place_mult(curve: CurveSpec, place) -> int:
-    """Valuation of x - x0 at an affine place over x0."""
+    """Valuation at an affine place of the minimal polynomial of its x."""
     if isinstance(place, RamPlace):
         return curve.m
     return curve.m if place.rep()[1] == 0 else 1
 
 
-def _lift_point(ext: CurveSpec, K: gf.FieldCtx, xK: int, yK: int):
-    """The degree-one place of the extended curve through a K-point."""
-    if yK == 0 and xK in ext.roots:
-        return ext.ram_place_at(xK)
-    return closed_place(K, 1, [(xK, yK)])
+def _tops(m: int, r: int, mcap: int) -> list[int]:
+    """Largest i, per j, with x^i y^j of pole order m i + r j <= mcap at
+    infinity; the j with r j > mcap are left out."""
+    return [(mcap - r * j) // m for j in range(m) if mcap - r * j >= 0]
 
 
+@dataclass(frozen=True, eq=False)
 class FunctionSpace:
-    """Basis of L(D), realized over a constant field extension."""
+    """Basis of L(D) over the base field: the k-th function is
+    sum v[j, i] x^i y^j / u over the monomials (j, i), v = vectors[k]."""
 
-    __slots__ = ("curve", "ext", "K", "u", "monomials", "vectors",
-                 "place_map")
-
-    def __init__(self, curve, ext, K, u, monomials, vectors, place_map):
-        self.curve = curve
-        self.ext = ext
-        self.K = K
-        self.u = u
-        self.monomials = monomials
-        self.vectors = vectors
-        self.place_map = place_map
+    curve: CurveSpec
+    u: tuple
+    monomials: tuple
+    vectors: list
 
     @property
     def dim(self) -> int:
@@ -89,27 +96,28 @@ class FunctionSpace:
 
     def function(self, k: int) -> FunctionRep:
         vec = self.vectors[k]
-        nums = [[] for _ in range(self.ext.m)]
+        nums = [[] for _ in range(self.curve.m)]
         for (j, i), v in zip(self.monomials, vec):
             if v:
                 g = nums[j]
                 if len(g) <= i:
                     g.extend([0] * (i + 1 - len(g)))
                 g[i] = v
-        return FunctionRep(self.ext, nums, self.u)
+        return FunctionRep(self.curve, nums, self.u)
 
 
-def _condition_columns(K: gf.FieldCtx, le, tops) -> list[list[int]]:
+def _condition_columns(ctx: gf.FieldCtx, le, tops) -> list[list[int]]:
     """Columns x^i y^j mod tau^t, t = le.prec, of the condition at le's
-    place: j-major, i from 0 to tops[j].  Only the coordinate that is not
-    linear in tau takes series powers (see the module docstring)."""
+    place, over its residue field ctx: j-major, i from 0 to tops[j].
+    Only the coordinate that is not linear in tau takes series powers
+    (see the module docstring)."""
     t = le.prec
     cols = []
     if le.y_ser[0] == 0:
         # ramification point: y = tau
         xp = [[1] + [0] * (t - 1)]
         for _ in range(max(tops)):
-            xp.append(s_mul(K, xp[-1], le.x_ser, t))
+            xp.append(s_mul(ctx, xp[-1], le.x_ser, t))
         for j, top in enumerate(tops):
             pad = [0] * min(j, t)
             cols.extend(pad + xp[i][:t - len(pad)] for i in range(top + 1))
@@ -117,22 +125,22 @@ def _condition_columns(K: gf.FieldCtx, le, tops) -> list[list[int]]:
     # unramified place: x = x0 + tau
     yp = [1] + [0] * (t - 1)
     x0 = le.x_ser[0]
-    if K.n == 1:
-        p = K.p
+    if ctx.n == 1:
+        p = ctx.p
         for j, top in enumerate(tops):
             if j:
-                yp = s_mul(K, yp, le.y_ser, t)
+                yp = s_mul(ctx, yp, le.y_ser, t)
             c = yp
             cols.append(c)
             for _ in range(top):
                 c = [(x0 * a + b) % p for a, b in zip(c, [0] + c)]
                 cols.append(c)
         return cols
-    q1, exp, log, zech, _ = K.log_tables()
+    q1, exp, log, zech, _ = ctx.log_tables()
     lx0 = log[x0]
     for j, top in enumerate(tops):
         if j:
-            yp = s_mul(K, yp, le.y_ser, t)
+            yp = s_mul(ctx, yp, le.y_ser, t)
         cols.append(yp)
         lc = [log[v] for v in yp]
         for _ in range(top):
@@ -156,6 +164,28 @@ def _condition_columns(K: gf.FieldCtx, le, tops) -> list[list[int]]:
     return cols
 
 
+# trace table of a residue field down to the base, built once per pair
+_trace_to_base = lru_cache(maxsize=None)(gf.FieldCtx.trace_table)
+
+
+def _base_rows(base: gf.FieldCtx, ctx: gf.FieldCtx, cols) -> list:
+    """Rows over base of sum_k a_k cols[k] = 0 mod tau^t in the residue
+    field ctx, for unknowns a_k in base: d = [ctx : base] trace rows per
+    order (see the module docstring)."""
+    if ctx.n == base.n:
+        return list(zip(*cols))
+    d = ctx.n // base.n
+    tr = _trace_to_base(ctx, base)
+    q1, exp, log, _, _ = ctx.log_tables()
+    rows = []
+    for vals in zip(*cols):
+        lv = [log[v] for v in vals]
+        for i in range(d):
+            rows.append([tr[exp[(a + i) % q1]] if a >= 0 else 0
+                         for a in lv])
+    return rows
+
+
 def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
     """L(bound) = {f : div(f) + bound >= 0} with an explicit basis."""
     base = curve.base
@@ -174,7 +204,7 @@ def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
             aff[place] = c
 
     # group the affine support by fiber: one entry per x-coordinate orbit
-    orbits: dict = {}
+    fibers: dict = {}
     for place in aff:
         if isinstance(place, RamPlace):
             xctx, x0 = base, place.alpha
@@ -182,105 +212,43 @@ def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
             xctx = gf.field(place.base_p, place.base_n * place.b)
             x0 = place.rep()[0]
         fiber = tuple(places_above(curve, xctx, x0))
-        ob = orbits.get(fiber)
-        if ob is None:
-            ob = {"fiber": fiber, "bx": len(xctx.frob_orbit(x0, base.n)),
-                  "supp": [], "e": 0}
-            orbits[fiber] = ob
-        if place not in ob["fiber"]:
+        if place not in fiber:
             raise InvariantViolation("support place missing from its fiber")
-        ob["supp"].append(place)
+        fibers.setdefault(fiber, (xctx, x0))
 
-    ext_deg = 1
-    for ob in orbits.values():
-        e = 0
-        for P in ob["fiber"]:
-            c = aff.get(P, 0)
-            if c > 0:
-                e = max(e, -(-c // _place_mult(curve, P)))
-        ob["e"] = e
-        for P in ob["fiber"]:
+    # poles of order up to e * mult(P) at every place P over an x-orbit
+    # come from the e-th power of its minimal polynomial in u; the
+    # numerator must then vanish to the remaining order at each P
+    u = [1]
+    cond: list[tuple[object, int]] = []   # (place, order to kill)
+    for fiber, (xctx, x0) in fibers.items():
+        e = max([-(-aff[P] // _place_mult(curve, P)) for P in fiber
+                 if aff.get(P, 0) > 0], default=0)
+        if e > 0:
+            xs = xctx.frob_orbit(x0, base.n)
+            minpoly = _descend(base, base, xctx, gf.pfrom_roots(xctx, xs))
+            for _ in range(e):
+                u = gf.pmul(base, u, minpoly)
+        for P in fiber:
             t = e * _place_mult(curve, P) - aff.get(P, 0)
             if t > 0:
-                ext_deg = math.lcm(ext_deg, P.degree)
-        for P in ob["supp"]:
-            # keep every support place split so valuations stay checkable
-            ext_deg = math.lcm(ext_deg, P.degree)
-
-    if base.p ** (base.n * ext_deg) > gf.MAX_TABLE_CARD:
-        raise BudgetExceeded(
-            f"splitting field GF({base.p}^{base.n * ext_deg}) "
-            f"exceeds the table cap {gf.MAX_TABLE_CARD}")
-    K = gf.field(base.p, base.n * ext_deg)
-    ext = curve if ext_deg == 1 else base_change(curve, K)
-    emb_base = gf.embedding(base, K)
-
-    # move every orbit into K; all coordinate transport goes through
-    # base-compatible embeddings so data from different storage fields
-    # lands on one consistent set of K-points
-    u_roots: list[int] = []
-    place_map: dict = {}
-    cond: list[tuple[object, int]] = []   # (place of ext, order to kill)
-    for ob in orbits.values():
-        affK: dict = {}
-        seed = None
-        for P in ob["supp"]:
-            if isinstance(P, RamPlace):
-                pts = [(P.alpha, 0)]
-                emb = emb_base
-            else:
-                ctxp = gf.field(P.base_p, P.base_n * P.b)
-                pts = P.pts
-                emb = gf.compatible_embedding(base, ctxp, K)
-            for (px, py) in pts:
-                q = _lift_point(ext, K, emb.apply(px), emb.apply(py))
-                if q in affK:
-                    raise InvariantViolation("embedded support points collide")
-                affK[q] = aff[P]
-                place_map[P] = q
-            if seed is None:
-                seed = emb.apply(pts[0][0])
-        xs = K.frob_orbit(seed, base.n)
-        if len(xs) != ob["bx"]:
-            raise InvariantViolation("x-orbit length changed under transport")
-        e = ob["e"]
-        if e > 0:
-            u_roots.extend(xk for xk in sorted(xs) for _ in range(e))
-            fiberK = []
-            for xk in xs:
-                fiberK.extend(places_above(ext, K, xk))
-            if any(q.degree != 1 for q in fiberK):
-                raise InvariantViolation(
-                    "condition place fails to split over K")
-            if not set(affK) <= set(fiberK):
-                raise InvariantViolation(
-                    "support points land outside their fiber")
-            for q in fiberK:
-                t = e * _place_mult(ext, q) - affK.get(q, 0)
-                if t > 0:
-                    cond.append((q, t))
-        else:
-            for q, c in affK.items():
-                if c < 0:
-                    cond.append((q, -c))
+                cond.append((P, t))
 
     # degree caps at the single infinite place: v_inf(x) = -m and the m
     # leading orders -(m deg g_j + r j) are pairwise distinct, so each
     # monomial must clear the bound on its own
-    u = gf.pfrom_roots(K, u_roots)
-    deg_u = len(u_roots)
-    mcap = m * deg_u + c_inf
-    tops = [(mcap - r * j) // m for j in range(m) if mcap - r * j >= 0]
+    tops = _tops(m, r, m * (len(u) - 1) + c_inf)
     monomials = [(j, i) for j, top in enumerate(tops)
                  for i in range(top + 1)]
 
     rows = []
     if monomials:
-        for q, t in cond:
-            cols = _condition_columns(K, local_expansion(ext, q, t), tops)
-            rows.extend(zip(*cols))
+        for P, t in cond:
+            le = local_expansion(curve, P, t)
+            rows.extend(_base_rows(base, le.ctx,
+                                   _condition_columns(le.ctx, le, tops)))
 
-    vectors = gf.nullspace(K, rows, len(monomials))
+    vectors = gf.nullspace(base, rows, len(monomials))
 
     degb = bound.degree()
     g = curve.genus
@@ -289,8 +257,7 @@ def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
             (degb > 2 * g - 2 and dim != degb + 1 - g):
         raise InvariantViolation(
             f"l(D) = {dim} for deg D = {degb}, genus {g}")
-    return FunctionSpace(curve, ext, K, tuple(u), tuple(monomials), vectors,
-                         place_map)
+    return FunctionSpace(curve, tuple(u), tuple(monomials), vectors)
 
 
 def ell(curve: CurveSpec, bound: Divisor) -> int:
@@ -318,10 +285,7 @@ def is_principal(curve: CurveSpec, D: Divisor) -> bool:
         raise InvariantViolation("degree-zero divisor with l > 1")
     f = sp.function(0)
     for place, c in D.items():
-        if isinstance(place, InfPlace):
-            got = valuation(sp.ext, f, sp.ext.inf_place())
-        else:
-            got = valuation(sp.ext, f, sp.place_map[place])
+        got = valuation(curve, f, place)
         if got != c:
             raise InvariantViolation(
                 f"witness valuation {got} != {c} at {place.label()}")
@@ -503,6 +467,14 @@ def picard_group(curve: CurveSpec, budget: int = COUNT_BUDGET) -> PicardGroup:
     counts = [count_points(curve, n, budget) for n in range(1, g + 1)]
     P = lpoly_from_counts(base.order, counts, g)
     order = P.evaluate(1)
+    fac = primes.factorize(order)
+    # the first kernel scan: |J| tests of l * D per prime l, with
+    # N(l g) unknowns each (bounds l g inf - l E leave u = 1)
+    scan = order * sum(sum(t + 1 for t in _tops(curve.m, curve.r, ln * g))
+                       for ln in fac)
+    if scan > SCAN_CAP:
+        raise BudgetExceeded(f"class scan for |J| = {order} needs {scan} "
+                             f"unknowns, past SCAN_CAP = {SCAN_CAP}")
 
     places = enumerate_places(curve, g)
     ginf = Divisor.single(curve.inf_place(), g)
@@ -527,7 +499,7 @@ def picard_group(curve: CurveSpec, budget: int = COUNT_BUDGET) -> PicardGroup:
 
     reps = tuple(E - ginf for E in plain + special_reps)
     per_prime = {}
-    for ln, a in sorted(primes.factorize(order).items()):
+    for ln, a in sorted(fac.items()):
         exps = _prime_exponents(curve, reps, ln, a)
         per_prime[ln] = sorted(exps, reverse=True)
     inv = _merge_invariants(per_prime)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import superjac
-from superjac import gf, picard
+from superjac import curves, gf, picard
 from superjac.cli import main
 
 SRC = str(Path(superjac.__file__).resolve().parents[1])
@@ -84,6 +84,17 @@ def test_principal(capsys) -> None:
     code, doc = run_json(capsys,
                          base + ["--coeffs", "1,0,0,0", "--field", "11"])
     assert (code, doc["principal"], doc["cross_checked"]) == (0, False, True)
+
+
+def test_principal_past_the_precision_cap_exits_3(capsys,
+                                                  monkeypatch) -> None:
+    monkeypatch.setattr(curves, "PRECISION_CAP", 16)
+    code, doc = run_json(capsys, ["principal", "--m", "2", "--f",
+                                  "0,24,-50,35,-10,1", "--coeffs", "20,0,0,0",
+                                  "--field", "11"])
+    assert code == 3
+    assert doc["error"] == "budget-exceeded"
+    assert "R1" in doc["detail"] and "PRECISION_CAP = 16" in doc["detail"]
 
 
 def test_gauss(capsys) -> None:
@@ -208,16 +219,30 @@ def test_budget_exit_code(capsys) -> None:
 
 
 def test_capacity_exit_code(capsys) -> None:
-    # the class-group oracle would need the splitting field GF(5^12)
-    code, doc = run_json(capsys, ["conjecture-test", "--p", "5", "--q", "3"])
-    assert code == 3
-    assert doc["error"] == "budget-exceeded"
-    assert "table cap 4194304" in doc["detail"]
+    # |J| = 521 is prime for every a: the first kernel scan alone would be
+    # 521 principality tests with 2 081 unknowns each
+    assert picard.SCAN_CAP == 50_000
+    for a in "1234":
+        code, doc = run_json(capsys, ["conjecture-test", "--p", "5", "--q",
+                                      "3", "--a", a])
+        assert code == 3
+        assert doc["error"] == "budget-exceeded"
+        assert "|J| = 521 needs 1084201" in doc["detail"]
+        assert "SCAN_CAP = 50000" in doc["detail"]
 
     code, doc = run_json(capsys, ["zeta", "--p", "7", "--q", "11", "--a",
                                   "1", "--budget", "200000"])
     assert code == 3
     assert "GF(7^10)" in doc["detail"]
+
+
+def test_class_group_past_the_old_splitting_field(capsys) -> None:
+    # places of degrees 3 and 4 once needed the common field GF(5^12)
+    code, doc = run_json(capsys, ["picard", "--m", "3", "--f", "1,2,0,0,0,1",
+                                  "--p", "5"])
+    assert code == 0
+    assert doc["order"] == sum(doc["lpoly"]) == 576
+    assert doc["invariant_factors"] == [24, 24]
 
 
 def test_splitting_field_past_the_cap_is_a_capacity_exit(capsys,
@@ -395,17 +420,18 @@ def test_refusals_are_cached_and_failures_are_not(tmp_path, capsys) -> None:
 def test_warm_refusal_skips_the_class_group_work(tmp_path, capsys,
                                                   monkeypatch) -> None:
     calls = []
-    function_space = picard.function_space
-
-    def recording(*a, **k):
-        calls.append(a)
-        return function_space(*a, **k)
-    monkeypatch.setattr(picard, "function_space", recording)
+    for name in ("count_points", "enumerate_places", "function_space"):
+        def recording(*a, _fn=getattr(picard, name), _name=name, **k):
+            calls.append(_name)
+            return _fn(*a, **k)
+        monkeypatch.setattr(picard, name, recording)
 
     argv = ["conjecture-test", "--p", "5", "--q", "3", "--a", "1", "--json",
             "--cache-dir", str(tmp_path)]
     code, cold = run(capsys, argv)
-    assert code == 3 and calls
+    # the cold run counts points for P(1) and refuses before any place
+    # enumeration or Riemann-Roch solve
+    assert code == 3 and set(calls) == {"count_points"}
     calls.clear()
     assert run(capsys, argv) == (3, cold)
     assert not calls

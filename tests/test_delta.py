@@ -10,9 +10,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superjac import delta, gf
+from superjac import curves, delta, gf
 from superjac.curves import Divisor, make_curve, splitting_extension
-from superjac.errors import RequiresD1, RequiresSplitRoots
+from superjac.errors import (BudgetExceeded, PrecisionExhausted, RequiresD1,
+                             RequiresSplitRoots)
 
 REPLAY_GRID = [(2, 5, 11), (2, 7, 11), (3, 4, 7),
                (3, 5, 7), (4, 5, 7), (5, 6, 7)]
@@ -154,3 +155,16 @@ def test_decide_principal_extension_base():
     assert delta.decide_principal_delta(c, (3, 0, 3, 0))
     assert not delta.decide_principal_delta(c, (1, 1, 1, 1))
     assert delta.replay_proof(c).verdict == "pass"
+
+
+def test_witness_past_the_precision_cap_is_a_capacity_refusal(monkeypatch):
+    # the witness (x - alpha_1)^10 has valuation 20 at R1: re-checking it
+    # needs more than 16 terms
+    monkeypatch.setattr(curves, "PRECISION_CAP", 16)
+    c = split_curve(2, 5, 11)
+    with pytest.raises(PrecisionExhausted) as exc:
+        delta.decide_principal_delta(c, (20, 0, 0, 0))
+    assert isinstance(exc.value, BudgetExceeded)
+    assert "R1" in str(exc.value)
+    assert "PRECISION_CAP = 16" in str(exc.value)
+    assert delta.decide_principal_delta(c, (8, 0, 0, 0))

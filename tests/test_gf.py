@@ -137,6 +137,20 @@ def test_tower_trace_transitivity():
         assert sub.trace(pre) == K.trace(a)
 
 
+@pytest.mark.parametrize("p,n,s", [(2, 4, 2), (2, 6, 2), (2, 6, 3),
+                                   (3, 4, 2), (5, 2, 1), (3, 3, 1)])
+def test_trace_table_to_a_subfield(p, n, s):
+    # every entry is the relative trace by definition, descended through
+    # the canonical embedding, and traces compose down the tower
+    K, sub = gf.field(p, n), gf.field(p, s)
+    emb = gf.embedding(sub, K)
+    table = K.trace_table(sub)
+    assert len(table) == K.order
+    for a in K.elements():
+        assert emb.apply(table[a]) == rel_trace(K, a, s)
+        assert sub.trace(table[a]) == K.trace(a)
+
+
 def test_embedding_is_ring_hom():
     src = gf.field(2, 2)
     dst = gf.field(2, 4)

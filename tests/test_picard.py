@@ -5,6 +5,7 @@ Anchor groups, cross-checked against zeta orders:
   y^5 = x^2 + x + 1 / GF(2):   Pic^0 = Z/5,  over GF(16) (Z/5)^4
 """
 
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +13,11 @@ from pathlib import Path
 import pytest
 
 import superjac
-from superjac import gf, picard, zeta
+from superjac import gf, picard, primes, zeta
 from superjac.errors import RequiresD1
 from superjac.curves import (Divisor, FunctionRep, InfPlace, RamPlace,
-                             base_change, make_curve, principal_divisor,
+                             base_change, closed_place, local_expansion,
+                             make_curve, places_above, principal_divisor,
                              s_mul, valuation)
 from superjac.picard import (conjecture_check, effective_divisors, ell,
                              enumerate_places, function_space, is_principal,
@@ -46,8 +48,8 @@ def test_function_space_basis_valuations(cubic):
     assert sp.dim == 5
     for k in range(sp.dim):
         f = sp.function(k)
-        assert valuation(sp.ext, f, sp.ext.inf_place()) >= -5
-        D = principal_divisor(sp.ext, f)
+        assert valuation(sp.curve, f, sp.curve.inf_place()) >= -5
+        D = principal_divisor(sp.curve, f)
         aff = [(P, c) for P, c in D.items() if not isinstance(P, InfPlace)]
         assert all(c > 0 for _, c in aff)
 
@@ -158,13 +160,24 @@ def test_requires_single_infinite_place():
 def test_picard_group_with_a_rational_root_of_unsplit_F():
     # x^5 + 2x + 1 over GF(5) has the single rational root 3; its
     # ramification place must be built the same way by the fiber scan
-    # and by the transport into the splitting field
+    # and by the fibers of function_space
     c = make_curve(2, [1, 2, 0, 0, 0, 1], gf.field(5))
     assert not c.splits and c.roots == (3,)
     G = picard_group(c)
     assert G.lpoly_coeffs == (1, 0, 0, 0, 25)
     # 26 = P(1) is squarefree, so the group is cyclic
     assert (G.order, G.invariant_factors) == (26, (26,))
+
+
+def test_picard_group_past_the_old_splitting_field():
+    # y^3 = x^5 + 2x + 1 over GF(5) has places of degrees 3 and 4, whose
+    # common field GF(5^12) is past the table cap; each residue field
+    # is at most GF(5^6)
+    c = make_curve(3, [1, 2, 0, 0, 0, 1], gf.field(5))
+    G = picard_group(c)
+    assert G.lpoly_coeffs == (1, 0, 0, 0, -50, 0, 0, 0, 625)
+    assert G.order == sum(G.lpoly_coeffs) == 576
+    assert G.invariant_factors == (24, 24)
 
 
 def test_picard_invariants_are_typed_under_python_O():
@@ -268,15 +281,186 @@ def test_condition_columns_match_products(monkeypatch):
                          for i in range(top + 1)]
             assert cols == _columns_by_products(K, le, monomials), \
                 (name, le.place, le.prec, tops)
-            ramified = isinstance(le.place, RamPlace)
+            # columns live in the residue field of their own place
+            assert K is le.ctx
+            assert K.n == le.curve.base.n * le.place.degree
+            ramified = isinstance(le.place, RamPlace) or \
+                le.place.rep()[1] == 0
             assert ramified == (le.y_ser[0] == 0)
             if le.prec == 1 or le.prec >= 29:
                 kinds.add((K.n == 1, ramified, le.prec >= 29))
         if name == "gf9_29D":
             shape = (sum(le.prec for _, le, _, _ in blocks),
                      len(blocks[0][3]))
-    # every combination of prime/extension K, ramified/unramified place
-    # and t = 1 / t >= 29 is exercised
+    # every combination of prime/extension residue field,
+    # ramified/unramified place and t = 1 / t >= 29 is exercised
     assert kinds == {(a, b, c) for a in (False, True) for b in (False, True)
                      for c in (False, True)}
     assert shape == (58, 57)
+
+
+# ---------------------------------------------------------------------------
+# the splitting-field solve as oracle for the residue-field rows
+
+
+def _lift_point(ext, K, xK, yK):
+    """The degree-one place of the extended curve through a K-point."""
+    if yK == 0 and xK in ext.roots:
+        return ext.ram_place_at(xK)
+    return closed_place(K, 1, [(xK, yK)])
+
+
+def _splitting_field_space(curve, bound):
+    """(K, RREF basis of L(bound) over K): every condition point moved
+    into one common field K, of degree the lcm of the degrees of the
+    places involved, through base-compatible embeddings."""
+    base = curve.base
+    m, r = curve.m, curve.r
+    c_inf = 0
+    aff = {}
+    for place, c in bound.items():
+        if isinstance(place, InfPlace):
+            c_inf = c
+        else:
+            aff[place] = c
+
+    orbits = {}
+    for place in aff:
+        if isinstance(place, RamPlace):
+            xctx, x0 = base, place.alpha
+        else:
+            xctx = gf.field(place.base_p, place.base_n * place.b)
+            x0 = place.rep()[0]
+        fiber = tuple(places_above(curve, xctx, x0))
+        ob = orbits.setdefault(fiber, {"bx": len(xctx.frob_orbit(
+            x0, base.n)), "supp": []})
+        ob["supp"].append(place)
+
+    ext_deg = 1
+    for fiber, ob in orbits.items():
+        e = 0
+        for P in fiber:
+            c = aff.get(P, 0)
+            if c > 0:
+                e = max(e, -(-c // picard._place_mult(curve, P)))
+        ob["e"] = e
+        for P in fiber:
+            if e * picard._place_mult(curve, P) - aff.get(P, 0) > 0:
+                ext_deg = math.lcm(ext_deg, P.degree)
+        for P in ob["supp"]:
+            ext_deg = math.lcm(ext_deg, P.degree)
+
+    K = gf.field(base.p, base.n * ext_deg)
+    ext = curve if ext_deg == 1 else base_change(curve, K)
+    emb_base = gf.embedding(base, K)
+    u_roots = []
+    cond = []
+    for ob in orbits.values():
+        affK = {}
+        seed = None
+        for P in ob["supp"]:
+            if isinstance(P, RamPlace):
+                pts, emb = [(P.alpha, 0)], emb_base
+            else:
+                pts = P.pts
+                emb = gf.compatible_embedding(
+                    base, gf.field(P.base_p, P.base_n * P.b), K)
+            for px, py in pts:
+                affK[_lift_point(ext, K, emb.apply(px), emb.apply(py))] = \
+                    aff[P]
+            if seed is None:
+                seed = emb.apply(pts[0][0])
+        xs = K.frob_orbit(seed, base.n)
+        assert len(xs) == ob["bx"]
+        e = ob["e"]
+        if e > 0:
+            u_roots.extend(xk for xk in sorted(xs) for _ in range(e))
+            fiberK = [q for xk in xs for q in places_above(ext, K, xk)]
+            assert all(q.degree == 1 for q in fiberK)
+            assert set(affK) <= set(fiberK)
+            for q in fiberK:
+                t = e * picard._place_mult(ext, q) - affK.get(q, 0)
+                if t > 0:
+                    cond.append((q, t))
+        else:
+            cond.extend((q, -c) for q, c in affK.items() if c < 0)
+
+    tops = [(m * len(u_roots) + c_inf - r * j) // m for j in range(m)
+            if m * len(u_roots) + c_inf - r * j >= 0]
+    ncols = sum(t + 1 for t in tops)
+    rows = []
+    if ncols:
+        for q, t in cond:
+            rows.extend(zip(*picard._condition_columns(
+                K, local_expansion(ext, q, t), tops)))
+    return K, gf.nullspace(K, rows, ncols)
+
+
+def _oracle_mismatches(curve, bounds, zero_divisors):
+    """Bounds whose basis, mapped into K, differs from the oracle's, and
+    degree-zero divisors whose principality verdict differs."""
+    bad = []
+    for B in bounds:
+        K, want = _splitting_field_space(curve, B)
+        emb = gf.embedding(curve.base, K)
+        got = [tuple(emb.apply(v) for v in vec)
+               for vec in function_space(curve, B).vectors]
+        if got != want:
+            bad.append(("basis", B))
+    for D in zero_divisors:
+        assert D.degree() == 0 and not D.is_zero()
+        _, want = _splitting_field_space(curve, -D)
+        if is_principal(curve, D) != (len(want) == 1):
+            bad.append(("principal", D))
+    return bad
+
+
+ORACLE_CURVES = {
+    # criterion 08's anchors and the curves of their conjecture checks
+    "cubic2": lambda: make_curve(3, [1, 1, 1], gf.field(2)),
+    "hyper3": lambda: zeta.artin_schreier_curve(3, 2, 1),
+    "hyper3a2": lambda: zeta.artin_schreier_curve(3, 2, 2),
+    "cubic4": _cubic4,
+    "quintic2": lambda: make_curve(5, [1, 1, 1], gf.field(2)),
+    "quintic16": lambda: make_curve(5, [1, 1, 1], gf.field(2, 4)),
+    # GF(4), GF(9) and prime-field curves with places of mixed degrees
+    "quartic4": lambda: make_curve(3, [1, 1, 0, 0, 1], gf.field(2, 2)),
+    "gf9": _gf9,
+    "gf5": _gf5,
+}
+
+
+# the curves with places of degrees 2 and 3 and GF(q^6) under 2^16
+MIXED_DEGREES = {"cubic2", "hyper3a2", "quintic2", "quartic4", "gf5"}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CURVES))
+def test_residue_field_rows_match_the_splitting_field(name):
+    curve = ORACLE_CURVES[name]()
+    g = curve.genus
+    inf = curve.inf_place()
+    effs = effective_divisors(enumerate_places(curve, g), g)
+    step = -(-len(effs) // 24)
+    sample = effs[::step]
+    bounds = []
+    for E in sample:
+        bounds += [E, E - Divisor.single(inf, g + 1),
+                   E - Divisor.single(inf, g - 1)]
+    zero = [E - R for E, R in zip(sample, sample[1:])]
+    ln = min(primes.factorize(picard_group(curve).order), default=2)
+    zero += [(E - Divisor.single(inf, g)).scale(ln) for E in sample[:6]
+             if E != Divisor.single(inf, g)]
+    # places of degrees 2 and 3 together need K of degree 6 over the base
+    # where each alone needs less
+    by_deg = {}
+    for P in enumerate_places(curve, 3):
+        by_deg.setdefault(P.degree, P)
+    mixed = 2 in by_deg and 3 in by_deg and curve.base.order ** 6 <= 1 << 16
+    if mixed:
+        P2, P3 = by_deg[2], by_deg[3]
+        for a, b in ((1, 1), (1, -1), (-1, 1), (2, -1), (-2, 3)):
+            both = Divisor([(P2, a), (P3, b)])
+            bounds += [both + Divisor.single(inf, k) for k in (-2, 0, 3)]
+            zero.append(both - Divisor.single(inf, both.degree()))
+    assert mixed == (name in MIXED_DEGREES)
+    assert _oracle_mismatches(curve, bounds, zero) == []
