@@ -10,18 +10,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CurveSpec", "Divisor", "FunctionRep", "base_change", "make_curve",
-    "principal_divisor", "splitting_extension",
-    "decide_principal_delta", "delta_presentation", "delta_structure",
-    "replay_proof",
-    "conjecture_check", "is_principal", "picard_group",
-    "certify_rank", "check_freeness_hypotheses", "find_witness_prime",
-    "counts_by_charsum", "lpoly_from_counts", "power_law_check",
-    "torsion_criterion", "zeta_numerator_charsum",
-    "__version__",
-]
-
 # exported name -> submodule; imported on first access (PEP 562), so
 # importing the package or its CLI loads none of the math modules
 _HOME = {name: mod for mod, names in (
@@ -35,6 +23,8 @@ _HOME = {name: mod for mod, names in (
     ("zeta", ("counts_by_charsum", "lpoly_from_counts", "power_law_check",
               "torsion_criterion", "zeta_numerator_charsum")),
 ) for name in names}
+
+__all__ = [*_HOME, "__version__"]
 
 
 def __getattr__(name: str):

@@ -17,18 +17,17 @@ Two families of multiplicative characters are used.
   forms hold when either character is trivial and are checked on every
   such call, raising ``InvariantViolation`` (also under ``python -O``);
   they double as a self-check of the histogram tables.  These
-  sums feed the Hasse-Davenport identity grid, whose level caps are
-  ``MAX_LEVEL`` and ``MAX_CARD_HIGH_LEVEL``.
+  sums feed the Hasse-Davenport identity grid.
 
 * Frobenius-orbit characters (``orbit_gauss_sum``) exist for every M
   prime to p.  The nonzero residues u mod M fall into orbits under
   u -> p*u; the orbit of u has k = ord_d(p) members, d = M / gcd(u, M),
   and chi_u(w) = zeta_M^(u * log w) is a character of GF(p^k)^*, log
-  being the discrete log to that field's stored generator.  Only the
-  field-table cap bounds k.
+  being the discrete log to that field's stored generator.
 
 Both families read one histogram per field: the counts of
-(Tr(w), log(w) mod L) over the nonzero w.
+(Tr(w), log(w) mod L) over the nonzero w.  Only the field-table cap
+bounds the level.
 """
 
 from __future__ import annotations
@@ -37,26 +36,9 @@ import math
 
 from . import gf, primes
 from .cyclo import CycloInt, cyclo
-from .errors import (BudgetExceeded, CharacterUnavailable, InvariantViolation,
-                     SuperjacError)
-
-# a level-n sum builds the tables of GF(p^n) and makes one histogram pass
-# over its p^n - 1 units, linear in p^n but a Python loop per element;
-# these caps keep the identity grid at desk scale, far below the table cap
-MAX_LEVEL = 6
-MAX_CARD_HIGH_LEVEL = 100_000
+from .errors import CharacterUnavailable, InvariantViolation, SuperjacError
 
 _HIST_CACHE: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {}
-
-
-def _check_level(p: int, n: int) -> None:
-    if n > MAX_LEVEL:
-        raise BudgetExceeded(f"character sum at level {n} exceeds the "
-                             f"level cap {MAX_LEVEL}")
-    if n > 3 and p ** n > MAX_CARD_HIGH_LEVEL:
-        raise BudgetExceeded(
-            f"character sum over GF({p}^{n}) has {p ** n} elements, past "
-            f"the work cap {MAX_CARD_HIGH_LEVEL} for levels above 3")
 
 
 def _histogram(p: int, n: int, L: int) -> dict[tuple[int, int], int]:
@@ -101,7 +83,6 @@ def modified_gauss_sum(p: int, q_order: int, c: int, u: int, a: int,
     if (p - 1) % M != 0:
         raise CharacterUnavailable(
             f"multiplicative characters of order {M} need {M} | {p - 1}")
-    _check_level(p, n)
     c %= p
     u %= M
     a %= p

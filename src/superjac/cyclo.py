@@ -127,13 +127,6 @@ class CycloCtx:
             v[0] = c
         return CycloInt(self, tuple(v))
 
-    def zeta(self, k: int = 1) -> "CycloInt":
-        """zeta_N^k as a ring element."""
-        k %= self.N
-        v = [0] * (k + 1)
-        v[k] = 1
-        return CycloInt(self, self.reduce(v))
-
     def from_zeta_exponents(self, weights: dict[int, int]) -> "CycloInt":
         """Sum of weight * zeta_N^e over (e, weight) pairs, reduced once."""
         acc = [0] * self.N
@@ -198,9 +191,6 @@ class CycloInt:
 
     __radd__ = __add__
     __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __pow__(self, e: int):
         if e < 0:

@@ -9,9 +9,8 @@ field operation a couple of list lookups.  Prime-field contexts do their
 arithmetic directly modulo p and build the same three tables only when a
 discrete log or a log-domain loop asks for them.
 
-The exp table is the chain 1, g, g^2, ... of packed values.  For p = 2
-each step is a shift-and-xor on the bit pattern.  For odd p each step is
-a precomputed multiply-by-g map: with h = ceil(n/2), a packed value
+The exp table is the chain 1, g, g^2, ... of packed values.  Each step
+is a precomputed multiply-by-g map: with h = ceil(n/2), a packed value
 splits as v = lo + p^h * hi, and g * v = GL[lo] + GH[hi], where GL and GH
 hold g * lo and g * (p^h * hi) in a spread form with
 s = bit_length(2p - 2) bits per coefficient.  Two reduced coefficients
@@ -113,10 +112,7 @@ class FieldCtx:
         raise InvariantViolation(f"{self.name()} has no generator")
 
     def _build_tables(self) -> None:
-        if self.p == 2:
-            self._set_tables(*self._chain_gf2())
-        else:
-            self._set_tables(*self._chain_packed())
+        self._set_tables(*self._chain_packed())
 
     def _set_tables(self, exp: list[int], log: list[int]) -> None:
         if log.count(-1) != 1:
@@ -128,34 +124,10 @@ class FieldCtx:
         # zech[k] = log(1 + g^k): adding 1 steps the constant digit, and
         # log[0] = -1 marks 1 + g^k = 0
         self._zech = [log[e + 1 if e % p != pm1 else e - pm1] for e in exp]
-        self._m1log = log[pm1] if p > 2 else 0
-
-    def _chain_gf2(self) -> tuple[list[int], list[int]]:
-        Q, n = self.order, self.n
-        fmask = 0
-        for i, c in enumerate(self.defpoly):
-            if c:
-                fmask |= 1 << i
-        gbits = [i for i in range(self.gen.bit_length()) if self.gen >> i & 1]
-        exp = [0] * (Q - 1)
-        log = [-1] * Q
-        cur = 1
-        for k in range(Q - 1):
-            exp[k] = cur
-            log[cur] = k
-            nxt = 0
-            for b in gbits:
-                nxt ^= cur << b
-            for d in range(nxt.bit_length() - 1, n - 1, -1):
-                if nxt >> d & 1:
-                    nxt ^= fmask << (d - n)
-            cur = nxt
-        if cur != 1:
-            raise InvariantViolation("generator order mismatch")
-        return exp, log
+        self._m1log = log[pm1]
 
     def _chain_packed(self) -> tuple[list[int], list[int]]:
-        # the multiply-by-g map of the module docstring, for odd p
+        # the multiply-by-g map of the module docstring
         p, n, Q = self.p, self.n, self.order
         fp, f = field(p), list(self.defpoly)
         g = pnorm(list(self.coeffs(self.gen)))
@@ -208,8 +180,9 @@ class FieldCtx:
             return
         p = self.p
         if p > MAX_TABLE_CARD:
-            raise BudgetExceeded(f"discrete-log table for GF({p}) too large")
-        exp = [0] * max(p - 1, 1)
+            raise BudgetExceeded(f"GF({p}) exceeds the table cap "
+                                 f"{MAX_TABLE_CARD}")
+        exp = [0] * (p - 1)
         log = [-1] * p
         cur = 1
         for k in range(p - 1):
@@ -252,7 +225,7 @@ class FieldCtx:
     def neg(self, a: int) -> int:
         if self.n == 1:
             return (-a) % self.p
-        if a == 0 or self.p == 2:
+        if a == 0:
             return a
         return self._exp[(self._log[a] + self._m1log) % (self.order - 1)]
 
@@ -286,8 +259,6 @@ class FieldCtx:
                 raise ZeroDivisionError("negative power of 0")
             return 0
         if self.n == 1:
-            if self.p == 2:
-                return a
             return pow(a, e % (self.p - 1), self.p)
         return self._exp[self._log[a] * e % (self.order - 1)]
 
@@ -301,8 +272,6 @@ class FieldCtx:
 
     def exp_gen(self, k: int) -> int:
         """Generator power g^k."""
-        if self.order == 2:
-            return 1
         if self.n == 1:
             self._prime_tables()
         return self._exp[k % (self.order - 1)]
@@ -662,44 +631,10 @@ def compatible_embedding(base: FieldCtx, src: FieldCtx,
 
 @dataclass(frozen=True)
 class FieldElem:
-    """Convenience wrapper pairing a packed value with its context."""
+    """A packed value paired with its context, for curve coefficients."""
 
     ctx: FieldCtx
     val: int
-
-    def _lift(self, other) -> int:
-        if isinstance(other, FieldElem):
-            if other.ctx is not self.ctx:
-                raise UnsupportedBase(f"mixed field contexts "
-                                      f"{self.ctx.name()} and "
-                                      f"{other.ctx.name()}")
-            return other.val
-        return other % self.ctx.p
-
-    def __add__(self, other):
-        return FieldElem(self.ctx, self.ctx.add(self.val, self._lift(other)))
-
-    def __sub__(self, other):
-        return FieldElem(self.ctx, self.ctx.sub(self.val, self._lift(other)))
-
-    def __neg__(self):
-        return FieldElem(self.ctx, self.ctx.neg(self.val))
-
-    def __mul__(self, other):
-        return FieldElem(self.ctx, self.ctx.mul(self.val, self._lift(other)))
-
-    def __truediv__(self, other):
-        return FieldElem(self.ctx, self.ctx.div(self.val, self._lift(other)))
-
-    def __pow__(self, e: int):
-        return FieldElem(self.ctx, self.ctx.pow(self.val, e))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.ctx.coeffs(self.val)
 
     def __repr__(self) -> str:
         return f"{self.ctx.name()}:{self.val}"

@@ -33,9 +33,10 @@ with l(E) = 1 have a unique representative, and the few with l(E) > 1
 are merged by principality tests.  The resulting class count must match
 the zeta-function order before any structure is reported; the abelian
 structure is then recovered from the sizes of the kernels of
-multiplication by prime powers.  The first kernel scan, l * D for all
-|J| classes and every prime l | |J|, is sized from |J| = P(1) before any
-place is enumerated, and refused past SCAN_CAP.
+multiplication by prime powers, and its invariant factors from the
+Smith form of the diagonal of the prime powers found.  The first kernel
+scan, l * D for all |J| classes and every prime l | |J|, is sized from
+|J| = P(1) before any place is enumerated, and refused past SCAN_CAP.
 
 Everything here assumes gcd(m, r) = 1, so there is a single rational
 place at infinity.
@@ -46,13 +47,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import gf, primes
+from . import curves, gf, primes, snf
 from .curves import (CurveSpec, Divisor, FunctionRep, InfPlace, RamPlace,
                      _descend, base_change, local_expansion, places_above,
                      s_mul, valuation)
 from .errors import (BudgetExceeded, IncompleteEnumeration,
-                     InvariantViolation, RequiresD1, SuperjacError,
-                     UnsupportedBase)
+                     InvariantViolation, PrecisionExhausted, RequiresD1,
+                     SuperjacError, UnsupportedBase)
 from .zeta import COUNT_BUDGET, count_points, lpoly_from_counts
 
 # Cap on the first kernel scan's unknowns, |J| * sum_{l | |J|} N(l g); a
@@ -187,7 +188,10 @@ def _base_rows(base: gf.FieldCtx, ctx: gf.FieldCtx, cols) -> list:
 
 
 def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
-    """L(bound) = {f : div(f) + bound >= 0} with an explicit basis."""
+    """L(bound) = {f : div(f) + bound >= 0} with an explicit basis.
+
+    A condition of order past curves.PRECISION_CAP is refused before
+    any local expansion is built."""
     base = curve.base
     if base is None:
         raise UnsupportedBase("Riemann-Roch spaces need a finite base field")
@@ -231,6 +235,10 @@ def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
                 u = gf.pmul(base, u, minpoly)
         for P in fiber:
             t = e * _place_mult(curve, P) - aff.get(P, 0)
+            if t > curves.PRECISION_CAP:
+                raise PrecisionExhausted(
+                    f"condition of order {t} at {P.label()} past the "
+                    f"precision cap PRECISION_CAP = {curves.PRECISION_CAP}")
             if t > 0:
                 cond.append((P, t))
 
@@ -352,25 +360,23 @@ def enumerate_places(curve: CurveSpec, max_deg: int):
 
 
 def effective_divisors(places, deg: int):
-    """Every effective divisor of exact degree supported on the places."""
+    """Every effective divisor of exact degree supported on the places,
+    depth first: place by place, each at its largest multiplicity first."""
     pl = sorted(places, key=lambda P: (P.degree, P.sort_key()))
     out = []
-    acc: list = []
-
-    def rec(i: int, remaining: int) -> None:
+    # (next place, degree left, terms so far); a node's children go on
+    # the stack in reverse, so they come off in order
+    stack = [(0, deg, ())]
+    while stack:
+        i, remaining, acc = stack.pop()
         if remaining == 0:
             out.append(Divisor(acc))
-            return
-        if i == len(pl):
-            return
-        dp = pl[i].degree
-        for k in range(remaining // dp, 0, -1):
-            acc.append((pl[i], k))
-            rec(i + 1, remaining - k * dp)
-            acc.pop()
-        rec(i + 1, remaining)
-
-    rec(0, deg)
+        elif i < len(pl):
+            P = pl[i]
+            stack.append((i + 1, remaining, acc))
+            for k in range(1, remaining // P.degree + 1):
+                stack.append((i + 1, remaining - k * P.degree,
+                              acc + ((P, k),)))
     return out
 
 
@@ -386,7 +392,6 @@ class PicardGroup:
     invariant_factors: tuple[int, ...]
     special_classes: int
     lpoly_coeffs: tuple[int, ...]
-    class_reps: tuple
 
     def to_dict(self) -> dict:
         return {
@@ -436,26 +441,6 @@ def _prime_exponents(curve, reps, ln: int, a: int):
     return exps
 
 
-def _merge_invariants(per_prime: dict) -> tuple[int, ...]:
-    """Invariant factor chain from per-prime exponent multisets."""
-    if not per_prime:
-        return ()
-    width = max(len(v) for v in per_prime.values())
-    factors = []
-    for t in range(width):
-        dt = 1
-        for ln, exps in per_prime.items():
-            if t < len(exps):
-                dt *= ln ** exps[t]
-        factors.append(dt)
-    factors.sort()
-    for a, b in zip(factors, factors[1:]):
-        if b % a:
-            raise InvariantViolation(
-                f"invariant factors {factors} fail the divisibility chain")
-    return tuple(factors)
-
-
 def picard_group(curve: CurveSpec, budget: int = COUNT_BUDGET) -> PicardGroup:
     """Order and abelian structure of the degree-zero class group."""
     base = curve.base
@@ -498,18 +483,17 @@ def picard_group(curve: CurveSpec, budget: int = COUNT_BUDGET) -> PicardGroup:
             f"{found} divisor classes enumerated, zeta order is {order}")
 
     reps = tuple(E - ginf for E in plain + special_reps)
-    per_prime = {}
-    for ln, a in sorted(fac.items()):
-        exps = _prime_exponents(curve, reps, ln, a)
-        per_prime[ln] = sorted(exps, reverse=True)
-    inv = _merge_invariants(per_prime)
-    total = 1
-    for dfac in inv:
-        total *= dfac
+    # the group is the cokernel of the diagonal of its prime powers l^e
+    diag = [ln ** e for ln, a in sorted(fac.items())
+            for e in _prime_exponents(curve, reps, ln, a)]
+    inv = tuple(snf.cokernel_factors(
+        [[d if i == j else 0 for j in range(len(diag))]
+         for i, d in enumerate(diag)], len(diag)))
+    total = math.prod(inv)
     if total != order:
         raise InvariantViolation(
             f"invariant factors {inv} multiply to {total}, not {order}")
-    return PicardGroup(order, inv, len(special_reps), P.coeffs, reps)
+    return PicardGroup(order, inv, len(special_reps), P.coeffs)
 
 
 # ---------------------------------------------------------------------------

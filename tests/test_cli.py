@@ -97,6 +97,16 @@ def test_principal_past_the_precision_cap_exits_3(capsys,
     assert "R1" in doc["detail"] and "PRECISION_CAP = 16" in doc["detail"]
 
 
+def test_principal_refuses_before_solving_past_the_cap(capsys) -> None:
+    # the condition at R1 has order 1 030, past PRECISION_CAP = 1024
+    code, doc = run_json(capsys, ["principal", "--m", "2", "--f",
+                                  "0,24,-50,35,-10,1", "--coeffs",
+                                  "1030,0,0,0", "--field", "11"])
+    assert (code, doc["error"]) == (3, "budget-exceeded")
+    assert "order 1030 at R1" in doc["detail"]
+    assert "PRECISION_CAP = 1024" in doc["detail"]
+
+
 def test_gauss(capsys) -> None:
     code, doc = run_json(capsys, ["gauss", "--p", "5", "--q", "2",
                                   "--a", "1"])
@@ -108,11 +118,15 @@ def test_gauss(capsys) -> None:
                                   "--a", "2", "--n", "2"])
     assert (code, doc["norm_is_p_to_n"]) == (0, True)
 
-    # GF(7^6) has 117649 elements, past the level cap of 100000
     code, doc = run_json(capsys, ["gauss", "--p", "7", "--q", "3",
                                   "--a", "2", "--n", "6"])
+    assert (code, doc["norm_is_p_to_n"]) == (0, True)
+
+    # GF(3^14) has 4782969 elements, past the table cap
+    code, doc = run_json(capsys, ["gauss", "--p", "3", "--q", "2",
+                                  "--a", "1", "--n", "14"])
     assert (code, doc["error"]) == (3, "budget-exceeded")
-    assert "117649" in doc["detail"] and "100000" in doc["detail"]
+    assert "GF(3^14)" in doc["detail"] and "4194304" in doc["detail"]
 
 
 def test_count_routes(capsys) -> None:
@@ -177,6 +191,16 @@ def test_picard(capsys) -> None:
     assert code == 0
     assert (doc["order"], doc["invariant_factors"], doc["lpoly"]) == \
         (26, [26], [1, 0, 0, 0, 25])
+
+
+def test_picard_with_more_places_than_the_recursion_limit(capsys) -> None:
+    # 1 008 rational places: the class enumeration once recursed one
+    # frame per place, past the default recursion limit of 1 000
+    code, doc = run_json(capsys, ["picard", "--m", "2", "--f", "2,1,0,1",
+                                  "--p", "1009"])
+    assert code == 0
+    assert (doc["order"], doc["invariant_factors"], doc["lpoly"]) == \
+        (1008, [4, 252], [1, -2, 1009])
 
 
 def test_conjecture_test(capsys) -> None:

@@ -92,6 +92,15 @@ def test_char_dividing_m_rejected():
         make_curve(3, [1, 1, 1], ctx)
 
 
+def test_coefficient_from_another_field_rejected():
+    K = gf.field(3, 2)
+    c = make_curve(2, [1, gf.FieldElem(K, 3), 0, 0, 0, 1], K)
+    assert c.coeffs[1] == 3
+    with pytest.raises(UnsupportedBase, match=r"GF\(3\) on a curve over "
+                                              r"GF\(3\^2\)"):
+        make_curve(2, [1, gf.FieldElem(gf.field(3), 1), 0, 0, 0, 1], K)
+
+
 def test_roots_sorted_and_indexed():
     c = curve_34_f7()
     assert c.roots == (0, 1, 2, 3)

@@ -11,10 +11,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import superjac
-from superjac import gf, picard, primes, zeta
-from superjac.errors import RequiresD1
+from superjac import curves, gf, picard, primes, snf, zeta
+from superjac.errors import PrecisionExhausted, RequiresD1
 from superjac.curves import (Divisor, FunctionRep, InfPlace, RamPlace,
                              base_change, closed_place, local_expansion,
                              make_curve, places_above, principal_divisor,
@@ -181,11 +182,14 @@ def test_picard_group_past_the_old_splitting_field():
 
 
 def test_picard_invariants_are_typed_under_python_O():
-    # the divisibility chain check must survive assert stripping
-    code = ("from superjac.errors import InvariantViolation\n"
-            "from superjac.picard import _merge_invariants\n"
+    # a wrong exponent list must fail the product check with asserts
+    # stripped: here the 3-part of |J| = 3 is reported as (Z/3)^2
+    code = ("from superjac import gf, picard\n"
+            "from superjac.curves import make_curve\n"
+            "from superjac.errors import InvariantViolation\n"
+            "picard._prime_exponents = lambda curve, reps, ln, a: [1, 1]\n"
             "try:\n"
-            "    _merge_invariants({2: [1, 2], 3: [2, 1]})\n"
+            "    picard.picard_group(make_curve(3, [1, 1, 1], gf.field(2)))\n"
             "except InvariantViolation as exc:\n"
             "    print(str(exc))\n")
     src = str(Path(superjac.__file__).resolve().parents[1])
@@ -193,7 +197,107 @@ def test_picard_invariants_are_typed_under_python_O():
                           capture_output=True, text=True,
                           env={"PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert "divisibility chain" in proc.stdout
+    assert "invariant factors (3, 3) multiply to 9, not 3" in proc.stdout
+
+
+def _diagonal_factors(per_prime):
+    diag = [ln ** e for ln, exps in sorted(per_prime.items()) for e in exps]
+    return snf.cokernel_factors([[d if i == j else 0 for j in range(len(diag))]
+                                 for i, d in enumerate(diag)], len(diag))
+
+
+@given(st.dictionaries(st.sampled_from([2, 3, 5, 7, 11]),
+                       st.lists(st.integers(1, 5), min_size=1, max_size=6),
+                       max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_smith_factors_of_prime_powers(per_prime):
+    # the invariant factors picard_group reports: a divisibility chain
+    # whose product is the order and whose l-adic valuations give back
+    # each l-part's partition
+    factors = _diagonal_factors(per_prime)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    assert math.prod(factors) == math.prod(
+        ln ** e for ln, exps in per_prime.items() for e in exps)
+    for ln, exps in per_prime.items():
+        vals = []
+        for d in factors:
+            v = 0
+            while d % ln == 0:
+                d //= ln
+                v += 1
+            vals.append(v)
+        assert sorted(v for v in vals if v) == sorted(exps)
+
+
+def _effective_divisors_by_recursion(places, deg):
+    """The recursive enumeration, kept as the order oracle."""
+    pl = sorted(places, key=lambda P: (P.degree, P.sort_key()))
+    out = []
+    acc = []
+
+    def rec(i, remaining):
+        if remaining == 0:
+            out.append(Divisor(acc))
+            return
+        if i == len(pl):
+            return
+        dp = pl[i].degree
+        for k in range(remaining // dp, 0, -1):
+            acc.append((pl[i], k))
+            rec(i + 1, remaining - k * dp)
+            acc.pop()
+        rec(i + 1, remaining)
+
+    rec(0, deg)
+    return out
+
+
+@pytest.mark.parametrize("curve", [
+    lambda: make_curve(3, [1, 1, 0, 0, 1], gf.field(2, 2)),
+    lambda: make_curve(2, [1, 2, 0, 0, 0, 1], gf.field(3, 2)),
+    lambda: make_curve(2, [1, 2, 0, 0, 0, 1], gf.field(7)),
+], ids=["gf4", "gf9", "gf7"])
+def test_effective_divisors_match_the_recursion(curve):
+    c = curve()
+    pls = enumerate_places(c, c.genus)
+    for deg in range(c.genus + 1):
+        got = effective_divisors(pls, deg)
+        want = _effective_divisors_by_recursion(pls, deg)
+        assert [E.items() for E in got] == [E.items() for E in want]
+
+
+def test_effective_divisors_past_the_recursion_limit():
+    # over 1 000 rational places: the recursion went one frame deeper
+    # per place
+    c = make_curve(2, [2, 1, 0, 1], gf.field(1009))
+    pls = enumerate_places(c, 1)
+    assert len(pls) > sys.getrecursionlimit()
+    effs = effective_divisors(pls, 1)
+    assert [E.items() for E in effs] == [[(P, 1)] for P in pls]
+
+
+def test_precision_refusal_comes_before_any_expansion(monkeypatch):
+    # a pole of order 1 030 at R1 asks for a condition past the cap
+    ctx = gf.field(11)
+    c = make_curve(2, gf.pfrom_roots(ctx, [0, 1, 2, 3, 4]), ctx)
+    expanded = []
+    real = picard.local_expansion
+
+    def recording(curve, place, prec=None):
+        expanded.append((place, prec))
+        return real(curve, place, prec)
+
+    monkeypatch.setattr(picard, "local_expansion", recording)
+    D = Divisor([(c.ram_place(1), 1030), (c.inf_place(), -1030)])
+    with pytest.raises(PrecisionExhausted,
+                       match="R1 .* PRECISION_CAP = 1024"):
+        is_principal(c, D)
+    assert expanded == []
+    monkeypatch.setattr(curves, "PRECISION_CAP", 16)
+    with pytest.raises(PrecisionExhausted, match="PRECISION_CAP = 16"):
+        function_space(c, -Divisor([(c.ram_place(1), 20),
+                                    (c.inf_place(), -20)]))
+    assert expanded == []
 
 
 # ---------------------------------------------------------------------------

@@ -296,14 +296,12 @@ def _enumerated_lpoly(p, m, a):
 
 def test_orbit_route_matches_enumeration_on_grid():
     # every pair of the criterion-06 grid with q not dividing p - 1 whose
-    # enumeration fits its budget; (2, 13) sums over GF(2^12), past the
-    # level cap of the Hasse-Davenport grid
+    # enumeration fits its budget; (2, 13) sums over GF(2^12)
     grid = itertools.permutations([2, 3, 5, 7, 11, 13], 2)
     pairs = [(p, q) for p, q in grid
              if (p - 1) % q and p ** ((p - 1) * (q - 1) // 2) <= 200_000]
     assert len(pairs) == 9
-    assert max(k for _, k in characters.frobenius_orbits(2, 13)) \
-        > characters.MAX_LEVEL
+    assert max(k for _, k in characters.frobenius_orbits(2, 13)) == 12
     for p, q in pairs:
         for a in range(1, p):
             assert zeta_numerator_charsum(p, q, a).coeffs == \
