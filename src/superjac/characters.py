@@ -87,8 +87,12 @@ def modified_gauss_sum(p: int, q_order: int, c: int, u: int, a: int,
     u %= M
     a %= p
     ctx = gf.field(p, n)
-    # ind(N(w)) = s * log(w) with s = ind(N(g)) for the generator g
-    s = gf.field(p).dlog(ctx.norm(ctx.gen))
+    # ind(N(w)) = s * log(w) with s = ind(N(g)), N(g) = g^((q - 1)/(p - 1))
+    # for the generator g of GF(q)
+    ng = ctx.exp_gen((ctx.order - 1) // (p - 1))
+    if ng >= p:
+        raise InvariantViolation("norm of the generator left GF(p)")
+    s = gf.field(p).dlog(ng)
     total = _gauss_sum(p, n, M, c, u * s, a)
     if u == 0:
         # chi(0) = 1: the w = 0 term contributes psi_c(-a)

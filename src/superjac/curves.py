@@ -21,6 +21,11 @@ Local expansions are taken at affine places only, with one Newton lift
     y^m = F(x0 + t);
   * ramification point (alpha, 0):              t = y, x(t) solves
     F(x) = t^m.
+Each place keeps one expansion, holding the most terms asked of it so
+far.  A longer request lengthens it by the same Newton lift, started
+from the terms already known, and checks the residual again; a shorter
+one reads off a prefix.  The series is unique once t is fixed, so every
+prefix is the expansion at its own precision.
 Affine valuations are read off these series.  At infinity valuations
 use a closed form instead: per branch v(x) = -m/d and v(y) = -r/d, so
 g_j(x) y^j has order -(m deg g_j + r j)/d.  When d = 1 these orders are
@@ -68,6 +73,9 @@ class RamPlace:
     @property
     def degree(self) -> int:
         return 1
+
+    def rep(self) -> tuple[int, int]:
+        return (self.alpha, 0)
 
     def sort_key(self):
         return (0, self.idx, 0)
@@ -240,9 +248,6 @@ class CurveSpec:
 
     def inf_place(self) -> InfPlace:
         return InfPlace(self.d)
-
-    def default_prec(self) -> int:
-        return max(8, 2 * self.genus + 4)
 
     def name(self) -> str:
         base = "Q" if self.base is None else self.base.name()
@@ -612,26 +617,25 @@ class LocalExpansion:
             raise InvariantViolation(f"expansion residual at order {k}")
 
 
-def local_expansion(curve: CurveSpec, place, prec: int | None = None) -> LocalExpansion:
-    """Exact local expansion at an affine place, cached per (place, prec)."""
+def local_expansion(curve: CurveSpec, place, prec: int) -> LocalExpansion:
+    """Exact local expansion at an affine place to prec terms, read from
+    (or lengthened into) the one expansion the place keeps."""
     if curve.base is None:
         raise UnsupportedBase("local expansions need a finite base field")
-    if prec is None:
-        prec = curve.default_prec()
-    key = (place, prec)
-    got = curve._exp_cache.get(key)
-    if got is None:
-        got = _expand(curve, place, prec)
-        curve._exp_cache[key] = got
-        if len(curve._exp_cache) > 4096:
-            curve._exp_cache.clear()
-    return got
+    got = curve._exp_cache.get(place)
+    if got is None or got.prec < prec:
+        got = _expand(curve, place, prec, got)
+        curve._exp_cache[place] = got
+    if got.prec == prec:
+        return got
+    return LocalExpansion(curve, place, got.ctx, prec, got.x_ser[:prec],
+                          got.y_ser[:prec])
 
 
 def _place_point(curve: CurveSpec, place):
     """(ctx, x0, y0) for an affine place, with curve coefficients visible."""
     if isinstance(place, RamPlace):
-        return curve.base, place.alpha, 0
+        return (curve.base, *place.rep())
     if not isinstance(place, ClosedPlace):
         raise UnsupportedCollision(
             f"no local expansion at {place!r}: expansions are taken at "
@@ -645,7 +649,10 @@ def _place_point(curve: CurveSpec, place):
     return ctx, x0, y0
 
 
-def _expand(curve: CurveSpec, place, prec: int) -> LocalExpansion:
+def _expand(curve: CurveSpec, place, prec: int,
+            known: LocalExpansion | None = None) -> LocalExpansion:
+    """The expansion at place to prec terms; the Newton lift starts from
+    known, a shorter expansion at the same place, when one is given."""
     ctx, x0, y0 = _place_point(curve, place)
     cs = list(curve.ext_coeffs(ctx))
     m = curve.m
@@ -657,7 +664,7 @@ def _expand(curve: CurveSpec, place, prec: int) -> LocalExpansion:
         xs = [x0] + t[1:]
         fx = s_poly(ctx, cs, xs, prec)
         mm = m % ctx.p
-        ys = _newton(ctx, y0, prec,
+        ys = _newton(ctx, known.y_ser if known else [y0], prec,
                      lambda y, k: s_sub(ctx, s_pow(ctx, y, m, k), fx[:k]),
                      lambda y, k: s_scale(ctx, s_pow(ctx, y, m - 1, k), mm))
     else:
@@ -666,7 +673,7 @@ def _expand(curve: CurveSpec, place, prec: int) -> LocalExpansion:
         tm = [0] * prec
         if m < prec:
             tm[m] = 1
-        xs = _newton(ctx, x0, prec,
+        xs = _newton(ctx, known.x_ser if known else [x0], prec,
                      lambda x, k: s_sub(ctx, s_poly(ctx, cs, x, k), tm[:k]),
                      lambda x, k: s_poly(ctx, der, x, k))
         ys = t
@@ -675,17 +682,17 @@ def _expand(curve: CurveSpec, place, prec: int) -> LocalExpansion:
     return exp
 
 
-def _newton(ctx, u0, prec: int, resid, deriv) -> list[int]:
-    """The series u with u(0) = u0 and resid(u) = 0, to prec terms.
+def _newton(ctx, head, prec: int, resid, deriv) -> list[int]:
+    """The series u with resid(u) = 0 that starts with head, to prec terms.
 
-    resid and deriv map (u, k) to k terms of the equation and of its
-    derivative in u; deriv(u)(0) must be a unit (s_inv checks it), which
-    makes the root unique.  Each Newton step u <- u - resid/deriv doubles
-    the number of correct terms.
+    head is an exact prefix of the root (its constant term alone for a
+    fresh place).  resid and deriv map (u, k) to k terms of the equation
+    and of its derivative in u; deriv(u)(0) must be a unit (s_inv checks
+    it), which makes the root unique.  Each Newton step
+    u <- u - resid/deriv doubles the number of correct terms.
     """
-    u = [0] * prec
-    u[0] = u0
-    known = 1
+    known = len(head)
+    u = list(head) + [0] * (prec - known)
     while known < prec:
         known = min(2 * known, prec)
         cur = u[:known]
@@ -707,7 +714,7 @@ def valuation(curve: CurveSpec, f: FunctionRep, place) -> int:
     """Exact valuation of f at a place (per branch at infinity)."""
     if isinstance(place, InfPlace):
         return _valuation_inf(curve, f)
-    prec = curve.default_prec()
+    prec = max(8, 2 * curve.genus + 4)
     while prec <= PRECISION_CAP:
         try:
             return _series_val_affine(curve, f, place, prec)

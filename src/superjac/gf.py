@@ -310,58 +310,39 @@ class FieldCtx:
             raise InvariantViolation(f"g^{t} is not an {m}-th root")
         return y
 
-    def trace(self, a: int) -> int:
-        """Absolute trace down to the prime field, returned as an integer."""
-        if self.n == 1:
-            return a
-        acc = a
-        t = a
-        for _ in range(self.n - 1):
-            t = self.frob(t)
-            acc = self.add(acc, t)
-        if acc >= self.p:
-            raise InvariantViolation("trace left the prime field")
-        return acc
-
     def trace_table(self, sub: FieldCtx | None = None) -> list[int]:
         """Trace down to the subfield sub (the prime field when omitted)
         of every element, indexed by packed value, as packed elements of
         sub under the canonical embedding.
 
         The trace is F_p-linear, so Tr(sum c_i X^i) = sum c_i Tr(X^i):
-        n traces taken one by one give all p^n of them.
+        the n basis traces, each a sum of relative Frobenius conjugates,
+        give all p^n of them.
         """
         p = self.p
-        if sub is None or sub.n == 1:
+        step = 1 if sub is None else sub.n
+        basis = []
+        for i in range(self.n):
+            acc = 0
+            for k in range(0, self.n, step):
+                acc = self.add(acc, self.frob(p ** i, k))
+            basis.append(acc)
+        if step == 1:
+            if max(basis) >= p:
+                raise InvariantViolation("trace left the prime field")
             table = [0]
-            for i in range(self.n):
-                t = self.trace(p ** i)
+            for t in basis:
                 table = [(s + c * t) % p for c in range(p) for s in table]
             return table
         emb = embedding(sub, self)
         table = [0]
-        for i in range(self.n):
-            acc = 0
-            for k in range(0, self.n, sub.n):
-                acc = self.add(acc, self.frob(p ** i, k))
-            table = [self.add(s, self.mul(c, acc))
+        for t in basis:
+            table = [self.add(s, self.mul(c, t))
                      for c in range(p) for s in table]
         out = [emb.preimage(v) for v in table]
         if None in out:
             raise InvariantViolation(f"trace left {sub.name()}")
         return out
-
-    def norm(self, a: int) -> int:
-        """Absolute norm down to the prime field, returned as an integer."""
-        if self.n == 1:
-            return a
-        if a == 0:
-            return 0
-        v = self._exp[self._log[a] * ((self.order - 1) // (self.p - 1))
-                      % (self.order - 1)]
-        if v >= self.p:
-            raise InvariantViolation("norm left the prime field")
-        return v
 
     def log_tables(self) -> tuple[int, list[int], list[int], list[int], int]:
         """(order - 1, exp, log, zech, log(-1)) of the field.

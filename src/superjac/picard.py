@@ -48,9 +48,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import curves, gf, primes, snf
-from .curves import (CurveSpec, Divisor, FunctionRep, InfPlace, RamPlace,
-                     _descend, base_change, local_expansion, places_above,
-                     s_mul, valuation)
+from .curves import (CurveSpec, Divisor, FunctionRep, InfPlace, _descend,
+                     _place_point, base_change, local_expansion,
+                     places_above, s_mul, valuation)
 from .errors import (BudgetExceeded, IncompleteEnumeration,
                      InvariantViolation, PrecisionExhausted, RequiresD1,
                      SuperjacError, UnsupportedBase)
@@ -69,9 +69,8 @@ SCAN_CAP = 50_000
 
 
 def _place_mult(curve: CurveSpec, place) -> int:
-    """Valuation at an affine place of the minimal polynomial of its x."""
-    if isinstance(place, RamPlace):
-        return curve.m
+    """Valuation at an affine place of the minimal polynomial of its x:
+    m at a ramification point (y0 = 0), 1 elsewhere."""
     return curve.m if place.rep()[1] == 0 else 1
 
 
@@ -210,11 +209,7 @@ def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
     # group the affine support by fiber: one entry per x-coordinate orbit
     fibers: dict = {}
     for place in aff:
-        if isinstance(place, RamPlace):
-            xctx, x0 = base, place.alpha
-        else:
-            xctx = gf.field(place.base_p, place.base_n * place.b)
-            x0 = place.rep()[0]
+        xctx, x0, _ = _place_point(curve, place)
         fiber = tuple(places_above(curve, xctx, x0))
         if place not in fiber:
             raise InvariantViolation("support place missing from its fiber")

@@ -111,11 +111,11 @@ def test_roots_sorted_and_indexed():
 def test_expansion_residuals_affine():
     c = curve_34_f7()
     # unramified point: x=5, F(5)=5*4*3*2=120=1 mod 7, y^3=1 has y=1,2,4
-    exp = local_expansion(c, ClosedPlace(7, 1, 1, ((5, 1),)))
+    exp = local_expansion(c, ClosedPlace(7, 1, 1, ((5, 1),)), 10)
     assert exp.residual_order() is None
     assert exp.x_ser[0] == 5 and exp.y_ser[0] == 1
     # ramification point
-    exp2 = local_expansion(c, c.ram_place(1))
+    exp2 = local_expansion(c, c.ram_place(1), 10)
     assert exp2.residual_order() is None
     assert exp2.y_ser[:2] == [0, 1]
     # x - alpha has t-order m at the ramification point
@@ -161,12 +161,101 @@ def test_no_expansion_at_infinity(r, d):
     c = make_curve(2, gf.pfrom_roots(ctx, list(range(r))), ctx)
     assert c.d == d
     with pytest.raises(UnsupportedCollision):
-        local_expansion(c, c.inf_place())
+        local_expansion(c, c.inf_place(), 8)
+
+
+# one place of each kind: (curve key, x-degree over the base of the place
+# sought, ramified); y^2 = x^5 + 2x + 1 over GF(5) has all four pairings
+# of ramified/unramified with a prime/extension residue field, and
+# y^3 = x^4 + x + 1 over GF(4) adds a non-prime base
+GROWTH_CURVES = {
+    "f5": (2, [1, 2, 0, 0, 0, 1], (5, 1)),
+    "f4": (3, [1, 1, 0, 0, 1], (2, 2)),
+}
+GROWTH_PLACES = [("f5", 1, True), ("f5", 4, True), ("f5", 1, False),
+                 ("f5", 2, False), ("f4", 2, True), ("f4", 1, False),
+                 ("f4", 2, False)]
+
+
+def growth_curve(key):
+    m, cs, (p, n) = GROWTH_CURVES[key]
+    return make_curve(m, cs, gf.field(p, n))
+
+
+def growth_place(curve, b: int, ramified: bool):
+    """The first place of the curve over an x of degree b, y0 = 0 or not."""
+    base = curve.base
+    xctx = gf.field(base.p, base.n * b)
+    for x0 in xctx.elements():
+        if len(xctx.frob_orbit(x0, base.n)) != b:
+            continue
+        for P in places_above(curve, xctx, x0):
+            if (P.rep()[1] == 0) == ramified:
+                return P
+    raise AssertionError(f"no place of that kind over degree {b}")
+
+
+@pytest.mark.parametrize("order", [(3, 9, 30), (30, 5), (7, 7)])
+@pytest.mark.parametrize("key,b,ramified", GROWTH_PLACES)
+def test_grown_expansion_equals_fresh(key, b, ramified, order):
+    # one expansion per place: lengthened, shortened or asked again, every
+    # answer equals an expansion computed from scratch at that precision
+    c = growth_curve(key)
+    P = growth_place(c, b, ramified)
+    for prec in order:
+        got = local_expansion(c, P, prec)
+        fresh = curves._expand(growth_curve(key), P, prec)
+        assert (got.prec, got.ctx, got.x_ser, got.y_ser) == \
+            (prec, fresh.ctx, fresh.x_ser, fresh.y_ser)
+        assert got.residual_order() is None
+        assert list(c._exp_cache) == [P]
+        assert c._exp_cache[P].prec == max(order[:order.index(prec) + 1])
+
+
+def test_growth_places_cover_every_kind():
+    kinds = set()
+    for key, b, ramified in GROWTH_PLACES:
+        c = growth_curve(key)
+        le = local_expansion(c, growth_place(c, b, ramified), 2)
+        assert (le.y_ser[0] == 0) == ramified
+        kinds.add((ramified, le.ctx.n == 1))
+    assert kinds == {(r, pr) for r in (False, True) for pr in (False, True)}
+
+
+@pytest.mark.parametrize("key,b,ramified", GROWTH_PLACES)
+def test_shorter_or_repeated_request_takes_no_newton_step(
+        monkeypatch, key, b, ramified):
+    # only a longer request lifts, and every lift re-checks the residual
+    # at its new length
+    calls = []
+    checks = []
+    real = curves._newton
+    real_check = curves.LocalExpansion.check
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    def checking(self):
+        checks.append(self.prec)
+        return real_check(self)
+
+    monkeypatch.setattr(curves, "_newton", counting)
+    monkeypatch.setattr(curves.LocalExpansion, "check", checking)
+    c = growth_curve(key)
+    P = growth_place(c, b, ramified)
+    local_expansion(c, P, 30)
+    assert calls == checks == [30]
+    local_expansion(c, P, 5)
+    local_expansion(c, P, 30)
+    assert calls == checks == [30]
+    local_expansion(c, P, 40)
+    assert calls == checks == [30, 40]
 
 
 def test_wrong_expansion_fails_its_check():
     c = curve_34_f7()
-    good = local_expansion(c, c.ram_place(1))
+    good = local_expansion(c, c.ram_place(1), 10)
     bad_x = list(good.x_ser)
     bad_x[5] = (bad_x[5] + 1) % 7
     bad = curves.LocalExpansion(c, good.place, good.ctx, good.prec, bad_x,

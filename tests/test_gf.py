@@ -23,6 +23,20 @@ def rel_trace(K: gf.FieldCtx, a: int, sub_n: int) -> int:
     return acc
 
 
+def trace(K: gf.FieldCtx, a: int) -> int:
+    """Absolute trace of a, by its Frobenius conjugates."""
+    return rel_trace(K, a, 1)
+
+
+def norm(K: gf.FieldCtx, a: int) -> int:
+    """Absolute norm of a, by its Frobenius conjugates."""
+    acc = t = a
+    for _ in range(K.n - 1):
+        t = K.frob(t)
+        acc = K.mul(acc, t)
+    return acc
+
+
 def from_coeffs(K: gf.FieldCtx, cs) -> int:
     """Packed value of a coefficient vector, constant term first."""
     v = 0
@@ -37,8 +51,8 @@ def test_gf4_defining_poly_and_trace():
     assert K.defpoly == (1, 1, 1)
     omega = 2  # packed "x"
     assert K.mul(omega, omega) == K.add(omega, 1)  # x^2 = x + 1
-    assert K.trace(omega) == 1
-    assert K.norm(omega) == 1
+    assert K.trace_table()[omega] == trace(K, omega) == 1
+    assert norm(K, omega) == 1
     assert K.pow(omega, 3) == 1
 
 
@@ -102,7 +116,11 @@ def test_frobenius_is_additive_and_fixes_prime_field(p, n):
 
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 2), (5, 3), (7, 2)])
 def test_trace_norm_against_definitions(p, n):
+    # the trace table and the norm as a generator power (the form
+    # characters.modified_gauss_sum uses) against the conjugate sums and
+    # products
     K = gf.field(p, n)
+    table = K.trace_table()
     rng = random.Random(99)
     for _ in range(60):
         a = rng.randrange(K.order)
@@ -113,15 +131,19 @@ def test_trace_norm_against_definitions(p, n):
             tr = K.add(tr, t)
             nm = K.mul(nm, t)
             t = K.frob(t)
-        assert K.trace(a) == tr
-        assert K.norm(a) == nm
+        assert table[a] == trace(K, a) == tr
+        assert norm(K, a) == nm
+        if a:
+            assert K.exp_gen(K.dlog(a) * ((K.order - 1) // (p - 1))) == nm
+    assert norm(K, K.gen) == K.exp_gen((K.order - 1) // (p - 1)) < p
 
 
 def test_trace_surjective_and_balanced():
     K = gf.field(3, 4)
     counts = {0: 0, 1: 0, 2: 0}
+    table = K.trace_table()
     for a in K.elements():
-        counts[K.trace(a)] += 1
+        counts[table[a]] += 1
     assert counts[0] == counts[1] == counts[2] == 27
 
 
@@ -134,7 +156,7 @@ def test_tower_trace_transitivity():
         rt = rel_trace(K, a, 2)
         pre = emb.preimage(rt)
         assert pre is not None, "relative trace not in the subfield"
-        assert sub.trace(pre) == K.trace(a)
+        assert trace(sub, pre) == trace(K, a)
 
 
 @pytest.mark.parametrize("p,n,s", [(2, 4, 2), (2, 6, 2), (2, 6, 3),
@@ -148,7 +170,7 @@ def test_trace_table_to_a_subfield(p, n, s):
     assert len(table) == K.order
     for a in K.elements():
         assert emb.apply(table[a]) == rel_trace(K, a, s)
-        assert sub.trace(table[a]) == K.trace(a)
+        assert trace(sub, table[a]) == trace(K, a)
 
 
 def test_embedding_is_ring_hom():

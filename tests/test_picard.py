@@ -276,6 +276,27 @@ def test_effective_divisors_past_the_recursion_limit():
     assert [E.items() for E in effs] == [[(P, 1)] for P in pls]
 
 
+def test_class_group_keeps_one_expansion_per_place(monkeypatch):
+    # every expansion picard_group asks for, through function_space or
+    # the valuation re-check, lands in one cache entry per place, holding
+    # the longest precision asked there
+    c = make_curve(2, [1, 2, 0, 0, 0, 1], gf.field(5))
+    asked = {}
+    real = curves.local_expansion
+
+    def recording(curve, place, prec):
+        if curve is c:
+            asked[place] = max(prec, asked.get(place, 0))
+        return real(curve, place, prec)
+
+    monkeypatch.setattr(curves, "local_expansion", recording)
+    monkeypatch.setattr(picard, "local_expansion", recording)
+    assert picard_group(c).invariant_factors == (26,)
+    assert len(asked) > 1 and len({P.degree for P in asked}) > 1
+    assert set(c._exp_cache) == set(asked)
+    assert {P: le.prec for P, le in c._exp_cache.items()} == asked
+
+
 def test_precision_refusal_comes_before_any_expansion(monkeypatch):
     # a pole of order 1 030 at R1 asks for a condition past the cap
     ctx = gf.field(11)
