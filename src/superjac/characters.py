@@ -23,11 +23,17 @@ Two families of multiplicative characters are used.
   prime to p.  The nonzero residues u mod M fall into orbits under
   u -> p*u; the orbit of u has k = ord_d(p) members, d = M / gcd(u, M),
   and chi_u(w) = zeta_M^(u * log w) is a character of GF(p^k)^*, log
-  being the discrete log to that field's stored generator.
+  being the discrete log to that field's stored generator.  When
+  (p, d) is semiprimitive, that is d > 2 and p^s = -1 mod d for some
+  s, k = 2s and Stickelberger's theorem gives the sum in closed form,
+  eps * p^s * zeta_p^(-c k a) with eps = 1 for p = 2 and
+  (-1)^((p^s + 1)/d) otherwise (Berndt, Evans and Williams, Gauss and
+  Jacobi Sums, Thm 11.6.3); no field is built.
 
-Both families read one histogram per field: the counts of
+Every other sum reads one histogram per field: the counts of
 (Tr(w), log(w) mod L) over the nonzero w.  Only the field-table cap
-bounds the level.
+bounds the level.  The histogram stays the oracle for the closed form
+in the tests.
 """
 
 from __future__ import annotations
@@ -107,35 +113,37 @@ def modified_gauss_sum(p: int, q_order: int, c: int, u: int, a: int,
     return total
 
 
-def frobenius_orbits(p: int, M: int) -> list[tuple[int, int]]:
-    """(u, k) for every orbit of u -> p*u on the nonzero residues mod M:
-    its least member u and its size k = ord_(M / gcd(u, M))(p)."""
-    if M % p == 0:
-        raise CharacterUnavailable(
-            f"no Frobenius orbits mod {M} in characteristic {p}")
-    seen: set[int] = set()
-    out = []
-    for u in range(1, M):
-        if u in seen:
-            continue
-        v, k = u, 0
-        while True:
-            seen.add(v)
-            k += 1
-            v = v * p % M
-            if v == u:
-                break
-        out.append((u, k))
-    return out
+def semiprimitive(p: int, d: int) -> int | None:
+    """The least s with p^s = -1 mod d when d > 2 and one exists, else
+    None.  Then (p, d) is semiprimitive and ord_d(p) = 2s."""
+    if d <= 2:
+        return None
+    k = primes.multiplicative_order(p, d)
+    if k % 2 or pow(p, k // 2, d) != d - 1:
+        return None
+    return k // 2
 
 
 def orbit_gauss_sum(p: int, M: int, c: int, u: int, a: int) -> CycloInt:
     """G_(c,O) = sum over nonzero w in GF(p^k) of
     zeta_M^(u log w) zeta_p^(c (Tr w - k a)), exactly in Z[zeta_(p*M)],
-    where k = ord_(M / gcd(u, M))(p) is the size of the Frobenius orbit
-    O of u.  Every member of O gives the same sum."""
-    k = primes.multiplicative_order(p, M // math.gcd(u, M))
-    return _gauss_sum(p, k, M, c % p, u % M, a % p)
+    where k = ord_d(p), d = M / gcd(u, M), is the size of the Frobenius
+    orbit O of u.  Every member of O gives the same sum.
+
+    A semiprimitive (p, d) with c nonzero mod p takes Stickelberger's
+    closed form and builds no table; every other pair reads the
+    histogram of GF(p^k)."""
+    d = M // math.gcd(u, M)
+    k = primes.multiplicative_order(p, d)
+    s = semiprimitive(p, d)
+    if s is None or c % p == 0:
+        return _gauss_sum(p, k, M, c % p, u % M, a % p)
+    # g(chi, psi_1) = eps p^s over GF(p^(2s)) (Berndt, Evans and Williams,
+    # Thm 11.6.3); chi is trivial on GF(p)^* since d | p^s + 1, so psi_c
+    # gives the same sum, and the shift by a adds zeta_p^(-c k a)
+    eps = -1 if p > 2 and (p ** s + 1) // d % 2 else 1
+    return cyclo(p * M).from_zeta_exponents(
+        {M * ((-c * k * a) % p): eps * p ** s})
 
 
 def _require_nontrivial(p: int, q_order: int, c: int, u: int) -> None:

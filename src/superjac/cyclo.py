@@ -93,6 +93,26 @@ def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
     return tuple(num)
 
 
+@lru_cache(maxsize=None)
+def _trace_table(N: int) -> tuple[int, ...]:
+    """Tr(zeta_N^e) for e = 0..phi(N)-1: the Ramanujan sum
+    mu(N/g) phi(N) / phi(N/g) with g = gcd(e, N)."""
+    def phi_mu(n: int) -> tuple[int, int]:
+        fac = primes.factorize(n)
+        phi = n
+        for l in fac:
+            phi = phi // l * (l - 1)
+        mu = 0 if any(v > 1 for v in fac.values()) else (-1) ** len(fac)
+        return phi, mu
+
+    phi_N, _ = phi_mu(N)
+    out = []
+    for e in range(phi_N):
+        phi_r, mu_r = phi_mu(N // math.gcd(e, N))
+        out.append(mu_r * (phi_N // phi_r))
+    return tuple(out)
+
+
 class CycloCtx:
     """Ring context for Z[zeta_N]."""
 
@@ -241,6 +261,11 @@ class CycloInt:
 
     def conjugate(self) -> "CycloInt":
         return self.galois(self.ctx.N - 1)
+
+    def trace(self) -> int:
+        """Tr_(Q(zeta_N)/Q) of the element, linear on the power basis."""
+        return sum(a * t for a, t in zip(self.coeffs, _trace_table(self.ctx.N))
+                   if a)
 
     def __repr__(self) -> str:
         return f"CycloInt(N={self.ctx.N}, {list(self.coeffs)})"

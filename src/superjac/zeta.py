@@ -13,19 +13,35 @@ Weil's Frobenius-orbit product of Gauss sums
            of (1 + G_(c,O) T^k_O),
 
 with G_(c,O) a Gauss sum over GF(p^k_O), k_O the orbit size.  The
-enumeration costs p^g, the character sums p^k with k the largest orbit
-size (k = 1 when m | p - 1).  ``artin_schreier_lpoly`` is the one entry
-point that picks between them, in this order:
+factors whose characters have one order d | m are Galois conjugates of
+one sum G_d over GF(p^k_d), k_d = ord_d(p), so P is built from the
+traces of the powers of one G_d per divisor d > 1 (see
+``zeta_numerator_charsum``); the product itself is the test oracle.  A
+semiprimitive (p, d) gives G_d in Stickelberger's closed form, with no
+field table (``characters.orbit_gauss_sum``).  The enumeration costs
+p^g; the character sums cost p^k, k the largest k_d of a d that is not
+semiprimitive, and nothing else (k = 1 when m | p - 1).
+``artin_schreier_lpoly`` is the one entry point that picks between
+them, in this order:
 
 1. character sums when m | p - 1;
 2. enumeration when p^g <= budget;
-3. character sums over the orbit fields when every p^k_O <= budget;
+3. character sums when p^k_d <= budget for every d that is not
+   semiprimitive;
 4. otherwise BudgetExceeded.
 
 The budget is also clipped to the field-table cap, and the route and
 any refusal are decided from p, m and the budget alone, before any
-field table is built.  Keeping both routes is the point; they
-cross-check each other in the tests.
+field table is built.
+
+Every character-sum P is checked against N_1 and N_2 by enumeration
+over GF(p) and GF(p^2), at each level within the budget.  Those counts
+test only the factors with k_d <= 2: a factor in T^k_d, k_d > 2, leaves
+N_1 and N_2 trivial.  Past that, a P rests on the Gauss-sum theorems,
+the typed checks inside ``zeta_numerator_charsum`` (norms, trace
+divisibility, integral Newton steps, the functional equation at the
+middle coefficient), the torsion iff of ``torsion_criterion``, and the
+tests, which compare it with the orbit product and with enumeration.
 """
 
 from __future__ import annotations
@@ -34,9 +50,9 @@ import math
 from dataclasses import dataclass
 
 from . import gf, primes
-from .characters import frobenius_orbits, orbit_gauss_sum
+from .characters import orbit_gauss_sum, semiprimitive
 from .curves import CurveSpec, make_curve
-from .cyclo import cyclo
+from .cyclo import _zmul
 from .errors import (
     BudgetExceeded,
     CharacterUnavailable,
@@ -160,7 +176,10 @@ def count_points(curve: CurveSpec, n: int = 1,
 
     One rational point at infinity, one point over each root of F, and
     t = gcd(m, order - 1) points over each x where F(x) is a nonzero
-    t-th power, that is, where its log is divisible by t.  The loop
+    t-th power, that is, where its log is divisible by t.  When t = 1,
+    y -> y^m permutes the field, so the count is order + 1 for every F
+    and no table is built (after the budget check, so that the same
+    calls refuse).  Otherwise the loop
     stays in the log domain: at x = g^k the term c_i x^i of F has log
     log(c_i) + i*k, and the terms are summed by Zech additions.  Logs
     are reduced only to index the Zech table, as t divides order - 1.
@@ -173,10 +192,12 @@ def count_points(curve: CurveSpec, n: int = 1,
     order = base.order ** n
     if order > budget:
         raise BudgetExceeded(f"enumeration over order {order} exceeds budget")
+    t = math.gcd(curve.m, order - 1)
+    if t == 1:
+        return order + 1
     ext = gf.field(base.p, base.n * n)
     q1, _, log, zech, _ = ext.log_tables()
     cs = curve.ext_coeffs(ext)
-    t = math.gcd(curve.m, q1)
     (l0, i0), *rest = [(log[c], i) for i, c in enumerate(cs) if c]
     c0 = cs[0]
     # the point at infinity, then x = 0
@@ -225,30 +246,79 @@ def counts_by_charsum(p: int, m: int, a: int, upto: int) -> list[int]:
     return [P.point_count(n) for n in range(1, upto + 1)]
 
 
-def zeta_numerator_charsum(p: int, m: int, a: int) -> LPolynomial:
-    """P(T) = prod over c in F_p^* and Frobenius orbits O of u -> p*u
-    on Z/m - 0 of (1 + G_(c,O) T^k_O), expanded exactly in Z[zeta_pm].
+def _character_degrees(p: int, m: int) -> list[tuple[int, int]]:
+    """(d, k_d) for every divisor d > 1 of m: the orders of the
+    nontrivial characters mod m and k_d = ord_d(p), the degree of the
+    field GF(p^k_d) that the Gauss sums of order d live on."""
+    return [(d, primes.multiplicative_order(p, d))
+            for d in range(2, m + 1) if m % d == 0]
 
-    Any m prime to p; k_O = 1 for every orbit when m | p - 1.  Every
-    coefficient must come out a rational integer.
+
+def zeta_numerator_charsum(p: int, m: int, a: int,
+                           budget: int = COUNT_BUDGET) -> LPolynomial:
+    """P(T) = prod over divisors d > 1 of m of R_d(T^k_d), k_d = ord_d(p),
+    for any m prime to p, from one Gauss sum per d.
+
+    The roots of R_d(X) = prod (1 + beta X) are the Galois conjugates of
+    G_d = ``orbit_gauss_sum(p, d, 1, 1, a)`` in Z[zeta_pd], each taken k_d
+    times, so their power sums are S_j = Tr(G_d^j) / k_d.  Newton's
+    identities give the coefficients e_1..e_h of R_d, h = ceil(n/2) of
+    its n = (p - 1) phi(d) / k_d, and R_d's functional equation
+    e_(n-j) = p^(k_d n/2 - k_d j) e_j gives the rest.
+
+    Checks, all typed: G_d conj(G_d) = p^k_d, each trace divisible by
+    k_d, Newton's identities integral, the functional equation at the
+    middle coefficient, and N_1, N_2 of P against ``count_points`` at
+    each level whose field fits the budget and the table cap.  N_1 and
+    N_2 test the factors with k_d <= 2; a factor with k_d > 2 changes
+    neither, so there the check confirms only the trivial counts.
     """
     _require_a(p, a)
-    ring = cyclo(p * m)
-    poly = [ring.from_int(1)]
-    for u, k in frobenius_orbits(p, m):
-        for c in range(1, p):
-            g = orbit_gauss_sum(p, m, c, u, a)
-            poly.extend([ring.from_int(0)] * k)
-            for i in range(len(poly) - k - 1, -1, -1):
-                if not poly[i].is_zero():
-                    poly[i + k] = poly[i + k] + poly[i] * g
-    coeffs = []
-    for cf in poly:
-        if not cf.is_rational():
-            raise InvariantViolation("numerator coefficient must be rational")
-        coeffs.append(cf.rational_value())
-    genus = (p - 1) * (m - 1) // 2
-    return lpoly(p, genus, coeffs)
+    if m % p == 0:
+        raise CharacterUnavailable(
+            f"no characters of order {m} in characteristic {p}")
+    coeffs = [1]
+    for d, k in _character_degrees(p, m):
+        G = orbit_gauss_sum(p, d, 1, 1, a)
+        if G * G.conjugate() != p ** k:
+            raise InvariantViolation(f"Gauss sum of order {d} must have "
+                                     f"norm {p}^{k}")
+        n = G.ctx.phi // k
+        h = (n + 1) // 2
+        s, g = [], G
+        for j in range(1, h + 1):
+            if j > 1:
+                g = g * G
+            tr = g.trace()
+            if tr % k:
+                raise InvariantViolation(
+                    f"trace of G^{j} must be divisible by k = {k}")
+            s.append((-1) ** j * (tr // k))
+        e = _from_power_sums(s)      # prod (1 - alpha X) with alpha = -beta
+        top = k * n // 2
+        if e[h] != p ** (top - k * (n - h)) * e[n - h]:
+            raise InvariantViolation(
+                f"functional equation fails in the factor of order {d}")
+        e += [p ** (top - k * j) * e[j] for j in range(n - h - 1, -1, -1)]
+        factor = [0] * (k * n + 1)
+        factor[::k] = e
+        coeffs = _zmul(coeffs, factor)
+    P = lpoly(p, (p - 1) * (m - 1) // 2, coeffs)
+    if m > 1:       # m = 1 has no curve to count, and P = 1
+        _check_low_counts(P, artin_schreier_curve(p, m, a), budget)
+    return P
+
+
+def _check_low_counts(P: LPolynomial, curve: CurveSpec, budget: int) -> None:
+    """N_1 and N_2 of P against enumeration, at each level within the
+    budget and the table cap."""
+    p = curve.base.p
+    for n in (1, 2):
+        if p ** n <= min(budget, gf.MAX_TABLE_CARD) and \
+                P.point_count(n) != count_points(curve, n, budget):
+            raise InvariantViolation(
+                f"N_{n} of the character-sum numerator disagrees with "
+                f"the enumeration")
 
 
 def artin_schreier_lpoly(p: int, m: int, a: int, budget: int = COUNT_BUDGET,
@@ -264,7 +334,7 @@ def artin_schreier_lpoly(p: int, m: int, a: int, budget: int = COUNT_BUDGET,
     if m % p == 0:
         raise UnsupportedBase(f"characteristic {p} divides m = {m}")
     if (p - 1) % m == 0:
-        return "character-sum", zeta_numerator_charsum(p, m, a)
+        return "character-sum", zeta_numerator_charsum(p, m, a, budget)
     g = (p - 1) * (m - 1) // 2
     limit = min(budget, gf.MAX_TABLE_CARD)
     top = _max_degree(p, limit)
@@ -274,9 +344,11 @@ def artin_schreier_lpoly(p: int, m: int, a: int, budget: int = COUNT_BUDGET,
         return "point-count", lpoly_from_counts(p, counts, g)
     need = f"point counts need GF({p}^{g})"
     if orbit_route:
-        k = max(k for _, k in frobenius_orbits(p, m))
+        # a semiprimitive order takes its Gauss sum in closed form
+        k = max((k for d, k in _character_degrees(p, m)
+                 if semiprimitive(p, d) is None), default=0)
         if k <= top:
-            return "character-sum", zeta_numerator_charsum(p, m, a)
+            return "character-sum", zeta_numerator_charsum(p, m, a, budget)
         need += f", character sums GF({p}^{k})"
     raise BudgetExceeded(
         f"y^{m} = x^{p} - x + a over GF({p}): {need}; the budget is "
@@ -326,11 +398,14 @@ def torsion_criterion(p: int, q: int, level: int = 1, a: int = 1,
     exactly when p divides k = ord of p modulo q.  Evidence |J(GF(p))|
     comes from ``artin_schreier_lpoly`` with m = q^level: character
     sums when m | p - 1, else enumeration when p^g <= budget, else
-    character sums over the Frobenius-orbit fields GF(p^k_O) when every
-    p^k_O <= budget (both clipped to the table cap).  Beyond that the
+    character sums, one Gauss sum per character order d | m, when each
+    one not in Stickelberger's closed form lives on a GF(p^k_d) within
+    the budget (both clipped to the table cap).  Beyond that the
     evidence route is None, decided before any table is built.  The
     divisibility is an iff, so evidence that contradicts the criterion
-    raises EvidenceFailed.
+    raises EvidenceFailed; for a P whose factors all have k_d > 2 this
+    iff is, with the theorems behind the route, the only check beyond
+    the trivial counts N_1 and N_2 (see the module docstring).
     """
     if not (primes.is_prime(p) and primes.is_prime(q) and p != q):
         raise SuperjacError(f"the torsion criterion needs distinct primes "

@@ -157,10 +157,10 @@ def test_criterion_06_torsion_iff_grid() -> None:
     ok = ok and evidenced.get((2, 5)) is True
     ok = ok and evidenced.get((2, 7)) is False
     ok = ok and evidenced.get((3, 2)) is False
-    # 8 pairs with q | p - 1, 9 enumerable ones and 9 more from
-    # character sums over GF(p^k), k = ord_q(p); the other 4 need a
-    # GF(p^k) past this budget
-    ok = ok and len(evidenced) == 26
+    # 8 pairs with q | p - 1, 9 enumerable ones and 13 more from
+    # character sums: 9 over GF(p^k), k = ord_q(p), within this budget,
+    # and 4 whose GF(p^k) is past it but whose (p, q) is semiprimitive
+    ok = ok and len(evidenced) == 30
     report(6, f"q | #J(F_p) iff p | ord_q(p) on {len(evidenced)} "
               f"pairs within budget", ok)
 

@@ -5,6 +5,7 @@ G = chi(1) psi(0) + chi(2) psi(1) = 1 - zeta_3, with norm 3; squaring
 the negated sum gives the level-2 value 3 zeta_3.
 """
 
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -12,11 +13,14 @@ from pathlib import Path
 import pytest
 
 import superjac
+from superjac import characters, gf, primes
 from superjac.characters import (
     gauss_norm_ok,
     hasse_davenport_ok,
     modified_gauss_sum,
     nontrivial_pairs,
+    orbit_gauss_sum,
+    semiprimitive,
 )
 from superjac.cyclo import cyclo
 from superjac.errors import (BudgetExceeded, CharacterUnavailable,
@@ -124,6 +128,54 @@ def test_closed_form_self_checks_are_typed_under_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["trivial/trivial sum must be p^n",
                                         "half-trivial sum must vanish"]
+
+
+def _semiprimitive_pairs():
+    # d | p^s + 1 <= 2^8 + 1 whenever GF(p^(2s)) has at most 2^16 elements
+    for p in (2, 3, 5, 7, 11, 13):
+        for d in range(3, 2 ** 8 + 2):
+            s = semiprimitive(p, d) if d % p else None
+            if s is not None and p ** (2 * s) <= 2 ** 16:
+                yield p, d, s
+
+
+SEMIPRIMITIVE = list(_semiprimitive_pairs())
+
+
+@pytest.mark.parametrize("p,d,s", SEMIPRIMITIVE,
+                         ids=[f"{p}-{d}" for p, d, _ in SEMIPRIMITIVE])
+def test_closed_form_matches_histogram(p, d, s):
+    # every u of order d at c = a = 1, and every (c, a) at u = 1
+    k = 2 * s
+    assert primes.multiplicative_order(p, d) == k
+    assert pow(p, s, d) == d - 1
+    cases = {(1, u, 1) for u in range(1, d) if math.gcd(u, d) == 1}
+    cases |= {(c, 1, a) for c in range(p) for a in range(p)}
+    for c, u, a in sorted(cases):
+        assert orbit_gauss_sum(p, d, c, u, a) == \
+            characters._gauss_sum(p, k, d, c, u, a), (c, u, a)
+
+
+def test_semiprimitive_pairs():
+    assert len(SEMIPRIMITIVE) == 54
+    assert [semiprimitive(p, q) for p, q in
+            [(7, 11), (7, 13), (11, 13), (13, 11), (2, 13)]] == [5, 6, 6, 5, 6]
+    # odd orders have no closed form, nor do d <= 2
+    assert semiprimitive(3, 11) is None and semiprimitive(2, 7) is None
+    assert semiprimitive(3, 2) is None and semiprimitive(3, 1) is None
+    # ord_15(2) = 4 is even, but 2^2 = 4 is not -1 mod 15
+    assert semiprimitive(2, 15) is None
+
+
+def test_closed_form_builds_no_table(monkeypatch):
+    # (7, 11): a sum over GF(7^10), past the table cap's reach of 7^7
+    monkeypatch.setattr(gf, "_CTX_CACHE", {})
+    monkeypatch.setattr(characters, "_HIST_CACHE", {})
+    g = orbit_gauss_sum(7, 11, 1, 1, 1)
+    assert g * g.conjugate() == 7 ** 10
+    # eps = (-1)^((7^5 + 1)/11), zeta_7^(-k a) with k = 10, a = 1
+    assert g == cyclo(77).from_zeta_exponents({11 * (-10 % 7): 7 ** 5})
+    assert not gf._CTX_CACHE and not characters._HIST_CACHE
 
 
 def test_trivial_characters_are_usage_errors():

@@ -254,10 +254,11 @@ def test_capacity_exit_code(capsys) -> None:
         assert "|J| = 521 needs 1084201" in doc["detail"]
         assert "SCAN_CAP = 50000" in doc["detail"]
 
-    code, doc = run_json(capsys, ["zeta", "--p", "7", "--q", "11", "--a",
+    # ord_29(7) = 7 is odd: no closed form, and GF(7^7) is past the budget
+    code, doc = run_json(capsys, ["zeta", "--p", "7", "--q", "29", "--a",
                                   "1", "--budget", "200000"])
     assert code == 3
-    assert "GF(7^10)" in doc["detail"]
+    assert "GF(7^7)" in doc["detail"]
 
 
 def test_class_group_past_the_old_splitting_field(capsys) -> None:
@@ -297,6 +298,11 @@ def test_zeta_past_the_enumeration_wall(capsys) -> None:
     argv = ["jacobian-order", "--p", "3", "--q", "13", "--a", "1"]
     code, doc = run_json(capsys, argv + ["--budget", "200000"])
     assert (code, doc["order"]) == (0, 1_054_729)
+    # 7^5 = -1 mod 11: the Gauss sum over GF(7^10) has a closed form
+    code, doc = run_json(capsys, ["zeta", "--p", "7", "--q", "11", "--a",
+                                  "1", "--budget", "200000"])
+    assert code == 0
+    assert len(doc["coeffs"]) == 2 * doc["genus"] + 1 == 61
 
 
 def test_usage_exit_codes(capsys) -> None:

@@ -251,6 +251,31 @@ def test_galois_and_conjugate():
     assert prod.is_rational()
 
 
+# N = p*m and N = p*d, d | m, for every (p, m) of the trace-route oracle
+# cases in test_zeta
+TRACE_LEVELS = sorted(
+    {p * m for p in (2, 3, 5, 7, 11, 13) for m in (2, 3, 5, 7, 11, 13)
+     if p != m}
+    | {p * d for p, m in [(3, 4), (5, 4), (3, 8), (5, 8), (2, 9), (7, 9)]
+       for d in range(2, m + 1) if m % d == 0})
+
+
+@pytest.mark.parametrize("N", TRACE_LEVELS)
+def test_trace_is_the_sum_of_conjugates(N):
+    rng = random.Random(N)
+    R = cyclo(N)
+    units = [t for t in range(1, N) if math.gcd(t, N) == 1]
+    for x in (R.from_zeta_exponents({1: 1}),
+              R.from_zeta_exponents({rng.randrange(N): rng.randrange(-99, 99)
+                                     for _ in range(6)})):
+        total = R.from_int(0)
+        for t in units:
+            total = total + x.galois(t)
+        assert total == x.trace()
+    # Ramanujan sums: Tr(zeta_N) = mu(N), Tr(1) = phi(N)
+    assert R.one().trace() == len(units) == R.phi
+
+
 def test_rational_detection():
     R = cyclo(12)
     assert R.from_int(-7).is_rational()

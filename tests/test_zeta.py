@@ -21,6 +21,8 @@ from hypothesis import given, settings, strategies as st
 import superjac
 
 from superjac import characters, gf, primes
+from superjac import zeta as zeta_module
+from superjac.cyclo import cyclo
 from superjac.errors import (
     BudgetExceeded,
     InvariantViolation,
@@ -149,8 +151,10 @@ def test_torsion_criterion_higher_level():
 
 
 def test_torsion_budget_leaves_verdict():
-    res = torsion_criterion(2, 13, budget=10)
-    assert res.has_torsion  # criterion is pure arithmetic
+    # ord_23(2) = 11 is odd, so no Gauss sum of order 23 has a closed
+    # form, and GF(2^11) is past the budget
+    res = torsion_criterion(2, 23, budget=10)
+    assert res.k == 11 and not res.has_torsion  # pure arithmetic
     assert res.evidence_route is None and res.jacobian_order is None
 
 
@@ -263,6 +267,29 @@ def test_horner_cases_cover_the_shapes():
     assert any(n == 1 and c.base.n == 1 for _, c, n in HORNER_CASES)
 
 
+def _t1_levels(p, m):
+    """Every n with p^n <= 3^8 and t = gcd(m, p^n - 1) = 1."""
+    return [n for n in range(1, 13)
+            if p ** n <= 3 ** 8 and math.gcd(m, p ** n - 1) == 1]
+
+
+T1_CASES = [(p, m) for p, m in itertools.permutations((2, 3, 5, 7, 11, 13), 2)
+            if _t1_levels(p, m)]
+
+
+@pytest.mark.parametrize("p,m", T1_CASES,
+                         ids=[f"{p}-{m}" for p, m in T1_CASES])
+def test_count_points_without_mth_powers(p, m, monkeypatch):
+    # t = 1: the count p^n + 1 builds no table; the enumeration agrees
+    curve = artin_schreier_curve(p, m, 1)
+    levels = _t1_levels(p, m)
+    want = {n: _count_points_horner(curve, n) for n in levels}
+    monkeypatch.setattr(gf, "_CTX_CACHE", {})
+    assert {n: count_points(curve, n) for n in levels} == \
+        {n: p ** n + 1 for n in levels} == want
+    assert not gf._CTX_CACHE
+
+
 def test_count_points_refusals():
     # d = gcd(6, 3) = 3 and an enumeration past the budget refuse as
     # before; a curve over Q has nothing to enumerate
@@ -273,6 +300,10 @@ def test_count_points_refusals():
     with pytest.raises(BudgetExceeded, match="order 81 exceeds budget"):
         count_points(c, 4, budget=80)
     assert count_points(c, 4, budget=81) == _count_points_horner(c, 4)
+    # a count known without a table still refuses past the budget
+    c = artin_schreier_curve(2, 3, 1)
+    with pytest.raises(BudgetExceeded, match="order 8 exceeds budget"):
+        count_points(c, 3, budget=7)
     with pytest.raises(UnsupportedBase):
         count_points(make_curve(2, [1, 0, 0, 1]), 1)
 
@@ -288,6 +319,106 @@ def test_bad_lpoly_shapes_are_typed():
         lpoly_from_counts(3, [])
 
 
+def _frobenius_orbits(p, M):
+    """(u, k) for every orbit of u -> p*u on the nonzero residues mod M:
+    its least member u and its size k."""
+    seen, out = set(), []
+    for u in range(1, M):
+        if u in seen:
+            continue
+        v, k = u, 0
+        while True:
+            seen.add(v)
+            k += 1
+            v = v * p % M
+            if v == u:
+                break
+        out.append((u, k))
+    return out
+
+
+def _orbit_product(p, m, a):
+    """P(T) = prod over c in F_p^* and Frobenius orbits O of u -> p*u on
+    Z/m - 0 of (1 + G_(c,O) T^k_O), expanded in Z[zeta_pm]; kept as the
+    oracle for the one-sum trace route of zeta_numerator_charsum."""
+    ring = cyclo(p * m)
+    poly = [ring.from_int(1)]
+    for u, k in _frobenius_orbits(p, m):
+        for c in range(1, p):
+            g = characters.orbit_gauss_sum(p, m, c, u, a)
+            poly.extend([ring.from_int(0)] * k)
+            for i in range(len(poly) - k - 1, -1, -1):
+                if not poly[i].is_zero():
+                    poly[i + k] = poly[i + k] + poly[i] * g
+    return tuple(cf.rational_value() for cf in poly)
+
+
+def _oracle_cases():
+    # p and m distinct primes <= 13 whose orbit fields fit 200 000, and
+    # composite m over p prime to it
+    small = (2, 3, 5, 7, 11, 13)
+    for p, m in itertools.permutations(small, 2):
+        if p ** primes.multiplicative_order(p, m) <= 200_000:
+            yield p, m
+    for p, m in [(3, 4), (5, 4), (3, 8), (5, 8), (2, 9), (7, 9)]:
+        yield p, m
+
+
+ORACLE_CASES = list(_oracle_cases())
+
+
+@pytest.mark.parametrize("p,m", ORACLE_CASES,
+                         ids=[f"{p}-{m}" for p, m in ORACLE_CASES])
+def test_trace_route_matches_orbit_product(p, m):
+    for a in range(1, p):
+        assert zeta_numerator_charsum(p, m, a).coeffs == \
+            _orbit_product(p, m, a), (p, m, a)
+
+
+def test_oracle_cases_cover_the_shapes():
+    assert len(ORACLE_CASES) == 32
+    shapes = {(characters.semiprimitive(p, m) is not None,
+               primes.multiplicative_order(p, m)) for p, m in ORACLE_CASES}
+    # closed forms and histograms, at k = 1, 2 and past 2
+    assert {cf for cf, _ in shapes} == {False, True}
+    assert {min(k, 3) for _, k in shapes} == {1, 2, 3}
+    assert (2, 13) in ORACLE_CASES and (13, 7) in ORACLE_CASES
+
+
+@pytest.mark.parametrize("spoil,match", [
+    # the wrong sign keeps the norm, integral power sums and the middle
+    # of the functional equation, but not N_2 on the k = 2 pair (5, 3)
+    (lambda g: -g, "N_2"),
+    (lambda g: g * 2, "norm 5\\^2"),
+    # times zeta_3 = zeta_15^5: the norm holds, the trace is odd
+    (lambda g: g * g.ctx.from_zeta_exponents({5: 1}), "divisible by k = 2"),
+], ids=["sign", "norm", "trace"])
+def test_trace_route_keeps_its_guards(monkeypatch, spoil, match):
+    # every check is typed, so each holds under python -O too
+    real = zeta_module.orbit_gauss_sum
+    monkeypatch.setattr(zeta_module, "orbit_gauss_sum",
+                        lambda *args: spoil(real(*args)))
+    with pytest.raises(InvariantViolation, match=match):
+        zeta_numerator_charsum(5, 3, 1)
+
+
+def test_trace_route_guard_levels_follow_the_budget(monkeypatch):
+    calls = []
+    count = zeta_module.count_points
+
+    def recording(curve, n=1, budget=COUNT_BUDGET):
+        calls.append((n, budget))
+        return count(curve, n, budget)
+    monkeypatch.setattr(zeta_module, "count_points", recording)
+    zeta_numerator_charsum(5, 2, 1)
+    assert calls == [(1, COUNT_BUDGET), (2, COUNT_BUDGET)]
+    calls.clear()
+    # GF(25) is past a budget of 10: only N_1 is checked, and the
+    # character-sum route itself is not refused
+    assert artin_schreier_lpoly(5, 2, 1, budget=10)[0] == "character-sum"
+    assert calls == [(1, 10)]
+
+
 def _enumerated_lpoly(p, m, a):
     curve = artin_schreier_curve(p, m, a)
     counts = [count_points(curve, n) for n in range(1, curve.genus + 1)]
@@ -301,7 +432,7 @@ def test_orbit_route_matches_enumeration_on_grid():
     pairs = [(p, q) for p, q in grid
              if (p - 1) % q and p ** ((p - 1) * (q - 1) // 2) <= 200_000]
     assert len(pairs) == 9
-    assert max(k for _, k in characters.frobenius_orbits(2, 13)) == 12
+    assert max(k for _, k in _frobenius_orbits(2, 13)) == 12
     for p, q in pairs:
         for a in range(1, p):
             assert zeta_numerator_charsum(p, q, a).coeffs == \
@@ -311,7 +442,7 @@ def test_orbit_route_matches_enumeration_on_grid():
 @pytest.mark.parametrize("p,m", [(2, 9), (3, 4), (2, 25), (3, 8), (2, 27)])
 def test_orbit_route_matches_enumeration_at_level_two(p, m):
     # orbits of mixed sizes, e.g. m = 8 over GF(3): sizes 2, 2, 1, 2
-    assert len({k for _, k in characters.frobenius_orbits(p, m)}) > 1
+    assert len({k for _, k in _frobenius_orbits(p, m)}) > 1
     for a in range(1, p):
         assert zeta_numerator_charsum(p, m, a).coeffs == \
             _enumerated_lpoly(p, m, a).coeffs, (p, m, a)
@@ -349,15 +480,18 @@ def test_route_order():
     # without the orbit route the enumeration wall refuses
     with pytest.raises(BudgetExceeded):
         artin_schreier_lpoly(3, 13, 1, budget=200_000, orbit_route=False)
-    with pytest.raises(BudgetExceeded, match=r"GF\(2\^12\)"):
-        artin_schreier_lpoly(2, 13, 1, budget=10)
+    # (2, 13) takes its sum in closed form and needs no table at all;
+    # ord_47(2) = 23 is odd, so (2, 47) still needs GF(2^23)
+    assert artin_schreier_lpoly(2, 13, 1, budget=10)[0] == "character-sum"
+    with pytest.raises(BudgetExceeded, match=r"GF\(2\^23\)"):
+        artin_schreier_lpoly(2, 47, 1, budget=10)
 
 
 def test_refusal_builds_no_table(monkeypatch):
-    # ord_11(7) = 10 and 7^10 is past the budget: refused before any
-    # extension of GF(7) is built
+    # ord_29(7) = 7 is odd, so no closed form, and 7^7 is past the
+    # budget: refused before any extension of GF(7) is built
     monkeypatch.setattr(gf, "_CTX_CACHE", {})
-    res = torsion_criterion(7, 11, budget=200_000)
+    res = torsion_criterion(7, 29, budget=200_000)
     assert res.evidence_route is None and res.jacobian_order is None
     assert not [key for key in gf._CTX_CACHE if key[0] == 7 and key[1] >= 2]
 
