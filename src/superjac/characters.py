@@ -86,6 +86,9 @@ def modified_gauss_sum(p: int, q_order: int, c: int, u: int, a: int,
     must divide p - 1.
     """
     M = q_order
+    if M < 1:
+        raise SuperjacError(f"the character order must be at least 1, "
+                            f"got {M}")
     if (p - 1) % M != 0:
         raise CharacterUnavailable(
             f"multiplicative characters of order {M} need {M} | {p - 1}")

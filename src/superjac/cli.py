@@ -36,17 +36,24 @@ CACHED_OPS = {"gauss", "count", "zeta", "jacobian-order", "torsion-test",
               "rank-certify"}
 
 
+def _int(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise SuperjacError(f"not an integer: {token!r}") from None
+
+
 def _ints(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+    return [_int(t) for t in text.split(",") if t.strip()]
 
 
 def _field(text: str):
     """Parse a finite-field size: 7, 25, or 5^2."""
     from . import gf, primes
     if "^" in text:
-        p, n = (int(t) for t in text.split("^", 1))
+        p, n = (_int(t) for t in text.split("^", 1))
         return gf.field(p, n)
-    v = int(text)
+    v = _int(text)
     fac = primes.factorize(v)
     if len(fac) != 1:
         raise SuperjacError(f"{v} is not a prime power")

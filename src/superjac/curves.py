@@ -9,7 +9,10 @@ Places over an x-coordinate come from places_above alone.  It descends
 x0 to its minimal field and replaces it by the least member of its
 base-Frobenius orbit, since conjugate x-coordinates lie under the same
 closed places; each x-orbit is then resolved once per curve and kept in
-the curve's fiber table.
+the curve's fiber table.  principal_divisor finds its x-coordinates as
+the roots of a norm, one root scan per block of gf.ddf (which accepts
+repeated factors), and splitting_extension reads its degree off the
+same blocks.
 
 Supported bases: the rationals (arithmetic via Fraction; only the
 combinatorial operations are available) and finite fields with
@@ -407,16 +410,16 @@ def splitting_extension(curve: CurveSpec) -> CurveSpec:
     """Smallest base extension over which F splits into linear factors.
 
     Its degree is the lcm of the degrees of F's irreducible factors, read
-    off the distinct-degree factorisation, so a field past the table cap
-    is refused (gf.field raises BudgetExceeded naming the field and the
-    cap) before any extension is built or scanned.
+    off the blocks of gf.ddf, so a field past the table cap is refused
+    (gf.field raises BudgetExceeded naming the field and the cap) before
+    any extension is built or scanned.
     """
     if curve.base is None:
         raise UnsupportedBase("splitting fields are built over finite bases")
     if curve.splits:
         return curve
     base = curve.base
-    s = math.lcm(*_ddf(base, list(curve.coeffs)))
+    s = math.lcm(*gf.ddf(base, list(curve.coeffs)))
     cand = base_change(curve, gf.field(base.p, base.n * s))
     if not cand.splits:
         raise InvariantViolation(f"F does not split over {cand.base.name()}")
@@ -873,68 +876,10 @@ def _poly_det(ctx, mat) -> list[int]:
 
 
 def _roots_by_degree(ctx, poly) -> dict[int, list[int]]:
-    """Distinct roots of poly grouped by extension degree over ctx."""
-    poly = gf.pnorm(list(poly))
-    out: dict[int, set[int]] = {}
-    stack = [poly]
-    while stack:
-        cur = gf.pnorm(stack.pop())
-        if len(cur) <= 1:
-            continue
-        der = gf.pderiv(ctx, cur)
-        if not der:
-            # cur = U(x^p); p-th roots are Frobenius preimages, same fields
-            U = [cur[i] for i in range(0, len(cur), ctx.p)]
-            for s, roots in _roots_by_degree(ctx, U).items():
-                sctx = gf.field(ctx.p, ctx.n * s)
-                pr = {sctx.frob(r, sctx.n - 1) for r in roots}
-                out.setdefault(s, set()).update(pr)
-            continue
-        g = gf.pgcd(ctx, cur, der)
-        if len(g) > 1:
-            stack.append(g)
-            sf, rem = gf.pdivmod(ctx, cur, g)
-            if rem:
-                raise InvariantViolation("squarefree part division was not "
-                                         "exact")
-        else:
-            sf = cur
-        for s, roots in _ddf_roots(ctx, sf).items():
-            out.setdefault(s, set()).update(roots)
-    return {s: sorted(v) for s, v in sorted(out.items())}
-
-
-def _ddf(ctx, sf) -> dict[int, list[int]]:
-    """Distinct-degree factorisation of a squarefree polynomial: for each
-    degree s of an irreducible factor, the monic product of those
-    factors."""
+    """Distinct roots of poly grouped by extension degree over ctx, one
+    root scan per block of gf.ddf."""
     out: dict[int, list[int]] = {}
-    S = gf.pscale(ctx, sf, ctx.inv(sf[-1]))
-    h = [0, 1]
-    s = 0
-    while len(S) > 1:
-        s += 1
-        if 2 * s > len(S) - 1:
-            # what remains is a single irreducible factor
-            out[len(S) - 1] = S
-            break
-        h = gf.ppow_mod(ctx, h, ctx.order, S)
-        g = gf.pgcd(ctx, S, gf.psub(ctx, h, [0, 1]))
-        if len(g) > 1:
-            out[s] = g
-            S, rem = gf.pdivmod(ctx, S, g)
-            if rem:
-                raise InvariantViolation("DDF division was not exact")
-            if len(S) <= 1:
-                break
-            _, h = gf.pdivmod(ctx, h, S)
-    return out
-
-
-def _ddf_roots(ctx, sf) -> dict[int, list[int]]:
-    """Roots of a squarefree polynomial, by distinct-degree splitting."""
-    out: dict[int, list[int]] = {}
-    for s, g in _ddf(ctx, sf).items():
+    for s, g in gf.ddf(ctx, poly).items():
         sctx = gf.field(ctx.p, ctx.n * s)
         if sctx.order > gf.MAX_TABLE_CARD:
             # only a prime field gets here: gf.field refuses the others

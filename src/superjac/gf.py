@@ -20,6 +20,17 @@ bits of ceil(n/3) coefficients, then reduce every coefficient mod p and
 repack the result in base p.  Setting up the map takes
 O(p^h + 2^(s * ceil(n/3))) entries, far fewer than the p^n elements.
 
+ddf is the one distinct-degree factorisation: for a nonzero polynomial
+over a context it returns, for each degree s of an irreducible factor,
+the monic product of the distinct irreducible factors of degree s.  It
+serves the defining-polynomial search, the roots of norms in
+curves.principal_divisor and the splitting fields.  Its input need not
+be squarefree: at degree s the block g = gcd(S, X^(q^s) - X) is
+squarefree, since X^(q^s) - X is, and every factor of g is divided out
+of S to its full multiplicity.  So S never keeps a factor of degree
+<= s, and once 2s exceeds deg S the remaining S is a single irreducible
+factor (any two factors, or one squared, would have degree >= 2s).
+
 Deterministic choices, fixed once per (p, n):
   * defining polynomial: first monic irreducible of degree n, ordered by
     packed value of the non-leading coefficients, lowest first;
@@ -41,24 +52,10 @@ from .errors import (BudgetExceeded, InvariantViolation, SuperjacError,
 MAX_TABLE_CARD = 1 << 22
 
 
-def _is_irreducible(f: list[int], p: int, n: int) -> bool:
-    # f monic of degree n: irreducible iff X^(p^n) = X mod f and for every
-    # prime l | n, gcd(X^(p^(n/l)) - X, f) is constant.
-    fp = field(p)
-    x = [0, 1]
-    powers = [x]
-    for _ in range(n):
-        powers.append(ppow_mod(fp, powers[-1], p, f))
-    if psub(fp, powers[n], x):
-        return False
-    return all(len(pgcd(fp, f, psub(fp, powers[n // ell], x))) == 1
-               for ell in primes.factorize(n))
-
-
 def _find_defpoly(p: int, n: int) -> tuple[int, ...]:
     for v in range(p ** n):
         f = [v // p ** i % p for i in range(n)] + [1]
-        if _is_irreducible(f, p, n):
+        if list(ddf(field(p), f)) == [n]:
             return tuple(f)
     raise InvariantViolation(f"no irreducible polynomial of degree {n} "
                              f"over GF({p})")
@@ -730,3 +727,33 @@ def proots(ctx: FieldCtx, a) -> list[int]:
         raise SuperjacError("the zero polynomial has every element as a "
                             "root")
     return [x for x in ctx.elements() if peval(ctx, a, x) == 0]
+
+
+def ddf(ctx: FieldCtx, f) -> dict[int, list[int]]:
+    """Distinct-degree factorisation of a nonzero polynomial: for each
+    degree s of an irreducible factor, in increasing order, the monic
+    product of the distinct irreducible factors of degree s."""
+    S = pnorm(list(f))
+    if not S:
+        raise SuperjacError("the zero polynomial has no factorisation")
+    S = pscale(ctx, S, ctx.inv(S[-1]))
+    out: dict[int, list[int]] = {}
+    x = h = [0, 1]
+    s = 0
+    while len(S) > 1:
+        s += 1
+        if 2 * s > len(S) - 1:
+            # S has no factor of degree < s, so it is irreducible
+            out[len(S) - 1] = S
+            break
+        h = ppow_mod(ctx, h, ctx.order, S)
+        g = pgcd(ctx, S, psub(ctx, h, x))
+        if len(g) > 1:
+            out[s] = g
+            # strip every factor of g to its full multiplicity
+            while len(c := pgcd(ctx, S, g)) > 1:
+                S, rem = pdivmod(ctx, S, c)
+                if rem:
+                    raise InvariantViolation("DDF division was not exact")
+            h = pdivmod(ctx, h, S)[1]
+    return out

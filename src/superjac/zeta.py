@@ -220,11 +220,15 @@ def count_points(curve: CurveSpec, n: int = 1,
 
 def artin_schreier_curve(p: int, m: int, a: int) -> CurveSpec:
     """y^m = x^p - x + a over GF(p); always separable since F' = -1."""
+    _require_curve(p, m)
+    coeffs = [a % p, p - 1] + [0] * (p - 2) + [1]
+    return make_curve(m, coeffs, gf.field(p))
+
+
+def _require_curve(p: int, m: int) -> None:
     if not (primes.is_prime(p) and m >= 2 and m % p != 0):
         raise SuperjacError(f"y^m = x^p - x + a needs p prime and m >= 2 "
                             f"prime to p, got p = {p}, m = {m}")
-    coeffs = [a % p, p - 1] + [0] * (p - 2) + [1]
-    return make_curve(m, coeffs, gf.field(p))
 
 
 def _require_a(p: int, a: int) -> None:
@@ -238,6 +242,7 @@ def counts_by_charsum(p: int, m: int, a: int, upto: int) -> list[int]:
 
     Requires m | p - 1, where every Gauss sum lives over GF(p).
     """
+    _require_curve(p, m)
     _require_a(p, a)
     if (p - 1) % m != 0:
         raise CharacterUnavailable(
@@ -257,7 +262,7 @@ def _character_degrees(p: int, m: int) -> list[tuple[int, int]]:
 def zeta_numerator_charsum(p: int, m: int, a: int,
                            budget: int = COUNT_BUDGET) -> LPolynomial:
     """P(T) = prod over divisors d > 1 of m of R_d(T^k_d), k_d = ord_d(p),
-    for any m prime to p, from one Gauss sum per d.
+    for any m >= 2 prime to p, from one Gauss sum per d.
 
     The roots of R_d(X) = prod (1 + beta X) are the Galois conjugates of
     G_d = ``orbit_gauss_sum(p, d, 1, 1, a)`` in Z[zeta_pd], each taken k_d
@@ -273,10 +278,8 @@ def zeta_numerator_charsum(p: int, m: int, a: int,
     N_2 test the factors with k_d <= 2; a factor with k_d > 2 changes
     neither, so there the check confirms only the trivial counts.
     """
+    _require_curve(p, m)
     _require_a(p, a)
-    if m % p == 0:
-        raise CharacterUnavailable(
-            f"no characters of order {m} in characteristic {p}")
     coeffs = [1]
     for d, k in _character_degrees(p, m):
         G = orbit_gauss_sum(p, d, 1, 1, a)
@@ -304,8 +307,7 @@ def zeta_numerator_charsum(p: int, m: int, a: int,
         factor[::k] = e
         coeffs = _zmul(coeffs, factor)
     P = lpoly(p, (p - 1) * (m - 1) // 2, coeffs)
-    if m > 1:       # m = 1 has no curve to count, and P = 1
-        _check_low_counts(P, artin_schreier_curve(p, m, a), budget)
+    _check_low_counts(P, artin_schreier_curve(p, m, a), budget)
     return P
 
 
@@ -331,8 +333,7 @@ def artin_schreier_lpoly(p: int, m: int, a: int, budget: int = COUNT_BUDGET,
     table is built.  With orbit_route False, character sums are used
     only when m | p - 1.
     """
-    if m % p == 0:
-        raise UnsupportedBase(f"characteristic {p} divides m = {m}")
+    _require_curve(p, m)
     if (p - 1) % m == 0:
         return "character-sum", zeta_numerator_charsum(p, m, a, budget)
     g = (p - 1) * (m - 1) // 2

@@ -82,6 +82,12 @@ def test_character_order_must_divide_p_minus_one():
         modified_gauss_sum(2, 5, 1, 1, 1)
 
 
+@pytest.mark.parametrize("q_order", [0, -3])
+def test_character_order_must_be_positive(q_order):
+    with pytest.raises(SuperjacError, match="at least 1"):
+        modified_gauss_sum(7, q_order, 1, 1, 1)
+
+
 def test_level_caps():
     # only the field-table cap bounds the level: GF(3^7) and GF(31^4)
     # answer, and GF(3^14) is refused, naming the field and the cap

@@ -344,6 +344,22 @@ BAD_PARAMETERS = [
     ["count", "--p", "3", "--q", "2", "--a", "1", "--n", "-1"],
     ["zeta", "--p", "2", "--q", "7", "--a", "1", "--budget", "0"],
     ["zeta", "--p", "2", "--q", "7", "--a", "1", "--budget", "-1"],
+    # malformed integers name the bad token
+    ["genus", "--m", "3", "--f", "1,x"],
+    ["find-prime", "--m", "2", "--roots", "0,1,x", "--k", "10"],
+    ["principal", "--m", "2", "--f", "0,24,-50,35,-10,1", "--coeffs", "2,0",
+     "--field", "5^x"],
+    ["principal", "--m", "2", "--f", "0,24,-50,35,-10,1", "--coeffs", "2,0",
+     "--field", "x"],
+    # character orders below 1
+    ["gauss", "--p", "7", "--q", "0", "--a", "1"],
+    ["gauss", "--p", "7", "--q", "-3", "--a", "1"],
+    # y^m = x^p - x + a needs m >= 2 on every route
+    ["zeta", "--p", "7", "--q", "1", "--a", "1"],
+    ["jacobian-order", "--p", "7", "--q", "1", "--a", "1"],
+    ["zeta", "--p", "7", "--q", "-2", "--a", "1"],
+    ["count", "--p", "7", "--q", "0", "--a", "1", "--n", "1", "--route",
+     "charsum"],
 ]
 
 
@@ -351,6 +367,17 @@ BAD_PARAMETERS = [
 def test_bad_parameters_are_usage_errors(capsys, argv) -> None:
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,token", [
+    (["genus", "--m", "3", "--f", "1,x"], "'x'"),
+    (["find-prime", "--m", "2", "--roots", "0,1,2.5", "--k", "10"], "'2.5'"),
+    (["principal", "--m", "2", "--f", "0,1,1", "--coeffs", "1",
+      "--field", "5^two"], "'two'"),
+])
+def test_malformed_integers_name_the_token(capsys, argv, token) -> None:
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: not an integer: {token}\n"
 
 
 def test_bad_parameters_are_usage_errors_under_python_O() -> None:

@@ -598,3 +598,102 @@ def test_places_above_resolves_each_x_orbit_once(monkeypatch):
                 again = places_above(curve, sctx, x0)
                 assert first == again and first is not again
     assert len(calls) == len(set(calls)) == len(orbits)
+
+
+# ---------------------------------------------------------------------------
+# roots of norms: one scan per gf.ddf block, against the route it replaced
+
+
+def _oracle_ddf(ctx, sf):
+    """Distinct-degree factorisation of a squarefree polynomial."""
+    out = {}
+    S = gf.pscale(ctx, sf, ctx.inv(sf[-1]))
+    h = [0, 1]
+    s = 0
+    while len(S) > 1:
+        s += 1
+        if 2 * s > len(S) - 1:
+            out[len(S) - 1] = S
+            break
+        h = gf.ppow_mod(ctx, h, ctx.order, S)
+        g = gf.pgcd(ctx, S, gf.psub(ctx, h, [0, 1]))
+        if len(g) > 1:
+            out[s] = g
+            S, rem = gf.pdivmod(ctx, S, g)
+            assert not rem
+            if len(S) <= 1:
+                break
+            _, h = gf.pdivmod(ctx, h, S)
+    return out
+
+
+def _oracle_roots_by_degree(ctx, poly):
+    """The former root search: split off the squarefree part by
+    gcd(F, F'), recurse through Frobenius preimages when F' = 0, and
+    scan each distinct-degree block of the squarefree part."""
+    out = {}
+    stack = [gf.pnorm(list(poly))]
+    while stack:
+        cur = gf.pnorm(stack.pop())
+        if len(cur) <= 1:
+            continue
+        der = gf.pderiv(ctx, cur)
+        if not der:
+            # cur = U(x^p); p-th roots are Frobenius preimages, same fields
+            U = [cur[i] for i in range(0, len(cur), ctx.p)]
+            for s, roots in _oracle_roots_by_degree(ctx, U).items():
+                sctx = gf.field(ctx.p, ctx.n * s)
+                out.setdefault(s, set()).update(
+                    sctx.frob(r, sctx.n - 1) for r in roots)
+            continue
+        g = gf.pgcd(ctx, cur, der)
+        sf = cur
+        if len(g) > 1:
+            stack.append(g)
+            sf, rem = gf.pdivmod(ctx, cur, g)
+            assert not rem
+        for s, blk in _oracle_ddf(ctx, sf).items():
+            sctx = gf.field(ctx.p, ctx.n * s)
+            emb = gf.embedding(ctx, sctx)
+            roots = gf.proots(sctx, [emb.apply(c) for c in blk])
+            assert len(roots) == len(blk) - 1
+            out.setdefault(s, set()).update(roots)
+    return {s: sorted(v) for s, v in sorted(out.items())}
+
+
+def _random_norm(rng, ctx):
+    """A product of 1-3 random monic factors of degree 1-3, each to the
+    power 1, 2, 3 or p, sometimes composed with x -> x^p."""
+    poly = [rng.randrange(1, ctx.order)]
+    for _ in range(rng.randint(1, 3)):
+        fac = [rng.randrange(ctx.order) for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.choice((1, 2, 3, ctx.p))):
+            poly = gf.pmul(ctx, poly, fac + [1])
+    if rng.random() < 0.3:
+        spread = [0] * (ctx.p * (len(poly) - 1) + 1)
+        spread[::ctx.p] = poly
+        poly = spread
+    return poly
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2),
+                                 (3, 2), (2, 3)])
+def test_roots_by_degree_matches_the_squarefree_oracle(p, n):
+    ctx = gf.field(p, n)
+    rng = random.Random(1000 * p + n)
+    mismatches = []
+    for _ in range(100):
+        poly = _random_norm(rng, ctx)
+        want = _oracle_roots_by_degree(ctx, poly)
+        blocks = gf.ddf(ctx, poly)
+        if curves._roots_by_degree(ctx, poly) != want or \
+                {s: len(g) - 1 for s, g in blocks.items()} != \
+                {s: len(r) for s, r in want.items()}:
+            mismatches.append(poly)
+    assert mismatches == []
+
+
+def test_root_scan_past_the_table_cap_is_refused():
+    # a prime field needs no tables, so the scan itself checks the cap
+    with pytest.raises(BudgetExceeded, match=r"root scan over GF\(4194319\)"):
+        curves._roots_by_degree(gf.field(4194319), [1, 1])

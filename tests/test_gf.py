@@ -634,3 +634,71 @@ def test_frob_orbit_and_root_by_brute_force(p, n):
                 assert y is not None and K.pow(y, m) == z
             else:
                 assert y is None
+
+
+# ---------------------------------------------------------------------------
+# ddf: the one distinct-degree factorisation, against Rabin's test
+
+
+def _is_irreducible(f, p: int, n: int) -> bool:
+    """The defining-polynomial search's former route: f monic of degree
+    n is irreducible iff X^(p^n) = X mod f and gcd(X^(p^(n/l)) - X, f)
+    is constant for every prime l | n."""
+    fp = gf.field(p)
+    x = [0, 1]
+    powers = [x]
+    for _ in range(n):
+        powers.append(gf.ppow_mod(fp, powers[-1], p, f))
+    if gf.psub(fp, powers[n], x):
+        return False
+    return all(len(gf.pgcd(fp, f, gf.psub(fp, powers[n // ell], x))) == 1
+               for ell in primes.factorize(n))
+
+
+def _monic(p: int, n: int, v: int) -> list[int]:
+    return [v // p ** i % p for i in range(n)] + [1]
+
+
+def _first_irreducible(p: int, n: int) -> tuple[int, ...]:
+    for v in range(p ** n):
+        f = _monic(p, n, v)
+        if _is_irreducible(f, p, n):
+            return tuple(f)
+    raise AssertionError(f"no irreducible of degree {n} over GF({p})")
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5)
+                                 for n in range(2, 7)])
+def test_ddf_matches_the_irreducibility_oracle(p, n):
+    # every monic polynomial of degree n, or a seeded 400 of them
+    fp = gf.field(p)
+    vals = random.Random(100 * p + n).sample(range(p ** n),
+                                              min(400, p ** n))
+    mismatches = [v for v in vals
+                  if (list(gf.ddf(fp, _monic(p, n, v))) == [n])
+                  != _is_irreducible(_monic(p, n, v), p, n)]
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("p,n", CHAIN_FIELDS)
+def test_defpoly_matches_the_irreducibility_oracle(p, n):
+    assert gf._find_defpoly(p, n) == _first_irreducible(p, n)
+
+
+def test_ddf_strips_repeated_and_pth_power_factors():
+    F2, F3 = gf.field(2), gf.field(3)
+    # (x + 1)^3 (x^2 + x + 1)^2 over GF(2)
+    f = gf.pmul(F2, gf.pmul(F2, [1, 1], gf.pmul(F2, [1, 1], [1, 1])),
+                gf.pmul(F2, [1, 1, 1], [1, 1, 1]))
+    assert gf.ddf(F2, f) == {1: [1, 1], 2: [1, 1, 1]}
+    # (x^3 - x + 1)^3 = x^9 - x^3 + 1 over GF(3): F' = 0, one cubic block
+    assert gf.ddf(F3, [1, 0, 0, 2, 0, 0, 0, 0, 0, 1]) == {3: [1, 2, 0, 1]}
+    # the leading coefficient is dropped, a constant has no blocks
+    assert gf.ddf(F3, [2, 2]) == {1: [1, 1]}
+    assert gf.ddf(F3, [2]) == {}
+
+
+@pytest.mark.parametrize("zero", [[], [0], [0, 0, 0]])
+def test_ddf_of_zero_is_refused(zero):
+    with pytest.raises(SuperjacError, match="zero polynomial"):
+        gf.ddf(gf.field(5), zero)

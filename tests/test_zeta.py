@@ -487,6 +487,14 @@ def test_route_order():
         artin_schreier_lpoly(2, 47, 1, budget=10)
 
 
+@pytest.mark.parametrize("m", [1, 0, -2, 14])
+def test_every_route_needs_m_at_least_2_prime_to_p(m):
+    for route in (artin_schreier_curve, artin_schreier_lpoly,
+                  zeta_numerator_charsum):
+        with pytest.raises(SuperjacError, match="m >= 2 prime to p"):
+            route(7, m, 1)
+
+
 def test_refusal_builds_no_table(monkeypatch):
     # ord_29(7) = 7 is odd, so no closed form, and 7^7 is past the
     # budget: refused before any extension of GF(7) is built
