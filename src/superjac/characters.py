@@ -34,6 +34,17 @@ Every other sum reads one histogram per field: the counts of
 (Tr(w), log(w) mod L) over the nonzero w.  Only the field-table cap
 bounds the level.  The histogram stays the oracle for the closed form
 in the tests.
+
+``modified_gauss_sum`` keeps the sums of the last character it was
+asked for, by level: the key is (p, M, c mod p, u mod M, a mod p), and
+a call for another character drops them all.  The identity grid asks
+for one character's sums at every level n, G_1 again for each
+Hasse-Davenport check and G_n for both the norm and the Hasse-Davenport
+check at n, and then moves on to the next character, so one character
+is all it reuses; a memo over every character would only grow.  Each
+sum is still computed from its own level's histogram and passes the
+closed-form checks when it is computed, and neither identity takes one
+side from the other.
 """
 
 from __future__ import annotations
@@ -45,6 +56,8 @@ from .cyclo import CycloInt, cyclo
 from .errors import CharacterUnavailable, InvariantViolation, SuperjacError
 
 _HIST_CACHE: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {}
+# at most one entry: {(p, M, c, u, a): {level n: sum}}
+_SUMS: dict[tuple[int, int, int, int, int], dict[int, CycloInt]] = {}
 
 
 def _histogram(p: int, n: int, L: int) -> dict[tuple[int, int], int]:
@@ -69,13 +82,13 @@ def _gauss_sum(p: int, n: int, M: int, c: int, u: int, a: int) -> CycloInt:
     Exact in Z[zeta_(p*M)]; needs M / gcd(u, M) to divide p^n - 1.
     """
     L = math.gcd(M, p ** n - 1)
-    weights: dict[int, int] = {}
+    ring = cyclo(p * M)
+    acc = [0] * ring.N
     for (t, r), cnt in _histogram(p, n, L).items():
         ep = (c * (t - n * a)) % p
         em = (u * r) % M
-        e = (M * ep + p * em) % (p * M)
-        weights[e] = weights.get(e, 0) + cnt
-    return cyclo(p * M).from_zeta_exponents(weights)
+        acc[(M * ep + p * em) % ring.N] += cnt
+    return CycloInt(ring, ring.reduce(acc))
 
 
 def modified_gauss_sum(p: int, q_order: int, c: int, u: int, a: int,
@@ -86,15 +99,17 @@ def modified_gauss_sum(p: int, q_order: int, c: int, u: int, a: int,
     must divide p - 1.
     """
     M = q_order
-    if M < 1:
-        raise SuperjacError(f"the character order must be at least 1, "
-                            f"got {M}")
+    _require_order(M)
     if (p - 1) % M != 0:
         raise CharacterUnavailable(
             f"multiplicative characters of order {M} need {M} | {p - 1}")
     c %= p
     u %= M
     a %= p
+    key = (p, M, c, u, a)
+    got = _SUMS.get(key, {}).get(n)
+    if got is not None:
+        return got
     ctx = gf.field(p, n)
     # ind(N(w)) = s * log(w) with s = ind(N(g)), N(g) = g^((q - 1)/(p - 1))
     # for the generator g of GF(q)
@@ -113,6 +128,10 @@ def modified_gauss_sum(p: int, q_order: int, c: int, u: int, a: int,
             raise InvariantViolation("trivial/trivial sum must be p^n")
     elif (c == 0 or u == 0) and not total.is_zero():
         raise InvariantViolation("half-trivial sum must vanish")
+    if key not in _SUMS:
+        _SUMS.clear()
+        _SUMS[key] = {}
+    _SUMS[key][n] = total
     return total
 
 
@@ -149,7 +168,14 @@ def orbit_gauss_sum(p: int, M: int, c: int, u: int, a: int) -> CycloInt:
         {M * ((-c * k * a) % p): eps * p ** s})
 
 
+def _require_order(q_order: int) -> None:
+    if q_order < 1:
+        raise SuperjacError(f"the character order must be at least 1, "
+                            f"got {q_order}")
+
+
 def _require_nontrivial(p: int, q_order: int, c: int, u: int) -> None:
+    _require_order(q_order)
     if c % p == 0 or u % q_order == 0:
         raise SuperjacError(
             f"both characters must be nontrivial, got c = {c} mod {p} "

@@ -11,21 +11,26 @@ wide enough (the operands' bit lengths, plus the bit length of the
 shorter length, plus a sign bit) for every coefficient of the product,
 so the unpacking is exact at any coefficient size.
 
-Reduction mod Phi_N is two sparse divisions.  With l the smallest prime
-of N, T_l = (x^N - 1) / (x^(N/l) - 1) = 1 + x^(N/l) + ... + x^((l-1)N/l)
-has l terms and is a multiple of Phi_N, so a vector is first divided by
-T_l at l - 1 updates per step, then by Phi_N over its nonzero terms for
-the deg T_l - phi(N) remaining steps (none when N is a prime power,
-where T_l = Phi_N).  For N = 1 there is no l: Z[zeta_1] = Z, and the
-division by Phi_1 = x - 1 alone leaves the coefficient sum.  The same
-sparse division builds Phi_N from x^N - 1 and the lower-order
-cyclotomic polynomials.
+Reduction mod Phi_N takes three steps.  A vector of any length is
+first folded mod x^N - 1, from the top index down, so that every index
+lands below N.  With l the smallest prime of N and m = N/l,
+T_l = (x^N - 1) / (x^m - 1) = 1 + x^m + ... + x^((l-1)m) is a multiple
+of Phi_N.  Cut into blocks r_0, ..., r_(l-1) of m coefficients, the
+folded vector is congruent mod T_l to the blocks r_j - r_(l-1),
+j < l - 1: one block step.  Last, a sparse division by Phi_N over its nonzero terms takes the
+deg T_l - phi(N) steps that remain: l - 1 for N = pq, none when N is a
+prime power, where T_l = Phi_N.  For N = 1 there is no l: Z[zeta_1] = Z,
+and the fold alone leaves the coefficient sum.  The remainder mod Phi_N
+is unique, so it does not depend on the route.  The same sparse
+division builds Phi_N from x^N - 1 and the lower-order cyclotomic
+polynomials.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import add, sub
 
 from . import primes
 from .errors import InvariantViolation, SuperjacError
@@ -116,26 +121,35 @@ def _trace_table(N: int) -> tuple[int, ...]:
 class CycloCtx:
     """Ring context for Z[zeta_N]."""
 
-    __slots__ = ("N", "phi", "_divisors")
+    __slots__ = ("N", "phi", "_m", "_phi_terms")
 
     def __init__(self, N: int):
         phi_N = cyclotomic_polynomial(N)    # refuses N < 1
         self.N = N
         self.phi = len(phi_N) - 1
-        # reduce divides by T_l first, then by Phi_N (see module docstring)
-        self._divisors = []
-        if N > 1:
-            m = N // min(primes.factorize(N))
-            t_l = [0] * (N - m + 1)
-            t_l[::m] = [1] * (N // m)
-            if tuple(t_l) != phi_N:
-                self._divisors.append(_monic_terms(t_l))
-        self._divisors.append(_monic_terms(phi_N))
+        # m = N / l for the least prime l of N; m = N = 1 skips the block
+        # step (see the module docstring)
+        self._m = N // min(primes.factorize(N), default=1)
+        self._phi_terms = _monic_terms(phi_N)[1]
 
     def reduce(self, coeffs) -> tuple[int, ...]:
+        N, m = self.N, self._m
         r = list(coeffs)
-        for n, terms in self._divisors:
-            _sparse_divmod(r, n, terms)
+        r += [0] * (N - len(r))
+        # fold mod x^N - 1 from the top block down, so that a block past
+        # 2N is carried through every block below it
+        for k in range((len(r) - 1) // N * N, 0, -N):
+            hi = r[k:k + N]
+            r[k - N:k - N + len(hi)] = map(add, r[k - N:k], hi)
+        del r[N:]
+        # one block step mod T_l: x^((l-1)m) = -(1 + x^m + ... + x^((l-2)m))
+        if m < N:
+            top = r[N - m:]
+            del r[N - m:]
+            for j in range(0, N - m, m):
+                r[j:j + m] = map(sub, r[j:j + m], top)
+        if len(r) > self.phi:
+            _sparse_divmod(r, self.phi, self._phi_terms)
         return tuple(r)
 
     def one(self) -> "CycloInt":
@@ -252,12 +266,12 @@ class CycloInt:
         if math.gcd(t, self.ctx.N) != 1:
             raise SuperjacError(f"zeta -> zeta^{t} is not an automorphism "
                                 f"of Z[zeta_{self.ctx.N}]")
-        weights: dict[int, int] = {}
+        N = self.ctx.N
+        acc = [0] * N
         for i, c in enumerate(self.coeffs):
             if c:
-                e = (i * t) % self.ctx.N
-                weights[e] = weights.get(e, 0) + c
-        return self.ctx.from_zeta_exponents(weights)
+                acc[i * t % N] += c
+        return CycloInt(self.ctx, self.ctx.reduce(acc))
 
     def conjugate(self) -> "CycloInt":
         return self.galois(self.ctx.N - 1)

@@ -84,8 +84,12 @@ def test_character_order_must_divide_p_minus_one():
 
 @pytest.mark.parametrize("q_order", [0, -3])
 def test_character_order_must_be_positive(q_order):
-    with pytest.raises(SuperjacError, match="at least 1"):
-        modified_gauss_sum(7, q_order, 1, 1, 1)
+    # the identities refuse it as the sum does, before u mod q_order
+    for call in (lambda: modified_gauss_sum(7, q_order, 1, 1, 1),
+                 lambda: gauss_norm_ok(7, q_order, 1, 1, 1),
+                 lambda: hasse_davenport_ok(7, q_order, 1, 1, 1, 2)):
+        with pytest.raises(SuperjacError, match="at least 1"):
+            call()
 
 
 def test_level_caps():
@@ -177,6 +181,7 @@ def test_closed_form_builds_no_table(monkeypatch):
     # (7, 11): a sum over GF(7^10), past the table cap's reach of 7^7
     monkeypatch.setattr(gf, "_CTX_CACHE", {})
     monkeypatch.setattr(characters, "_HIST_CACHE", {})
+    monkeypatch.setattr(characters, "_SUMS", {})
     g = orbit_gauss_sum(7, 11, 1, 1, 1)
     assert g * g.conjugate() == 7 ** 10
     # eps = (-1)^((7^5 + 1)/11), zeta_7^(-k a) with k = 10, a = 1
@@ -191,3 +196,83 @@ def test_trivial_characters_are_usage_errors():
         gauss_norm_ok(5, 4, 5, 1, 1)
     with pytest.raises(SuperjacError):
         hasse_davenport_ok(5, 4, 1, 4, 1, 2)
+
+
+def _identity_grid(p, q):
+    """Criterion 03's calls at one (p, q): every a, nontrivial pair and
+    level, then the shift identity."""
+    n_max = 6 if p ** 6 <= 100_000 else 3
+    for a in range(1, p):
+        for c, u in nontrivial_pairs(p, q):
+            characters.modified_gauss_sum(p, q, c, u, 0)
+            for n in range(1, n_max + 1):
+                assert gauss_norm_ok(p, q, c, u, a, n)
+                assert hasse_davenport_ok(p, q, c, u, a, n)
+            characters.modified_gauss_sum(p, q, c, u, a)
+    return n_max
+
+
+@pytest.mark.parametrize("p,q", [(5, 2), (7, 3)])
+def test_memo_keeps_one_character(p, q, monkeypatch):
+    monkeypatch.setattr(characters, "_SUMS", {})
+    calls, evaluated, held = [], [], []
+    real_sum, real_eval = modified_gauss_sum, characters._gauss_sum
+
+    def spy(p, q_order, c, u, a, n=1):
+        got = real_sum(p, q_order, c, u, a, n)
+        calls.append(((p, q_order, c % p, u % q_order, a % p), n))
+        held.append({key: len(sums)
+                     for key, sums in characters._SUMS.items()})
+        return got
+
+    def count(*args):
+        evaluated.append(args)
+        return real_eval(*args)
+
+    monkeypatch.setattr(characters, "modified_gauss_sum", spy)
+    monkeypatch.setattr(characters, "_gauss_sum", count)
+    n_max = _identity_grid(p, q)
+    assert all(len(h) == 1 and max(h.values()) <= n_max for h in held)
+    # one evaluation per level within each run of calls for one character
+    runs = []
+    for key, n in calls:
+        if not runs or runs[-1][0] != key:
+            runs.append((key, set()))
+        runs[-1][1].add(n)
+    assert len(evaluated) == sum(len(levels) for _, levels in runs)
+    # the a = 0 sum, then levels 1..n_max of the shifted character
+    assert len(evaluated) == (p - 1) * len(nontrivial_pairs(p, q)) \
+        * (1 + n_max) < len(calls)
+
+
+def test_refused_calls_leave_the_memo(monkeypatch):
+    monkeypatch.setattr(characters, "_SUMS", {})
+    g = modified_gauss_sum(5, 2, 1, 1, 1, 2)
+    before = {key: dict(sums) for key, sums in characters._SUMS.items()}
+    for call, exc in [
+            (lambda: modified_gauss_sum(5, 3, 1, 1, 1), CharacterUnavailable),
+            (lambda: modified_gauss_sum(5, 0, 1, 1, 1), SuperjacError),
+            (lambda: gauss_norm_ok(5, 0, 1, 1, 1), SuperjacError),
+            (lambda: hasse_davenport_ok(5, -2, 1, 1, 1, 2), SuperjacError),
+            (lambda: modified_gauss_sum(3, 2, 1, 1, 1, 14), BudgetExceeded)]:
+        with pytest.raises(exc):
+            call()
+        assert characters._SUMS == before
+    assert characters._SUMS[(5, 2, 1, 1, 1)][2] is g
+
+
+@pytest.mark.parametrize("first", ["norm", "hasse_davenport"])
+def test_memo_does_not_make_identities_hold(first, monkeypatch):
+    # a poisoned level-2 histogram makes G_2 wrong; with no sum kept from
+    # before, both identities at n = 2 must see it, in either order
+    monkeypatch.setattr(characters, "_HIST_CACHE", {})
+    monkeypatch.setattr(characters, "_SUMS", {})
+    hist = characters._histogram(5, 2, 2)
+    hist[next(iter(hist))] += 1
+    checks = [lambda: gauss_norm_ok(5, 2, 1, 1, 1, 2),
+              lambda: hasse_davenport_ok(5, 2, 1, 1, 1, 2)]
+    if first != "norm":
+        checks.reverse()
+    assert [check() for check in checks] == [False, False]
+    # the level-1 sum is untouched
+    assert gauss_norm_ok(5, 2, 1, 1, 1, 1)

@@ -2,7 +2,7 @@
 
 The schoolbook product ``_zmul_schoolbook`` and the dense long division
 ``_zdivmod_monic`` below are the reference implementations that the
-Kronecker-substituted multiply and the sparse reduction of
+Kronecker-substituted multiply and the fold-and-divide reduction of
 ``superjac.cyclo`` are checked against.  The complex embedding
 ``_embed_complex`` is the floating sanity check; the package itself has
 no float code.
@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,14 +61,15 @@ def _zdivmod_monic(a: list[int], f: list[int]) -> tuple[list[int], list[int]]:
     return q, r[:n]
 
 
-def _oracle_phi(N: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _oracle_phi(N: int) -> tuple[int, ...]:
     """Phi_N by dense division of x^N - 1 by every lower-order Phi_d."""
     num = [-1] + [0] * (N - 1) + [1]
     for d in range(1, N):
         if N % d == 0:
             num, r = _zdivmod_monic(num, _oracle_phi(d))
             assert not any(r)
-    return num
+    return tuple(num)
 
 
 def _oracle_reduce(N: int, v: list[int]) -> tuple[int, ...]:
@@ -107,7 +109,7 @@ _ORACLE_N = (1, 2, 3, 4, 6, 8, 9, 12, 15, 21, 25, 27, 38, 55, 57, 100, 105,
 
 def test_cyclotomic_polynomials_match_dense_oracle():
     for N in _ORACLE_N:
-        assert list(cyclotomic_polynomial(N)) == _oracle_phi(N), N
+        assert cyclotomic_polynomial(N) == _oracle_phi(N), N
 
 
 _COEFF = st.one_of(st.sampled_from([0, 1, -1]),
@@ -154,6 +156,11 @@ def _check_against_oracle(N, a, b, e, weights, t):
 def test_kernel_matches_schoolbook_and_dense_division(data):
     N = data.draw(st.sampled_from(_ORACLE_N))
     phi = len(_oracle_phi(N)) - 1
+    # reduce on its own, at every length from 0 to 3N: a fold that moved
+    # the terms past 2N only once would leave them above N
+    v = data.draw(_vectors(3 * N))
+    for n in range(3 * N + 1):
+        assert cyclo(N).reduce(v[:n]) == _oracle_reduce(N, v[:n]), n
     _check_against_oracle(
         N, data.draw(_vectors(phi)), data.draw(_vectors(phi)),
         data.draw(st.integers(0, 6)),

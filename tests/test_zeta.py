@@ -285,6 +285,7 @@ def test_count_points_without_mth_powers(p, m, monkeypatch):
     levels = _t1_levels(p, m)
     want = {n: _count_points_horner(curve, n) for n in levels}
     monkeypatch.setattr(gf, "_CTX_CACHE", {})
+    monkeypatch.setattr(characters, "_SUMS", {})
     assert {n: count_points(curve, n) for n in levels} == \
         {n: p ** n + 1 for n in levels} == want
     assert not gf._CTX_CACHE
@@ -499,6 +500,7 @@ def test_refusal_builds_no_table(monkeypatch):
     # ord_29(7) = 7 is odd, so no closed form, and 7^7 is past the
     # budget: refused before any extension of GF(7) is built
     monkeypatch.setattr(gf, "_CTX_CACHE", {})
+    monkeypatch.setattr(characters, "_SUMS", {})
     res = torsion_criterion(7, 29, budget=200_000)
     assert res.evidence_route is None and res.jacobian_order is None
     assert not [key for key in gf._CTX_CACHE if key[0] == 7 and key[1] >= 2]
@@ -506,6 +508,7 @@ def test_refusal_builds_no_table(monkeypatch):
 
 def test_power_law_refuses_before_counting(monkeypatch):
     monkeypatch.setattr(gf, "_CTX_CACHE", {})
+    monkeypatch.setattr(characters, "_SUMS", {})
     with pytest.raises(BudgetExceeded):
         power_law_check(3, 13, budget=200_000)
     assert not [key for key in gf._CTX_CACHE if key[0] == 3]
