@@ -196,7 +196,7 @@ def hasse_davenport_ok(p: int, q_order: int, c: int, u: int, a: int,
     _require_nontrivial(p, q_order, c, u)
     g1 = modified_gauss_sum(p, q_order, c, u, a, 1)
     gn = modified_gauss_sum(p, q_order, c, u, a, n)
-    return (g1 * (-1)) ** n == gn * (-1)
+    return (-g1) ** n == -gn
 
 
 def nontrivial_pairs(p: int, q_order: int):

@@ -211,7 +211,8 @@ class CurveSpec:
     """Validated data of a curve y^m = F(x)."""
 
     __slots__ = ("m", "base", "coeffs", "r", "d", "genus", "roots",
-                 "_exp_cache", "_fibers", "_ext_coeffs", "_ext_curves")
+                 "_exp_cache", "_blocks", "_fibers", "_ext_coeffs",
+                 "_ext_curves")
 
     def __init__(self, m, base, coeffs, roots):
         self.m = m
@@ -225,6 +226,7 @@ class CurveSpec:
         self.genus = t // 2
         self.roots = roots
         self._exp_cache = {}
+        self._blocks = {}       # picard's condition blocks, by (P, t, tops)
         self._fibers = {}
         self._ext_coeffs = {}
         self._ext_curves = {}

@@ -25,15 +25,21 @@ series products.  At an unramified place the next x-power column is
 x0 * c + tau * c for the column c before it, one pass over t
 coefficients (in the log/Zech domain over an extension field, as ints
 mod p over a prime field); at a ramification point x^i y^j is x^i
-shifted by j orders.
+shifted by j orders.  A block of base rows depends only on (P, t) and
+the column layout tops, so each curve keeps every block it has built in
+CurveSpec._blocks, flattened into one byte array (four bytes an entry
+past a base of 256 elements), and a system is the stack of its blocks.
 
 The class group itself is enumerated through effective divisors of
 degree g: every degree-zero class is E - g*inf for such an E, classes
 with l(E) = 1 have a unique representative, and the few with l(E) > 1
-are merged by principality tests.  The resulting class count must match
-the zeta-function order before any structure is reported; the abelian
-structure is then recovered from the sizes of the kernels of
-multiplication by prime powers, and its invariant factors from the
+are merged by principality tests.  With K = (2g - 2)*inf canonical,
+Riemann-Roch at deg E = g reads l(E) = 1 + l(K - E), so E is sorted by
+the system of L(K - E): at most g monomials, no u, and conditions
+(P, c_P) that recur from one E to the next.  The resulting class count
+must match the zeta-function order before any structure is reported;
+the abelian structure is then recovered from the sizes of the kernels
+of multiplication by prime powers, and its invariant factors from the
 Smith form of the diagonal of the prime powers found.  The first kernel
 scan, l * D for all |J| classes and every prime l | |J|, is sized from
 |J| = P(1) before any place is enumerated, and refused past SCAN_CAP.
@@ -43,6 +49,7 @@ place at infinity.
 """
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -186,6 +193,22 @@ def _base_rows(base: gf.FieldCtx, ctx: gf.FieldCtx, cols) -> list:
     return rows
 
 
+def _block(curve: CurveSpec, place, t: int, tops) -> array:
+    """Base rows of the condition (place, t) on the monomials of tops,
+    flattened row after row into one array: built once per curve and
+    key, then read from curve._blocks."""
+    key = (place, t, tuple(tops))
+    got = curve._blocks.get(key)
+    if got is None:
+        base = curve.base
+        le = local_expansion(curve, place, t)
+        rows = _base_rows(base, le.ctx, _condition_columns(le.ctx, le, tops))
+        got = array("B" if base.order <= 256 else "I",
+                    [v for row in rows for v in row])
+        curve._blocks[key] = got
+    return got
+
+
 def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
     """L(bound) = {f : div(f) + bound >= 0} with an explicit basis.
 
@@ -245,13 +268,13 @@ def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
                  for i in range(top + 1)]
 
     rows = []
-    if monomials:
+    n = len(monomials)
+    if n:
         for P, t in cond:
-            le = local_expansion(curve, P, t)
-            rows.extend(_base_rows(base, le.ctx,
-                                   _condition_columns(le.ctx, le, tops)))
+            blk = _block(curve, P, t, tops)
+            rows.extend(blk[k:k + n] for k in range(0, len(blk), n))
 
-    vectors = gf.nullspace(base, rows, len(monomials))
+    vectors = gf.nullspace(base, rows, n)
 
     degb = bound.degree()
     g = curve.genus
@@ -457,11 +480,14 @@ def picard_group(curve: CurveSpec, budget: int = COUNT_BUDGET) -> PicardGroup:
                              f"unknowns, past SCAN_CAP = {SCAN_CAP}")
 
     places = enumerate_places(curve, g)
-    ginf = Divisor.single(curve.inf_place(), g)
+    inf = curve.inf_place()
+    ginf = Divisor.single(inf, g)
+    # K = (2g - 2) inf is canonical, and l(E) = 1 + l(K - E) at deg E = g
+    canon = Divisor.single(inf, 2 * g - 2)
     plain = []
     special = []
     for E in effective_divisors(places, g):
-        if ell(curve, E) == 1:
+        if ell(curve, canon - E) == 0:
             plain.append(E)
         else:
             special.append(E)

@@ -55,7 +55,6 @@ from .curves import CurveSpec, make_curve
 from .cyclo import _zmul
 from .errors import (
     BudgetExceeded,
-    CharacterUnavailable,
     EvidenceFailed,
     InvariantViolation,
     RequiresD1,
@@ -238,15 +237,11 @@ def _require_a(p: int, a: int) -> None:
 
 def counts_by_charsum(p: int, m: int, a: int, upto: int) -> list[int]:
     """N_1..N_upto for y^m = x^p - x + a, read off the character-sum
-    numerator P(T) of ``zeta_numerator_charsum``.
-
-    Requires m | p - 1, where every Gauss sum lives over GF(p).
+    numerator P(T) of ``zeta_numerator_charsum``, for any m >= 2 prime
+    to p.
     """
     _require_curve(p, m)
     _require_a(p, a)
-    if (p - 1) % m != 0:
-        raise CharacterUnavailable(
-            f"multiplicative characters of order {m} need {m} | {p - 1}")
     P = zeta_numerator_charsum(p, m, a)
     return [P.point_count(n) for n in range(1, upto + 1)]
 

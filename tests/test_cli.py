@@ -136,16 +136,26 @@ def test_count_routes(capsys) -> None:
     assert doc["routes"]["naive"] == doc["routes"]["charsum"] == [7, 7, 28]
     assert doc["agree"] is True
 
-    # charsum needs q | p - 1; route=both degrades to naive only
-    code, doc = run_json(capsys, ["count", "--p", "3", "--q", "5",
-                                  "--a", "1", "--n", "2"])
+    # q need not divide p - 1: the k = 3 factor is tested over GF(8)
+    code, doc = run_json(capsys, ["count", "--p", "2", "--q", "7",
+                                  "--a", "1", "--n", "3"])
     assert code == 0
-    assert doc["routes"]["charsum"] is None
+    assert doc["routes"]["naive"] == doc["routes"]["charsum"] == [3, 5, 15]
+    assert doc["agree"] is True
+
+    # the Gauss sums of order 31 live over GF(7^15), past the table cap;
+    # route=both degrades to naive only
+    code, doc = run_json(capsys, ["count", "--p", "7", "--q", "31",
+                                  "--a", "1", "--n", "1"])
+    assert code == 0
+    assert doc["routes"] == {"naive": [8], "charsum": None}
     assert doc["agree"] is None
 
-    code, _ = run(capsys, ["count", "--p", "3", "--q", "5", "--a", "1",
-                           "--n", "2", "--route", "charsum"])
-    assert code == 2
+    code, doc = run_json(capsys, ["count", "--p", "7", "--q", "31",
+                                  "--a", "1", "--n", "1", "--route",
+                                  "charsum"])
+    assert (code, doc["error"]) == (3, "budget-exceeded")
+    assert "GF(7^15)" in doc["detail"]
 
 
 def test_zeta_both_routes(capsys) -> None:

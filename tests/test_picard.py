@@ -589,3 +589,112 @@ def test_residue_field_rows_match_the_splitting_field(name):
             zero.append(both - Divisor.single(inf, both.degree()))
     assert mixed == (name in MIXED_DEGREES)
     assert _oracle_mismatches(curve, bounds, zero) == []
+
+
+# ---------------------------------------------------------------------------
+# plain and special divisors through L(K - E)
+
+
+def _split11():
+    ctx = gf.field(11)
+    return make_curve(2, gf.pfrom_roots(ctx, [0, 1, 2, 3, 4]), ctx)
+
+
+SPLIT_CURVES = dict(ORACLE_CURVES, **{
+    # the curve of test_special_divisor_on_split_curve
+    "split11": _split11,
+    "hyper9": lambda: base_change(zeta.artin_schreier_curve(3, 2, 1),
+                                  gf.field(3, 2)),
+    "y3_gf5": lambda: make_curve(3, [1, 2, 0, 0, 0, 1], gf.field(5)),
+})
+
+
+@pytest.mark.parametrize("name", list(SPLIT_CURVES))
+def test_canonical_split_matches_ell(name):
+    # K = (2g - 2) inf is canonical, so at deg E = g Riemann-Roch reads
+    # l(E) = 1 + l(K - E): the g-column test picard_group runs and the
+    # full basis of L(E) split the effective divisors the same way
+    curve = SPLIT_CURVES[name]()
+    g = curve.genus
+    canon = Divisor.single(curve.inf_place(), 2 * g - 2)
+    special = 0
+    for E in effective_divisors(enumerate_places(curve, g), g):
+        plain = ell(curve, canon - E) == 0
+        assert plain == (ell(curve, E) == 1), E
+        special += not plain
+    if name in ("quintic2", "split11"):
+        assert special > 0
+
+
+# ---------------------------------------------------------------------------
+# one condition block per (place, t, tops) per curve
+
+
+def _fresh_block(curve, place, t, tops):
+    le = local_expansion(curve, place, t)
+    rows = picard._base_rows(curve.base, le.ctx,
+                             picard._condition_columns(le.ctx, le, tops))
+    return [v for row in rows for v in row]
+
+
+@pytest.mark.parametrize("make, run", [
+    (_gf5, lambda c: picard_group(c)),
+    (_gf5, lambda c: is_principal(c, _multiple_of_place_class(
+        c, ["P1(0,1)"], 29))),
+    (_gf9, lambda c: is_principal(c, _multiple_of_place_class(
+        c, ["P1(0,1)", "P1(1,1)"], 29))),
+    (_cubic4, lambda c: picard_group(c)),
+    (_cubic4, lambda c: is_principal(c, _multiple_of_place_class(
+        c, ["R1"], 29))),
+    # a base of more than 256 elements keeps 4-byte entries
+    (lambda: make_curve(2, [1, 2, 0, 0, 0, 1], gf.field(263)),
+     lambda c: function_space(c, Divisor(
+         [(P, -k) for P, k in zip(enumerate_places(c, 1)[::2], (3, 2))]
+         + [(c.inf_place(), 8)]))),
+], ids=["gf5_group", "gf5_29P", "gf9_29D", "cubic4_group", "cubic4_29R",
+        "gf263"])
+def test_cached_blocks_match_fresh_ones(make, run):
+    c = make()
+    run(c)
+    assert c._blocks
+    for (P, t, tops), blk in c._blocks.items():
+        # one byte per entry wherever the base fits in one
+        assert blk.itemsize == (1 if c.base.order <= 256 else 4)
+        assert list(blk) == _fresh_block(c, P, t, list(tops)), (P, t, tops)
+        ncols = sum(top + 1 for top in tops)
+        assert len(blk) == t * P.degree * ncols
+
+
+def test_curves_with_equal_coefficients_share_no_blocks():
+    first, second = _gf5(), _gf5()
+    assert picard_group(first).invariant_factors == (26,)
+    assert first._blocks and second._blocks == {}
+    assert picard_group(second).invariant_factors == (26,)
+    assert set(first._blocks) == set(second._blocks)
+    assert all(first._blocks[k] is not blk
+               for k, blk in second._blocks.items())
+    # a curve made after the others are gone starts with no blocks, even
+    # where it takes an address one of them had
+    del first, second
+    third = _gf5()
+    assert third._blocks == {}
+    assert picard_group(third).invariant_factors == (26,)
+
+
+def test_second_class_group_builds_no_block(monkeypatch):
+    build = picard._condition_columns
+    built = []
+
+    def record(ctx, le, tops):
+        built.append((le.curve, le.place, le.prec, tuple(tops)))
+        return build(ctx, le, tops)
+
+    monkeypatch.setattr(picard, "_condition_columns", record)
+    c = _gf9()
+    G = picard_group(c)
+    # at most one build per (curve, place, t, tops)
+    assert built and len(set(built)) == len(built) == len(c._blocks)
+    assert all(curve is c for curve, *_ in built)
+    n = len(built)
+    assert picard_group(c) == G
+    assert len(built) == n

@@ -65,8 +65,12 @@ def test_count_anchor_gf2_quintic():
 
 
 def test_charsum_counts_match_enumeration():
+    # the last five have m not dividing p - 1: their Gauss sums live over
+    # GF(p^k), k = ord_m(p) = 3, 2, 4, 2, 4
     for p, m, a, upto in [(3, 2, 1, 4), (3, 2, 2, 3), (5, 2, 1, 3),
-                          (5, 4, 2, 2), (7, 2, 3, 2), (7, 3, 1, 2)]:
+                          (5, 4, 2, 2), (7, 2, 3, 2), (7, 3, 1, 2),
+                          (2, 7, 1, 3), (2, 3, 1, 4), (3, 5, 1, 3),
+                          (5, 3, 2, 3), (7, 5, 3, 2)]:
         curve = artin_schreier_curve(p, m, a)
         naive = [count_points(curve, n) for n in range(1, upto + 1)]
         assert counts_by_charsum(p, m, a, upto) == naive
