@@ -90,7 +90,9 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(doc, fh, sort_keys=True)
+                # insertion order kept: a hit prints plain lines in the
+                # order of the call that computed it
+                json.dump(doc, fh)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

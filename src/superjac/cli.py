@@ -6,12 +6,14 @@ invocations with the same seed are byte-identical).  Exit codes:
 0 success, 1 a check or hypothesis failed (a report is still printed),
 2 usage error, 3 work budget or table cap exceeded.
 
-Results of the expensive subcommands can be kept in an on-disk cache
-(--cache-dir); --verify-cache recomputes on every hit and fails loudly
-on any divergence.  Exit-3 refusals are cached like answers: every cap
-depends only on the parameters and on constants in the sources, both of
-which are in the cache key.  Exit-1 check failures and exit-2 usage
-errors are never cached.
+Results of every subcommand but ``genus``, which is arithmetic on its
+arguments alone, can be kept in an on-disk cache (--cache-dir);
+--verify-cache recomputes on every hit and fails loudly on any
+divergence.  Exit-3 refusals are cached like answers: every cap depends
+only on the parameters and on constants in the sources, both of which
+are in the cache key.  Exit-1 check failures and exit-2 usage errors
+are never cached.  --budget below 1 is a usage error on every
+subcommand.
 
 This module imports only the standard library, ``cache`` and
 ``errors``; each handler imports the math modules it runs, so a cache
@@ -32,7 +34,7 @@ from .errors import (BudgetExceeded, CacheMismatch, CheckFailed,
 
 CACHED_OPS = {"gauss", "count", "zeta", "jacobian-order", "torsion-test",
               "power-law", "picard", "conjecture-test", "proof-replay",
-              "rank-certify"}
+              "rank-certify", "delta-structure", "principal", "find-prime"}
 
 
 def _int(token: str) -> int:
@@ -131,11 +133,7 @@ def _cmd_gauss(args):
 
 def _budget(args) -> int:
     from . import zeta
-    if args.budget is None:
-        return zeta.COUNT_BUDGET
-    if args.budget < 1:
-        raise SuperjacError(f"--budget must be at least 1, got {args.budget}")
-    return args.budget
+    return zeta.COUNT_BUDGET if args.budget is None else args.budget
 
 
 def _counts_naive(args, upto: int) -> list[int]:
@@ -400,6 +398,10 @@ def main(argv=None) -> int:
         return [code, payload]
 
     try:
+        # refused for every subcommand, whether or not its handler reads it
+        if args.budget is not None and args.budget < 1:
+            raise SuperjacError(
+                f"--budget must be at least 1, got {args.budget}")
         if args.cache_dir and args.cmd in CACHED_OPS:
             cache = ResultCache(args.cache_dir, verify=args.verify_cache)
             params = {k: v for k, v in vars(args).items()

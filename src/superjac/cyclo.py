@@ -6,10 +6,15 @@ computations are exact.
 
 Products use Kronecker substitution: each coefficient vector is packed
 into one Python integer, one slot per coefficient, the two integers are
-multiplied, and the product is read back slot by slot.  The slot is
-wide enough (the operands' bit lengths, plus the bit length of the
-shorter length, plus a sign bit) for every coefficient of the product,
-so the unpacking is exact at any coefficient size.
+multiplied, and the product is read back slot by slot.  A slot has at
+least as many bits as the operands' bit lengths, plus the bit length of
+the shorter length, plus a sign bit: enough for every coefficient of
+the product, so the unpacking is exact at any coefficient size.  Every
+slot is offset by half a slot, h = 2^(w-1) for w bits, so that it holds
+c + h in [0, 2h).  A slot of 1, 2, 4 or 8 bytes is written and read in C
+by ``array`` as two's complement, and an XOR with h turns one form into
+the other: (c mod 2^w) XOR h = c + h for c in [-h, h).  A wider slot is
+written and read per slot by ``int.to_bytes`` and ``int.from_bytes``.
 
 Reduction mod Phi_N takes three steps.  A vector of any length is
 first folded mod x^N - 1, from the top index down, so that every index
@@ -17,23 +22,59 @@ lands below N.  With l the smallest prime of N and m = N/l,
 T_l = (x^N - 1) / (x^m - 1) = 1 + x^m + ... + x^((l-1)m) is a multiple
 of Phi_N.  Cut into blocks r_0, ..., r_(l-1) of m coefficients, the
 folded vector is congruent mod T_l to the blocks r_j - r_(l-1),
-j < l - 1: one block step.  Last, a sparse division by Phi_N over its nonzero terms takes the
-deg T_l - phi(N) steps that remain: l - 1 for N = pq, none when N is a
-prime power, where T_l = Phi_N.  For N = 1 there is no l: Z[zeta_1] = Z,
-and the fold alone leaves the coefficient sum.  The remainder mod Phi_N
-is unique, so it does not depend on the route.  The same sparse
-division builds Phi_N from x^N - 1 and the lower-order cyclotomic
-polynomials.
+j < l - 1: one block step.  Last, a sparse division by Phi_N over its
+nonzero terms takes the deg T_l - phi(N) steps that remain: l - 1 for
+N = pq, none when N is a prime power, where T_l = Phi_N.  For N = 1
+there is no l: Z[zeta_1] = Z, and the fold alone leaves the coefficient
+sum.  The remainder mod Phi_N is unique, so it does not depend on the
+route.  The same sparse division builds Phi_N from x^N - 1 and the
+lower-order cyclotomic polynomials.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from functools import lru_cache
-from operator import add, sub
+from itertools import repeat
+from operator import add, mul, neg, sub
 
 from . import primes
 from .errors import InvariantViolation, SuperjacError
+
+
+# signed array type code for each slot width in bytes that has one, and
+# the narrowest of those widths for each byte count up to the widest
+_SLOT_CODES = {array(code).itemsize: code for code in "bhilq"}
+_ARRAY_WIDTH = {n: min(w for w in _SLOT_CODES if w >= n)
+                for n in range(1, max(_SLOT_CODES) + 1)}
+
+
+def _packed(v, width: int, code, half: int) -> int:
+    """sum v_i 2^(8 width i), for |v_i| < half = 2^(8 width - 1)."""
+    order = sys.byteorder
+    off = int.from_bytes(half.to_bytes(width, order) * len(v), order)
+    if code:
+        # two's complement slots XOR the offset hold v_i + half
+        return (int.from_bytes(array(code, v).tobytes(), order) ^ off) - off
+    return int.from_bytes(b"".join([(c + half).to_bytes(width, order)
+                                    for c in v]), order) - off
+
+
+def _unpacked(v: int, n: int, width: int, code, half: int) -> list[int]:
+    """The n signed slots of v = sum c_i 2^(8 width i), |c_i| < half."""
+    order = sys.byteorder
+    off = int.from_bytes(half.to_bytes(width, order) * n, order)
+    v += off                        # slot i holds c_i + half, in [0, 2 half)
+    if code:
+        v ^= off                    # slot i holds c_i in two's complement
+        return array(code, v.to_bytes(n * width, order)).tolist()
+    del off
+    buf = v.to_bytes(n * width, order)
+    del v
+    return [int.from_bytes(buf[i:i + width], order) - half
+            for i in range(0, len(buf), width)]
 
 
 def _zmul(a, b) -> list[int]:
@@ -41,22 +82,14 @@ def _zmul(a, b) -> list[int]:
     n = min(len(a), len(b))
     if not n:
         return []
-    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-            + n.bit_length() + 1)
-    width = (bits + 7) // 8                  # slot width in bytes
+    nbytes = (max(max(a), -min(a)).bit_length()
+              + max(max(b), -min(b)).bit_length() + n.bit_length() + 8) // 8
+    width = _ARRAY_WIDTH.get(nbytes, nbytes)
+    code = _SLOT_CODES.get(width)
     half = 1 << (8 * width - 1)
-    slot = half.to_bytes(width, "little")
-    # every slot is offset by half so that it holds a value in [0, 2 half)
-    fb = int.from_bytes
-    pa = fb(b"".join([(c + half).to_bytes(width, "little") for c in a]),
-            "little") - fb(slot * len(a), "little")
-    pb = fb(b"".join([(c + half).to_bytes(width, "little") for c in b]),
-            "little") - fb(slot * len(b), "little")
-    size = len(a) + len(b) - 1
-    buf = (pa * pb + fb(slot * size, "little")).to_bytes(size * width,
-                                                          "little")
-    return [fb(buf[i:i + width], "little") - half
-            for i in range(0, size * width, width)]
+    return _unpacked(_packed(a, width, code, half)
+                     * _packed(b, width, code, half),
+                     len(a) + len(b) - 1, width, code, half)
 
 
 def _monic_terms(f) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -203,22 +236,21 @@ class CycloInt:
         if isinstance(other, int):
             other = self.ctx.from_int(other)
         self._check(other)
-        return CycloInt(self.ctx,
-                        tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycloInt(self.ctx, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         if isinstance(other, int):
             other = self.ctx.from_int(other)
         self._check(other)
-        return CycloInt(self.ctx,
-                        tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycloInt(self.ctx, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return CycloInt(self.ctx, tuple(-a for a in self.coeffs))
+        return CycloInt(self.ctx, tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CycloInt(self.ctx, tuple(a * other for a in self.coeffs))
+            return CycloInt(self.ctx,
+                            tuple(map(mul, self.coeffs, repeat(other))))
         self._check(other)
         return CycloInt(self.ctx,
                         self.ctx.reduce(_zmul(self.coeffs, other.coeffs)))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import superjac
-from superjac import curves, gf, picard
+from superjac import curves, delta, gf, picard, rank
 from superjac.cli import main
 
 SRC = str(Path(superjac.__file__).resolve().parents[1])
@@ -354,6 +354,10 @@ BAD_PARAMETERS = [
     ["count", "--p", "3", "--q", "2", "--a", "1", "--n", "-1"],
     ["zeta", "--p", "2", "--q", "7", "--a", "1", "--budget", "0"],
     ["zeta", "--p", "2", "--q", "7", "--a", "1", "--budget", "-1"],
+    # --budget below 1 is refused also where the handler never reads it
+    ["count", "--p", "3", "--q", "2", "--a", "1", "--n", "3", "--route",
+     "charsum", "--budget", "0"],
+    ["gauss", "--p", "7", "--q", "3", "--a", "1", "--budget", "0"],
     # malformed integers name the bad token
     ["genus", "--m", "3", "--f", "1,x"],
     ["find-prime", "--m", "2", "--roots", "0,1,x", "--k", "10"],
@@ -502,6 +506,34 @@ def test_warm_refusal_skips_the_class_group_work(tmp_path, capsys,
     calls.clear()
     assert run(capsys, argv) == (3, cold)
     assert not calls
+
+
+@pytest.mark.parametrize("argv,module,fn", [
+    (["delta-structure", "--m", "3", "--r", "4"], delta, "delta_structure"),
+    (["principal", "--m", "2", "--f", "0,24,-50,35,-10,1", "--coeffs",
+      "2,0,0,0", "--field", "11"], delta, "decide_principal_delta"),
+    (["find-prime", "--m", "2", "--roots", "0,1", "--k", "10"], rank,
+     "find_witness_prime"),
+], ids=["delta-structure", "principal", "find-prime"])
+def test_math_subcommands_are_cached(tmp_path, capsys, monkeypatch, argv,
+                                     module, fn) -> None:
+    calls = []
+
+    def recording(*a, _fn=getattr(module, fn), **k):
+        calls.append(a)
+        return _fn(*a, **k)
+
+    monkeypatch.setattr(module, fn, recording)
+    for flags in ([], ["--json"]):
+        calls.clear()
+        cache = tmp_path / "_".join(["plain"] + flags)
+        cold = run(capsys, argv + flags + ["--cache-dir", str(cache)])
+        assert cold[0] == 0 and len(calls) == 1
+        assert len(list(cache.rglob("*.json"))) == 1
+        # byte-identical stdout, lines in the same order, and the warm
+        # call is a hit
+        assert run(capsys, argv + flags + ["--cache-dir", str(cache)]) == cold
+        assert len(calls) == 1
 
 
 def test_cache_hits_load_no_math_module(tmp_path, capsys) -> None:

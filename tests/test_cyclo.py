@@ -18,7 +18,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superjac.cyclo import CycloInt, cyclo, cyclotomic_polynomial
+from superjac import cyclo as cyclo_mod
+from superjac.cyclo import CycloInt, _zmul, cyclo, cyclotomic_polynomial
 from superjac.errors import SuperjacError
 
 
@@ -181,6 +182,59 @@ def test_kernel_extremes_match_oracle():
         # product coefficients just below the slot's sign bit (N = 55, 105)
         _check_against_oracle(N, [2 ** 201 - 1] * phi, [2 ** 201 - 1] * phi,
                               1, {}, 1)
+
+
+def _signed_bits(c: int) -> int:
+    """Bits of the shortest two's complement that holds c."""
+    return (c if c >= 0 else ~c).bit_length() + 1
+
+
+def _operands_needing(t: int) -> list[tuple[list[int], list[int]]]:
+    """Operand pairs whose product needs exactly t signed bits: length 1,
+    unequal lengths, mixed and all-negative signs, and all-zero operands
+    beside them."""
+    A = math.isqrt(2 ** (t - 1) - 1)   # 2^(t-2) <= A^2 < 2^(t-1)
+    return [([A], [A]), ([-A], [A]),
+            ([A, 1, 0, -1], [A, -1, 1]), ([-A, 2], [A, 0, 0, 1, -1, 1]),
+            ([-A, -1, -1], [-A, -1]), ([-1, -A], [-1, -1, -A, -1]),
+            ([0, 0, 0], [A, -A]), ([0], [0, 0])]
+
+
+# slot bytes of the length-1 product A * A: each array width, then wider
+_SLOT_OF_BITS = {7: 1, 8: 2, 15: 2, 16: 4, 31: 4, 32: 8, 63: 8, 64: 9, 65: 9}
+
+
+@pytest.mark.parametrize("t", sorted(_SLOT_OF_BITS))
+def test_zmul_slot_widths_match_schoolbook(t, monkeypatch):
+    widths = []
+    pack = cyclo_mod._packed
+
+    def spy(v, width, code, half):
+        widths.append(width)
+        return pack(v, width, code, half)
+
+    monkeypatch.setattr(cyclo_mod, "_packed", spy)
+    pairs = _operands_needing(t)
+    for a, b in pairs:
+        assert _zmul(a, b) == _zmul_schoolbook(a, b), (a, b)
+        assert _zmul(b, a) == _zmul_schoolbook(b, a), (a, b)
+    assert widths[0] == _SLOT_OF_BITS[t]
+    assert max(_signed_bits(c) for a, b in pairs
+               for c in _zmul_schoolbook(a, b)) == t
+
+
+def test_zmul_empty_operand():
+    assert _zmul([], [1, 2]) == _zmul([3], []) == []
+
+
+def test_powers_of_x_reduce_like_the_oracle():
+    # x^k mod Phi_N for every index a fold, the block step and the sparse
+    # division can see, below 3N
+    for N in _ORACLE_N:
+        R = cyclo(N)
+        for k in range(3 * N):
+            assert R.reduce([0] * k + [1]) == _oracle_reduce(
+                N, [0] * k + [1]), (N, k)
 
 
 def test_zeta_one_is_the_integers():
