@@ -5,9 +5,15 @@ sum(c_i * p**i) for its coefficient vector (c_0, ..., c_{n-1}).  Constants
 pack to themselves, so the prime subfield sits inside every extension as
 the identity on 0..p-1.  Extension contexts carry exp/log tables for a
 fixed generator g plus a Zech table (1 + g^k = g^zech[k]), making every
-field operation a couple of list lookups.  Prime-field contexts do their
+field operation a couple of table lookups.  Prime-field contexts do their
 arithmetic directly modulo p and build the same three tables only when a
 discrete log or a log-domain loop asks for them.
+
+The tables of a field with more than 256 elements are array("i")s of 4
+bytes per entry, filled in place, so no full-size list of boxed ints
+exists even while they are built; smaller fields keep lists, whose entries are
+CPython's shared small ints and whose subscripts are cheaper (see
+_table_type).
 
 The exp table is the chain 1, g, g^2, ... of packed values.  Each step
 is a precomputed multiply-by-g map: with h = ceil(n/2), a packed value
@@ -41,6 +47,7 @@ Deterministic choices, fixed once per (p, n):
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 from . import primes
@@ -48,8 +55,28 @@ from .errors import (BudgetExceeded, InvariantViolation, SuperjacError,
                      UnsupportedBase)
 
 # Largest extension field for which full tables are built.  Prime fields
-# are exempt (they need no tables for arithmetic).
+# are exempt (they need no tables for arithmetic).  At the cap the exp,
+# log and Zech tables hold 4 bytes per entry, 48 MiB for the three.
 MAX_TABLE_CARD = 1 << 22
+# Fields up to this many elements keep their tables as lists
+SMALL_TABLE_CARD = 256
+
+
+def _table_type(card: int):
+    """Constructor of the per-element tables of a field with card
+    elements: ``new([v]) * size`` fills, ``new(iterable)`` consumes the
+    iterable in place.
+
+    Past SMALL_TABLE_CARD it makes an array("i"): 4 bytes per entry
+    against about 36 for a list of boxed ints, and every entry fits a C
+    int since MAX_TABLE_CARD does.  Up to it, a list: its entries are
+    shared small ints, so an array saves nothing, and a list subscript
+    costs about half an array one in the small-field loops of nullspace
+    and curves.s_mul.
+    """
+    if card <= SMALL_TABLE_CARD:
+        return list
+    return lambda values: array("i", values)
 
 
 def _find_defpoly(p: int, n: int) -> tuple[int, ...]:
@@ -111,7 +138,7 @@ class FieldCtx:
     def _build_tables(self) -> None:
         self._set_tables(*self._chain_packed())
 
-    def _set_tables(self, exp: list[int], log: list[int]) -> None:
+    def _set_tables(self, exp, log) -> None:
         if log.count(-1) != 1:
             raise InvariantViolation("exp chain did not cover the units")
         p = self.p
@@ -119,11 +146,18 @@ class FieldCtx:
         self._exp = exp
         self._log = log
         # zech[k] = log(1 + g^k): adding 1 steps the constant digit, and
-        # log[0] = -1 marks 1 + g^k = 0
-        self._zech = [log[e + 1 if e % p != pm1 else e - pm1] for e in exp]
+        # log[0] = -1 marks 1 + g^k = 0.  Built in slices of 4096, so no
+        # full-size list exists: an array fills from a list about twice
+        # as fast as from a generator.
+        new = _table_type(self.order)
+        zech = new([])
+        for s in range(0, len(exp), 1 << 12):
+            zech += new([log[e + 1 if e % p != pm1 else e - pm1]
+                         for e in exp[s:s + (1 << 12)]])
+        self._zech = zech
         self._m1log = log[pm1]
 
-    def _chain_packed(self) -> tuple[list[int], list[int]]:
+    def _chain_packed(self) -> tuple:
         # the multiply-by-g map of the module docstring
         p, n, Q = self.p, self.n, self.order
         fp, f = field(p), list(self.defpoly)
@@ -158,8 +192,9 @@ class FieldCtx:
         bits = width * s
         bits2 = 2 * bits
         mask = (1 << bits) - 1
-        exp = [0] * (Q - 1)
-        log = [-1] * Q
+        new = _table_type(Q)
+        exp = new([0]) * (Q - 1)
+        log = new([-1]) * Q
         v = 1
         for k in range(Q - 1):
             exp[k] = v
@@ -179,8 +214,9 @@ class FieldCtx:
         if p > MAX_TABLE_CARD:
             raise BudgetExceeded(f"GF({p}) exceeds the table cap "
                                  f"{MAX_TABLE_CARD}")
-        exp = [0] * (p - 1)
-        log = [-1] * p
+        new = _table_type(p)
+        exp = new([0]) * (p - 1)
+        log = new([-1]) * p
         cur = 1
         for k in range(p - 1):
             exp[k] = cur
@@ -307,14 +343,18 @@ class FieldCtx:
             raise InvariantViolation(f"g^{t} is not an {m}-th root")
         return y
 
-    def trace_table(self, sub: FieldCtx | None = None) -> list[int]:
+    def trace_table(self, sub: FieldCtx | None = None) -> bytes | list[int]:
         """Trace down to the subfield sub (the prime field when omitted)
         of every element, indexed by packed value, as packed elements of
         sub under the canonical embedding.
 
         The trace is F_p-linear, so Tr(sum c_i X^i) = sum c_i Tr(X^i):
         the n basis traces, each a sum of relative Frobenius conjugates,
-        give all p^n of them.
+        give all p^n of them.  Traces to the prime field with p < 256
+        come as bytes, one byte per element: the table for the first
+        i + 1 basis traces is p copies of the one for the first i, copy c
+        shifted by c * Tr(X^i) through bytes.translate.  Other traces
+        come as a list.
         """
         p = self.p
         step = 1 if sub is None else sub.n
@@ -327,6 +367,15 @@ class FieldCtx:
         if step == 1:
             if max(basis) >= p:
                 raise InvariantViolation("trace left the prime field")
+            if p < 256:
+                # shift[d] maps each digit x to (x + d) mod p
+                shift = [bytes((x + d) % p for x in range(256))
+                         for d in range(p)]
+                raw = b"\0"
+                for t in basis:
+                    raw = b"".join([raw.translate(shift[c * t % p])
+                                    for c in range(p)])
+                return raw
             table = [0]
             for t in basis:
                 table = [(s + c * t) % p for c in range(p) for s in table]
@@ -341,13 +390,16 @@ class FieldCtx:
             raise InvariantViolation(f"trace left {sub.name()}")
         return out
 
-    def log_tables(self) -> tuple[int, list[int], list[int], list[int], int]:
+    def log_tables(self) -> tuple[int, list[int] | array, list[int] | array,
+                                  list[int] | array, int]:
         """(order - 1, exp, log, zech, log(-1)) of the field.
 
         For loops that stay in the log domain: log[0] = -1 marks zero,
         and g^a + g^b = g^(a + zech[(b - a) mod (order - 1)]), the sum
-        being zero when that zech entry is -1.  A prime field builds its
-        tables on the first call.
+        being zero when that zech entry is -1.  The three tables are
+        lists up to SMALL_TABLE_CARD elements and array("i")s past it;
+        callers only index them.  A prime field builds its tables on the
+        first call.
         """
         if self.n == 1:
             self._prime_tables()

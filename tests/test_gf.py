@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import operator
 import random
+import sys
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,7 +117,7 @@ def test_frobenius_is_additive_and_fixes_prime_field(p, n):
         assert K.frob(c) == c
 
 
-@pytest.mark.parametrize("p,n", [(2, 4), (3, 2), (5, 3), (7, 2)])
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 2), (5, 3), (7, 2), (3, 6)])
 def test_trace_norm_against_definitions(p, n):
     # the trace table and the norm as a generator power (the form
     # characters.modified_gauss_sum uses) against the conjugate sums and
@@ -387,23 +390,51 @@ def test_tables_match_digit_chain(p, n):
     exp, log = _chain_digits(p, n, K.defpoly, K.gen)
     q1, kexp, klog, kzech, m1 = K.log_tables()
     assert q1 == p ** n - 1
-    assert kexp == exp
-    assert klog == log
-    assert kzech == _zech_loop(p, exp, log)
+    # lists up to gf.SMALL_TABLE_CARD elements, 4-byte arrays past it
+    kind = list if p ** n <= gf.SMALL_TABLE_CARD else array
+    assert {type(kexp), type(klog), type(kzech)} == {kind}
+    assert kind is list or kexp.typecode == klog.typecode == "i"
+    assert list(kexp) == exp
+    assert list(klog) == log
+    assert list(kzech) == _zech_loop(p, exp, log)
     assert m1 == log[p - 1]
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 13])
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 257])
 def test_prime_field_log_tables(p):
     K = gf.field(p)
     q1, exp, log, zech, m1 = K.log_tables()
     assert q1 == p - 1
-    assert [K.exp_gen(k) for k in range(q1)] == exp
+    assert isinstance(exp, list if p <= gf.SMALL_TABLE_CARD else array)
+    assert [K.exp_gen(k) for k in range(q1)] == list(exp)
     assert all(log[exp[k]] == k for k in range(q1))
-    assert zech == _zech_loop(p, exp, log)
+    assert list(zech) == _zech_loop(p, exp, log)
     for k in range(q1):
         assert (exp[zech[k]] if zech[k] >= 0 else 0) == (exp[k] + 1) % p
     assert m1 == log[p - 1]
+
+
+def test_table_build_holds_no_full_size_list():
+    # GF(3^10)'s exp, log and Zech tables, built in place as 4-byte
+    # arrays, cost less at their peak than one list of its 3^10 boxed
+    # ints would; its trace table, one byte per element, less than the
+    # pointer array of such a list
+    Q = 3 ** 10
+    one_list = sys.getsizeof([0] * Q) + Q * sys.getsizeof(Q)
+    gf.field(3)
+    tracemalloc.start()
+    try:
+        K = gf.FieldCtx(3, 10)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        table = K.trace_table()
+        trace_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert build_peak < one_list
+    assert isinstance(table, bytes) and len(table) == Q
+    assert trace_peak < sys.getsizeof([0] * Q)
 
 
 def test_broken_generator_fails_the_chain():
@@ -475,7 +506,9 @@ def _gauss_jordan_nullspace(ctx, rows, ncols):
     return basis
 
 
-NULLSPACE_FIELDS = [(2, 1), (3, 1), (7, 1), (2, 2), (3, 2), (2, 8), (3, 4)]
+# GF(3^6) is past gf.SMALL_TABLE_CARD: its tables are arrays
+NULLSPACE_FIELDS = [(2, 1), (3, 1), (7, 1), (2, 2), (3, 2), (2, 8), (3, 4),
+                    (3, 6)]
 
 
 def _check_nullspace(ctx, rows, ncols):
