@@ -31,8 +31,9 @@ Two families of multiplicative characters are used.
   Jacobi Sums, Thm 11.6.3); no field is built.
 
 Every other sum reads one histogram per field: the counts of
-(Tr(w), log(w) mod L) over the nonzero w.  Only the field-table cap
-bounds the level.  The histogram stays the oracle for the closed form
+(Tr(w), log(w) mod L) over the nonzero w, counted along the exp table,
+where log(g^k) = k, so no discrete log is taken.  Only the field-table
+cap bounds the level.  The histogram stays the oracle for the closed form
 in the tests.
 
 ``modified_gauss_sum`` keeps the sums of the last character it was
@@ -50,6 +51,8 @@ side from the other.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import cycle
 
 from . import gf, primes
 from .cyclo import CycloInt, cyclo
@@ -68,10 +71,9 @@ def _histogram(p: int, n: int, L: int) -> dict[tuple[int, int], int]:
         return got
     ctx = gf.field(p, n)
     tr = ctx.trace_table()
-    hist: dict[tuple[int, int], int] = {}
-    for w in ctx.units():
-        k = (tr[w], ctx.dlog(w) % L)
-        hist[k] = hist.get(k, 0) + 1
+    # exp[k] = g^k walks the units in log order, so log(w) mod L is k mod L
+    exp = ctx.log_tables()[1]
+    hist = Counter(zip(map(tr.__getitem__, exp), cycle(range(L))))
     _HIST_CACHE[key] = hist
     return hist
 

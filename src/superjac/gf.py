@@ -15,6 +15,14 @@ exists even while they are built; smaller fields keep lists, whose entries are
 CPython's shared small ints and whose subscripts are cheaper (see
 _table_type).
 
+nullspace row-reduces over a field of at most BYTES_CARD = 16 elements
+as byte strings: a packed element then fits 4 bits, so an entry of one
+row and one of another pack into one byte as (a << 4) | b, and a row
+operation is a few C-level calls through 256-byte addition and
+multiplication tables (byte_tables).  The limit is that of the
+encoding.  Larger prime fields reduce ints mod p, larger extension
+fields work on discrete logs through the Zech table.
+
 The exp table is the chain 1, g, g^2, ... of packed values.  Each step
 is a precomputed multiply-by-g map: with h = ceil(n/2), a packed value
 splits as v = lo + p^h * hi, and g * v = GL[lo] + GH[hi], where GL and GH
@@ -60,6 +68,9 @@ from .errors import (BudgetExceeded, InvariantViolation, SuperjacError,
 MAX_TABLE_CARD = 1 << 22
 # Fields up to this many elements keep their tables as lists
 SMALL_TABLE_CARD = 256
+# Fields up to this many elements row-reduce as byte strings: an element
+# fits 4 bits, so a pair of them fits one byte (see nullspace)
+BYTES_CARD = 16
 
 
 def _table_type(card: int):
@@ -71,8 +82,8 @@ def _table_type(card: int):
     against about 36 for a list of boxed ints, and every entry fits a C
     int since MAX_TABLE_CARD does.  Up to it, a list: its entries are
     shared small ints, so an array saves nothing, and a list subscript
-    costs about half an array one in the small-field loops of nullspace
-    and curves.s_mul.
+    costs about half an array one in per-element loops such as
+    curves.s_mul.
     """
     if card <= SMALL_TABLE_CARD:
         return list
@@ -96,7 +107,7 @@ class FieldCtx:
 
     __slots__ = (
         "p", "n", "order", "defpoly", "gen",
-        "_exp", "_log", "_zech", "_m1log", "_emb_cache",
+        "_exp", "_log", "_zech", "_m1log", "_emb_cache", "_bytes",
     )
 
     def __init__(self, p: int, n: int = 1):
@@ -108,6 +119,7 @@ class FieldCtx:
         self.n = n
         self.order = p ** n
         self._emb_cache: dict = {}
+        self._bytes = None
         if n == 1:
             self.defpoly = (0, 1)
             self.gen = primes.primitive_root(p)
@@ -406,6 +418,33 @@ class FieldCtx:
         return (self.order - 1, self._exp, self._log, self._zech,
                 self._m1log)
 
+    def byte_tables(self) -> tuple[bytes, list[bytes], list[int],
+                                   list[int]]:
+        """(ADD, MUL, neg, inv) of a field with at most BYTES_CARD
+        elements, built on the first call.
+
+        An element then fits 4 bits, so a pair packs into one byte:
+        ADD[(a << 4) | b] = a + b, and MUL[c][v] = c * v for each of the
+        order elements c, both 256 bytes long with 0 wherever an index
+        is not a pair of elements; neg and inv are lists by element
+        (inv[0] = 0).  At most 4.4 KB per field.
+        """
+        if self.order > BYTES_CARD:
+            raise InvariantViolation(f"{self.name()} has more than "
+                                     f"{BYTES_CARD} elements")
+        if self._bytes is None:
+            q = self.order
+
+            def row(op, a, width):
+                # op(a, b) for every element b, zero-padded to width
+                return bytes([op(a, b) for b in range(q)]).ljust(width, b"\0")
+            add = b"".join(row(self.add, a, 16)
+                           for a in range(q)).ljust(256, b"\0")
+            mul = [row(self.mul, c, 256) for c in range(q)]
+            self._bytes = (add, mul, [self.neg(a) for a in range(q)],
+                           [0] + [self.inv(a) for a in range(1, q)])
+        return self._bytes
+
     def name(self) -> str:
         return f"GF({self.p}^{self.n})" if self.n > 1 else f"GF({self.p})"
 
@@ -439,14 +478,77 @@ def nullspace(ctx: FieldCtx, rows, ncols: int) -> list[tuple[int, ...]]:
     through the pivot rows from the last up.  That vector is the unique
     kernel element with this pattern on the free columns, so the basis is
     the one read off the reduced row echelon form, in the same order; a
-    full-rank matrix does no back-substitution.  Prime fields reduce ints
-    mod p; extension fields keep every entry as a discrete log (-1 for
-    zero) and add through the Zech table.  Each step touches only the
-    columns where its row is nonzero.
+    full-rank matrix does no back-substitution.
+
+    Three kernels give that basis.  A field of at most BYTES_CARD = 16
+    elements holds each row as bytes: the pivot row is scaled by one
+    bytes.translate through MUL[inv(pivot)], -c * prow is made once per
+    distinct c, and row - c * prow is
+    ((int(row) << 4) | int(-c * prow)).to_bytes().translate(ADD), since
+    every entry fits 4 bits and the shift puts each into the high
+    nibble of its own byte.  Past 16 elements an entry no longer fits 4
+    bits, so prime fields reduce ints mod p, and extension fields keep
+    every entry as a discrete log (-1 for zero) and add through the Zech
+    table; each of their steps touches only the columns where its row is
+    nonzero.  Eliminating above the pivots as well would double the row
+    operations for the same basis.
     """
+    if ctx.order <= BYTES_CARD:
+        return _kernel_bytes(ctx, rows, ncols)
     if ctx.n == 1:
         return _kernel_prime(ctx.p, rows, ncols)
     return _kernel_log(ctx, rows, ncols)
+
+
+def _kernel_bytes(ctx: FieldCtx, rows, ncols: int) -> list[tuple[int, ...]]:
+    ADD, MUL, neg, inv = ctx.byte_tables()
+    mat = [bytes(r) for r in rows]
+    nrows = len(mat)
+    pivots: list[int] = []    # mat[k] is pivot k's unit-scaled row
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == nrows:
+            break
+        for piv in range(rank, nrows):
+            if mat[piv][col]:
+                break
+        else:
+            continue
+        prow = mat[piv]
+        mat[piv] = mat[rank]
+        prow = mat[rank] = prow.translate(MUL[inv[prow[col]]])
+        # row_i -= c * prow: each entry of row_i goes to the high nibble
+        # and -c * prow's to the low one, and ADD sums every byte
+        negs = {}
+        for i in range(rank + 1, nrows):
+            row = mat[i]
+            c = row[col]
+            if c:
+                low = negs.get(c)
+                if low is None:
+                    low = negs[c] = int.from_bytes(
+                        prow.translate(MUL[neg[c]]), "big")
+                mat[i] = ((int.from_bytes(row, "big") << 4) | low).to_bytes(
+                    ncols, "big").translate(ADD)
+        pivots.append(col)
+    free = sorted(set(range(ncols)).difference(pivots))
+    if not free:
+        return []
+    # per pivot row: (column, MUL table of the entry) right of the pivot
+    supps = [[(j, MUL[v]) for j, v in enumerate(prow[pc + 1:], pc + 1) if v]
+             for pc, prow in zip(pivots, mat)]
+    basis = []
+    for f in free:
+        vec = [0] * ncols
+        vec[f] = 1
+        for pc, supp in zip(reversed(pivots), reversed(supps)):
+            acc = 0
+            for j, mv in supp:
+                acc = ADD[acc << 4 | mv[vec[j]]]
+            # x_pc is minus the row's sum right of the pivot
+            vec[pc] = neg[acc]
+        basis.append(tuple(vec))
+    return basis
 
 
 def _kernel_prime(p: int, rows, ncols: int) -> list[tuple[int, ...]]:

@@ -27,8 +27,10 @@ coefficients (in the log/Zech domain over an extension field, as ints
 mod p over a prime field); at a ramification point x^i y^j is x^i
 shifted by j orders.  A block of base rows depends only on (P, t) and
 the column layout tops, so each curve keeps every block it has built in
-CurveSpec._blocks, flattened into one byte array (four bytes an entry
-past a base of 256 elements), and a system is the stack of its blocks.
+CurveSpec._blocks, flattened into one bytes string (an array of four
+bytes an entry past a base of 256 elements), and a system is the stack
+of its blocks: row slices of a bytes block reach gf.nullspace's byte
+kernel with no copy.
 
 The class group itself is enumerated through effective divisors of
 degree g: every degree-zero class is E - g*inf for such an E, classes
@@ -193,18 +195,19 @@ def _base_rows(base: gf.FieldCtx, ctx: gf.FieldCtx, cols) -> list:
     return rows
 
 
-def _block(curve: CurveSpec, place, t: int, tops) -> array:
+def _block(curve: CurveSpec, place, t: int, tops) -> bytes | array:
     """Base rows of the condition (place, t) on the monomials of tops,
-    flattened row after row into one array: built once per curve and
-    key, then read from curve._blocks."""
+    flattened row after row into one bytes string (an array("I") past a
+    base of 256 elements): built once per curve and key, then read from
+    curve._blocks."""
     key = (place, t, tuple(tops))
     got = curve._blocks.get(key)
     if got is None:
         base = curve.base
         le = local_expansion(curve, place, t)
         rows = _base_rows(base, le.ctx, _condition_columns(le.ctx, le, tops))
-        got = array("B" if base.order <= 256 else "I",
-                    [v for row in rows for v in row])
+        flat = [v for row in rows for v in row]
+        got = bytes(flat) if base.order <= 256 else array("I", flat)
         curve._blocks[key] = got
     return got
 

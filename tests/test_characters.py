@@ -166,6 +166,30 @@ def test_closed_form_matches_histogram(p, d, s):
             characters._gauss_sum(p, k, d, c, u, a), (c, u, a)
 
 
+def _histogram_by_dlog(p, n, L):
+    """Counts of (Tr(w), log(w) mod L), one discrete log per unit: the
+    oracle for characters._histogram's walk of the exp table."""
+    ctx = gf.field(p, n)
+    tr = ctx.trace_table()
+    hist = {}
+    for w in ctx.units():
+        k = (tr[w], ctx.dlog(w) % L)
+        hist[k] = hist.get(k, 0) + 1
+    return hist
+
+
+@pytest.mark.parametrize("p,n", [(7, 1), (19, 1), (2, 4), (3, 7), (5, 5),
+                                 (11, 3), (2, 12)])
+def test_histogram_matches_per_unit_dlog(p, n, monkeypatch):
+    monkeypatch.setattr(characters, "_HIST_CACHE", {})
+    q1 = p ** n - 1
+    # divisors of q - 1, and an L that divides nothing in sight
+    for L in sorted({1, 2, q1 // math.gcd(q1, 4), q1, 7} - {0}):
+        got = characters._histogram(p, n, L)
+        assert got == _histogram_by_dlog(p, n, L), L
+        assert sum(got.values()) == q1
+
+
 def test_semiprimitive_pairs():
     assert len(SEMIPRIMITIVE) == 54
     assert [semiprimitive(p, q) for p, q in

@@ -506,9 +506,14 @@ def _gauss_jordan_nullspace(ctx, rows, ncols):
     return basis
 
 
-# GF(3^6) is past gf.SMALL_TABLE_CARD: its tables are arrays
-NULLSPACE_FIELDS = [(2, 1), (3, 1), (7, 1), (2, 2), (3, 2), (2, 8), (3, 4),
-                    (3, 6)]
+# every field of at most gf.BYTES_CARD = 16 elements (the byte kernel),
+# the first fields past it (GF(17) on the prime kernel, GF(25) and GF(27)
+# on the log kernel), and GF(3^6), past gf.SMALL_TABLE_CARD: its tables
+# are arrays
+BYTE_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (2, 2),
+               (2, 3), (3, 2), (2, 4)]
+NULLSPACE_FIELDS = BYTE_FIELDS + [(17, 1), (5, 2), (3, 3), (2, 8), (3, 4),
+                                  (3, 6)]
 
 
 def _check_nullspace(ctx, rows, ncols):
@@ -641,6 +646,70 @@ def test_nullspace_riemann_roch_shapes(p, n):
     assert len(got) == len(free)
     assert all(v[f] == int(f == g) for v, g in zip(got, free)
                for f in free)
+
+
+@pytest.mark.parametrize("p,n", BYTE_FIELDS)
+def test_byte_tables_match_field_ops(p, n):
+    ctx = gf.field(p, n)
+    q = ctx.order
+    add, mul, neg, inv = ctx.byte_tables()
+    assert ctx.byte_tables() is ctx.byte_tables()
+    assert len(add) == 256 and len(mul) == q
+    assert all(len(row) == 256 for row in mul)
+    for a in range(q):
+        for b in range(q):
+            assert add[a << 4 | b] == ctx.add(a, b)
+            assert mul[a][b] == ctx.mul(a, b)
+    assert neg == [ctx.neg(a) for a in range(q)]
+    assert inv[1:] == [ctx.inv(a) for a in range(1, q)]
+    # 0 wherever an index is not a pair of elements
+    assert all(add[i] == 0 for i in range(256) if i >> 4 >= q or i & 15 >= q)
+    assert all(not any(row[q:]) for row in mul)
+
+
+@pytest.mark.parametrize("p,n", [(17, 1), (5, 2), (3, 3)])
+def test_byte_tables_refused_past_16_elements(p, n):
+    with pytest.raises(InvariantViolation):
+        gf.field(p, n).byte_tables()
+
+
+def _refuse(name):
+    def kernel(*args):
+        raise AssertionError(f"{name} reached")
+    return kernel
+
+
+@pytest.mark.parametrize("p,n", NULLSPACE_FIELDS)
+def test_nullspace_routes_by_field_size(p, n, monkeypatch):
+    # fields of at most 16 elements reach only the byte kernel, larger
+    # prime fields only the prime kernel, larger extensions the log one
+    ctx = gf.field(p, n)
+    small = ctx.order <= gf.BYTES_CARD
+    for name in ("_kernel_bytes", "_kernel_prime", "_kernel_log"):
+        keep = name == ("_kernel_bytes" if small else
+                        "_kernel_prime" if n == 1 else "_kernel_log")
+        if not keep:
+            monkeypatch.setattr(gf, name, _refuse(name))
+    rows = _full_column_rank(ctx, random.Random(7), 6, 4)
+    assert _check_nullspace(ctx, [r + [0] for r in rows], 5) == \
+        [(0, 0, 0, 0, 1)]
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (13, 1), (2, 2), (3, 2),
+                                 (2, 4)])
+def test_corrupt_add_entry_fails_the_oracle(p, n, monkeypatch):
+    # 1 + 0 = 1 read as 0: the byte kernel must disagree with Gauss-Jordan
+    ctx = gf.field(p, n)
+    add, mul, neg, inv = ctx.byte_tables()
+    bad = bytearray(add)
+    bad[1 << 4 | 0] = 0
+    monkeypatch.setattr(ctx, "_bytes", (bytes(bad), mul, neg, inv))
+    rng = random.Random(1000 * p + n)
+    # a one-dimensional kernel, read off the corrupted echelon rows
+    base = _full_column_rank(ctx, rng, 58, 56)
+    rows = _assemble(ctx, rng, base, list(range(56)) + [(3, 17, 40)])
+    with pytest.raises(AssertionError):
+        _check_nullspace(ctx, rows, 57)
 
 
 # every field with p^n <= 81
