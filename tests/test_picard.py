@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import superjac
 from superjac import curves, gf, picard, primes, snf, zeta
-from superjac.errors import PrecisionExhausted, RequiresD1
+from superjac.errors import (InvariantViolation, PrecisionExhausted,
+                             RequiresD1)
 from superjac.curves import (Divisor, FunctionRep, InfPlace, RamPlace,
                              base_change, closed_place, local_expansion,
                              make_curve, places_above, principal_divisor,
@@ -198,6 +199,189 @@ def test_picard_invariants_are_typed_under_python_O():
                           env={"PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert "invariant factors (3, 3) multiply to 9, not 3" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# kernel scans against the full scan
+
+
+def _prime_exponents_by_full_scan(curve, reps, ln, a):
+    """Every class not yet killed tested at every l^i, each kernel size
+    read off the complete count: the scan before the early stop, kept as
+    the oracle for picard._prime_exponents."""
+    lpart = ln ** a
+    killed = [False] * len(reps)
+    kernel_logs = []
+    i = 1
+    while True:
+        le = ln ** i
+        for idx, D in enumerate(reps):
+            if not killed[idx] and is_principal(curve, D.scale(le)):
+                killed[idx] = True
+        ki = sum(killed)
+        v, t = 0, ki
+        while t % ln == 0:
+            t //= ln
+            v += 1
+        assert t == 1, f"kernel of {ln}^{i} has size {ki}"
+        kernel_logs.append(v)
+        if ki == lpart:
+            break
+        i += 1
+        assert i <= a, f"{ln}^{a} fails to kill the {ln}-part"
+    counts = [v - w for v, w in zip(kernel_logs, [0] + kernel_logs)]
+    assert counts == sorted(counts, reverse=True)
+    exps = []
+    for i0, c in enumerate(counts):
+        nxt = counts[i0 + 1] if i0 + 1 < len(counts) else 0
+        exps.extend([i0 + 1] * (c - nxt))
+    return exps
+
+
+SCAN_CURVES = {
+    # picard_oracle's curves
+    "gf4_441": lambda: make_curve(3, [1, 1, 0, 0, 1], gf.field(2, 2)),
+    "gf9_145": lambda: make_curve(2, [1, 2, 0, 0, 0, 1], gf.field(3, 2)),
+    "as_2_5_1_gf16": lambda: base_change(zeta.artin_schreier_curve(2, 5, 1),
+                                         gf.field(2, 4)),
+    # test_picard_group_past_the_old_splitting_field's (24, 24)
+    "gf5_576": lambda: make_curve(3, [1, 2, 0, 0, 0, 1], gf.field(5)),
+    # a cyclic 3-part, Z/9: the scan at 3 stops from above
+    "gf5_9": lambda: make_curve(2, [1, 1, 0, 1], gf.field(5)),
+}
+
+# per prime l of |J|: the principality tests its scans run, the l-rank
+# and the multiplicity of T = 1 in P(T) mod l that bounds it (l != p on
+# every curve here)
+SCANS = {
+    # 4 classes killed by 3 leave 9 as the only size, 8 killed by 7
+    # leave 49
+    "gf4_441": {3: (346, 2, 2), 7: (73, 2, 2)},
+    "gf9_145": {5: (0, 1, 2), 29: (0, 1, 1)},
+    # 126 classes killed by 5 leave 625
+    "as_2_5_1_gf16": {5: (126, 4, 4)},
+    "gf5_576": {2: (1124, 2, 8), 3: (472, 2, 2)},
+    # the scan at 3 runs until 9 classes are out of reach and a second
+    # class is found killed; the size at 9 follows from a growth of 1
+    "gf5_9": {3: (4, 1, 1)},
+}
+
+
+def _recorded_scans(monkeypatch, curve):
+    """picard_group(curve) with every _prime_exponents call recorded as
+    (reps, l, a, exponents, is_principal calls inside the scan)."""
+    tests = [0]
+
+    def counting(c, D):
+        tests[0] += 1
+        return is_principal(c, D)
+
+    scan = picard._prime_exponents
+    scans = []
+
+    def recording(c, reps, ln, a):
+        before = tests[0]
+        exps = scan(c, reps, ln, a)
+        scans.append((reps, ln, a, exps, tests[0] - before))
+        return exps
+
+    monkeypatch.setattr(picard, "is_principal", counting)
+    monkeypatch.setattr(picard, "_prime_exponents", recording)
+    return picard_group(curve), scans
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CURVES))
+def test_scans_match_the_full_scan(monkeypatch, name):
+    curve = SCAN_CURVES[name]()
+    G, scans = _recorded_scans(monkeypatch, curve)
+    fac = primes.factorize(G.order)
+    assert [(ln, a) for _, ln, a, _, _ in scans] == sorted(fac.items())
+    got = {}
+    for reps, ln, a, exps, tests in scans:
+        assert len(reps) == G.order
+        assert exps == _prime_exponents_by_full_scan(curve, reps, ln, a)
+        # an l-part of order l is Z/l by Lagrange alone
+        if a == 1:
+            assert tests == 0
+        assert ln != curve.base.p
+        got[ln] = (tests, len(exps),
+                   picard._root_one_multiplicity(G.lpoly_coeffs, ln))
+    assert got == SCANS[name]
+
+
+_REFUTED_SCAN = (
+    "from superjac import gf, picard\n"
+    "from superjac.curves import make_curve\n"
+    "from superjac.errors import InvariantViolation\n"
+    "scan, principal = picard._prime_exponents, picard.is_principal\n"
+    "def refuted(curve, reps, ln, a):\n"
+    "    picard.is_principal = lambda curve, D: False\n"
+    "    return scan(curve, reps, ln, a)\n"
+    "picard._prime_exponents = refuted\n"
+    "for m, f, n in ((3, [1, 1, 1], 2), (5, [1, 1, 1], 4),\n"
+    "                (3, [1, 1, 0, 0, 1], 2)):\n"
+    "    picard.is_principal = principal\n"
+    "    try:\n"
+    "        G = picard.picard_group(make_curve(m, f, gf.field(2, n)))\n"
+    "        print('reported', G.invariant_factors)\n"
+    "    except InvariantViolation as exc:\n"
+    "        print('refused', exc)\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python_O"])
+def test_a_scan_that_finds_no_kernel_is_refused(flags):
+    # is_principal answers False on every class once the classes are
+    # enumerated: no scan may read a kernel size off the untested count
+    src = str(Path(superjac.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *flags, "-c", _REFUTED_SCAN],
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("refused kernel of ") for line in lines), lines
+
+
+def test_rank_past_the_lpolynomial_bound_is_refused(monkeypatch):
+    # Z/9 reported as (Z/3)^2 has the right order, but P(T) = 1 + 3T +
+    # 5T^2 has T = 1 as a simple root mod 3
+    monkeypatch.setattr(picard, "_prime_exponents",
+                        lambda curve, reps, ln, a: [1, 1])
+    with pytest.raises(InvariantViolation, match="3-rank 2 exceeds 1"):
+        picard_group(SCAN_CURVES["gf5_9"]())
+
+
+@pytest.mark.parametrize("coeffs, ln, mult", [
+    ([1, 0, 2], 3, 1),                  # 1 + 2T^2 = (1 - T)(1 + T) mod 3
+    ([1, 16, 96, 256, 256], 5, 4),      # (1 - T)^4 mod 5
+    ([1, -1, -1, 1], 3, 2),             # (1 - T)^2 (1 + T)
+    ([1, -1, -1, 1], 2, 3),             # (1 + T)^3 mod 2
+    ([1, 1], 3, 0),
+    ([4, 1, 5], 5, 1),                  # top coefficient 0 mod 5
+    ([1, 3, 5], 3, 1),                  # P(T) of the Z/9 curve over GF(5)
+    ([1], 7, 0),
+])
+def test_root_one_multiplicity(coeffs, ln, mult):
+    assert picard._root_one_multiplicity(coeffs, ln) == mult
+
+
+def test_root_one_multiplicity_of_zero_is_refused():
+    with pytest.raises(InvariantViolation):
+        picard._root_one_multiplicity([5, 10, 0], 5)
+
+
+@given(st.sampled_from([2, 3, 5, 7, 29]),
+       st.lists(st.integers(-50, 50), min_size=1, max_size=6),
+       st.integers(0, 5))
+@settings(max_examples=200, deadline=None)
+def test_root_one_multiplicity_of_built_products(ln, f, k):
+    # f * (T - 1)^k, with f(1) != 0 mod l, has T = 1 as a root of
+    # multiplicity exactly k
+    f = [f[0] + (1 if sum(f) % ln == 0 else 0)] + f[1:]
+    g = f
+    for _ in range(k):
+        g = [b - c for b, c in zip([0] + g, g + [0])]
+    assert picard._root_one_multiplicity(g, ln) == k
 
 
 def _diagonal_factors(per_prime):
