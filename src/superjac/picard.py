@@ -33,13 +33,24 @@ of its blocks: row slices of a bytes block reach gf.nullspace's byte
 kernel with no copy.
 
 The class group itself is enumerated through effective divisors of
-degree g: every degree-zero class is E - g*inf for such an E, classes
-with l(E) = 1 have a unique representative, and the few with l(E) > 1
-are merged by principality tests.  With K = (2g - 2)*inf canonical,
-Riemann-Roch at deg E = g reads l(E) = 1 + l(K - E), so E is sorted by
-the system of L(K - E): at most g monomials, no u, and conditions
-(P, c_P) that recur from one E to the next.  The resulting class count
-must match the zeta-function order before any structure is reported;
+degree g: every degree-zero class is E - g*inf for such an E, and
+classes with l(E) = 1 have a unique representative.  With
+K = (2g - 2)*inf canonical, Riemann-Roch at deg E = g reads
+l(E) = 1 + l(K - E), so E is sorted by the system of L(K - E): at most g
+monomials, no u, and conditions (P, c_P) that recur from one E to the
+next.  The same space merges the few E with l(E) = k > 1, with no
+principality test: they are grouped by the linear system
+|K - E| = {div(h) + K - E : h in L(K - E), h != 0}, and
+E ~ E' iff |K - E| = |K - E'|.  If E' = E + div(phi), h -> h phi maps
+L(K - E) onto L(K - E') and fixes every member; if the systems share a
+member F, then E + F ~ K ~ E' + F.  A member is effective of degree
+g - 2, so it is read at infinity in closed form and at the affine
+places of degree <= g - 2 only, by a valuation only where h vanishes.
+Each member must be effective of degree exactly g - 2 (a zero missed
+shows as a shortfall), distinct lines of L(K - E) must give distinct
+members, and each group must hold exactly the (q^k - 1)/(q - 1)
+divisors of |E|, all with the same k.  The resulting class count must
+match the zeta-function order before any structure is reported;
 the abelian structure is then recovered from the sizes of the kernels
 of multiplication by prime powers, and its invariant factors from the
 Smith form of the diagonal of the prime powers found.  Each kernel scan
@@ -55,6 +66,7 @@ Everything here assumes gcd(m, r) = 1, so there is a single rational
 place at infinity.
 """
 
+import itertools
 import math
 from array import array
 from collections import Counter
@@ -113,7 +125,10 @@ class FunctionSpace:
         return len(self.vectors)
 
     def function(self, k: int) -> FunctionRep:
-        vec = self.vectors[k]
+        return self.combination(self.vectors[k])
+
+    def combination(self, vec) -> FunctionRep:
+        """sum vec[j, i] x^i y^j / u over the monomials (j, i)."""
         nums = [[] for _ in range(self.curve.m)]
         for (j, i), v in zip(self.monomials, vec):
             if v:
@@ -485,6 +500,87 @@ def _prime_exponents(curve, reps, ln: int, a: int):
     return exps
 
 
+def _lines(ctx: gf.FieldCtx, dim: int):
+    """One vector per line through 0 in ctx^dim: its first nonzero entry
+    is 1."""
+    for lead in range(dim):
+        for tail in itertools.product(ctx.elements(), repeat=dim - lead - 1):
+            yield (0,) * lead + (1,) + tail
+
+
+def _residual(curve: CurveSpec, E: Divisor, h: FunctionRep,
+              small) -> Divisor:
+    """div(h) + K - E for h in L(K - E), K = (2g - 2) inf, read at
+    infinity in closed form and at the affine places of small, given with
+    their points, by a valuation only where h vanishes (on E's support it
+    must)."""
+    inf = curve.inf_place()
+    terms = [(inf, curves._valuation_inf(curve, h) + 2 * curve.genus - 2
+              - E.coeff(inf))]
+    for P, (ctx, x0, y0) in small:
+        c = E.coeff(P)
+        if c or h.evaluate(ctx, x0, y0) == 0:
+            terms.append((P, valuation(curve, h, P) - c))
+    return Divisor(terms)
+
+
+def _linear_system(curve: CurveSpec, E: Divisor, sp: FunctionSpace,
+                   small) -> frozenset:
+    """|K - E| as the set of its members div(h) + K - E, one per line of
+    sp = L(K - E), each checked as the module docstring says."""
+    base = curve.base
+    g = curve.genus
+    members = []
+    for line in _lines(base, sp.dim):
+        vec = [0] * len(sp.monomials)
+        for c, basis in zip(line, sp.vectors):
+            if c:
+                vec = [base.add(a, base.mul(c, b)) for a, b in zip(vec, basis)]
+        F = _residual(curve, E, sp.combination(vec), small)
+        if not F.is_effective() or F.degree() != g - 2:
+            raise InvariantViolation(
+                f"div(h) + K - E = {F.key()} for E = {E.key()} is not "
+                f"effective of degree g - 2 = {g - 2}")
+        members.append(F)
+    key = frozenset(members)
+    if len(key) != len(members):
+        raise InvariantViolation(
+            f"{len(members)} lines of L(K - E) give {len(key)} divisors "
+            f"for E = {E.key()}")
+    return key
+
+
+def _divisor_classes(curve: CurveSpec, places) -> tuple[list, list]:
+    """(plain, special_reps) over the effective divisors E of degree g on
+    places: the E with l(E) = 1, each alone in its class, and the first E
+    of each class with l(E) = k > 1, in enumeration order, the classes
+    found by |K - E| (see the module docstring)."""
+    g = curve.genus
+    q = curve.base.order
+    # K = (2g - 2) inf is canonical, and l(E) = 1 + l(K - E) at deg E = g
+    canon = Divisor.single(curve.inf_place(), 2 * g - 2)
+    small = [(P, _place_point(curve, P)) for P in places
+             if not isinstance(P, InfPlace) and P.degree <= g - 2]
+    plain = []
+    systems: dict = {}
+    for E in effective_divisors(places, g):
+        sp = function_space(curve, canon - E)
+        if sp.dim == 0:
+            plain.append(E)
+        else:
+            key = _linear_system(curve, E, sp, small)
+            systems.setdefault(key, []).append((E, 1 + sp.dim))
+    for group in systems.values():
+        E, k = group[0]
+        size = (q ** k - 1) // (q - 1)
+        if len(group) != size or any(kE != k for _, kE in group):
+            raise InvariantViolation(
+                f"special class of {E.key()} holds {len(group)} divisors "
+                f"with l(E) in {sorted({kE for _, kE in group})}, expected "
+                f"{size} with l(E) = {k}")
+    return plain, [group[0][0] for group in systems.values()]
+
+
 def picard_group(curve: CurveSpec, budget: int = COUNT_BUDGET) -> PicardGroup:
     """Order and abelian structure of the degree-zero class group."""
     base = curve.base
@@ -505,30 +601,13 @@ def picard_group(curve: CurveSpec, budget: int = COUNT_BUDGET) -> PicardGroup:
         raise BudgetExceeded(f"class scan for |J| = {order} needs {scan} "
                              f"unknowns, past SCAN_CAP = {SCAN_CAP}")
 
-    places = enumerate_places(curve, g)
-    inf = curve.inf_place()
-    ginf = Divisor.single(inf, g)
-    # K = (2g - 2) inf is canonical, and l(E) = 1 + l(K - E) at deg E = g
-    canon = Divisor.single(inf, 2 * g - 2)
-    plain = []
-    special = []
-    for E in effective_divisors(places, g):
-        if ell(curve, canon - E) == 0:
-            plain.append(E)
-        else:
-            special.append(E)
-    special_reps: list = []
-    for E in special:
-        for R in special_reps:
-            if is_principal(curve, E - R):
-                break
-        else:
-            special_reps.append(E)
+    plain, special_reps = _divisor_classes(curve, enumerate_places(curve, g))
     found = len(plain) + len(special_reps)
     if found != order:
         raise IncompleteEnumeration(
             f"{found} divisor classes enumerated, zeta order is {order}")
 
+    ginf = Divisor.single(curve.inf_place(), g)
     reps = tuple(E - ginf for E in plain + special_reps)
     # the group is the cokernel of the diagonal of its prime powers l^e
     exps = {ln: _prime_exponents(curve, reps, ln, a)

@@ -8,6 +8,7 @@ Anchor groups, cross-checked against zeta orders:
 import math
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -808,6 +809,230 @@ def test_canonical_split_matches_ell(name):
         special += not plain
     if name in ("quintic2", "split11"):
         assert special > 0
+
+
+# ---------------------------------------------------------------------------
+# special classes keyed by |K - E| against the pairwise merge
+
+
+def _special_reps_by_principality(curve):
+    """The first special divisor of each class, in enumeration order,
+    found by testing each special E against every class found so far:
+    the merge before the |K - E| key, kept as the oracle for
+    picard._divisor_classes."""
+    g = curve.genus
+    canon = Divisor.single(curve.inf_place(), 2 * g - 2)
+    reps = []
+    for E in effective_divisors(enumerate_places(curve, g), g):
+        if ell(curve, canon - E) == 0:
+            continue
+        for R in reps:
+            if is_principal(curve, E - R):
+                break
+        else:
+            reps.append(E)
+    return reps
+
+
+def _x9_gf3():
+    # g = 4, |J| = 100: 49 special divisors in 10 classes, 13 of them
+    # with l(E) = 3, whose |K - E| has q + 1 = 4 members
+    return make_curve(2, [0, 1, 0, 0, 0, 0, 0, 0, 0, 1], gf.field(3))
+
+
+MERGE_CURVES = dict(SPLIT_CURVES, x9_gf3=_x9_gf3)
+
+
+@pytest.mark.parametrize("name", list(MERGE_CURVES))
+def test_special_classes_match_the_pairwise_merge(name):
+    curve = MERGE_CURVES[name]()
+    g = curve.genus
+    plain, reps = picard._divisor_classes(curve, enumerate_places(curve, g))
+    assert reps == _special_reps_by_principality(curve)
+    G = picard_group(curve)
+    assert G.special_classes == len(reps)
+    assert len(plain) + len(reps) == G.order
+
+
+def _recorded_systems(monkeypatch, curve):
+    """picard_group(curve) with every (E, l(E), |K - E|) recorded."""
+    system = picard._linear_system
+    seen = []
+
+    def recording(c, E, sp, small):
+        key = system(c, E, sp, small)
+        seen.append((E, 1 + sp.dim, key))
+        return key
+
+    monkeypatch.setattr(picard, "_linear_system", recording)
+    return picard_group(curve), seen
+
+
+def test_linear_systems_of_the_genus_four_curve(monkeypatch):
+    curve = _x9_gf3()
+    G, seen = _recorded_systems(monkeypatch, curve)
+    assert (G.order, G.invariant_factors, G.special_classes) == \
+        (100, (10, 10), 10)
+    assert Counter(k for _, k, _ in seen) == {2: 36, 3: 13}
+    assert len({key for _, _, key in seen}) == 10
+    canon = Divisor.single(curve.inf_place(), 2 * curve.genus - 2)
+    for E, k, key in seen:
+        # one member per line of L(K - E), each with E + F ~ K
+        assert len(key) == (3 ** (k - 1) - 1) // 2
+        for F in key:
+            assert F.is_effective() and F.degree() == curve.genus - 2
+            assert is_principal(curve, E + F - canon)
+
+
+def test_special_merge_runs_no_principality_test(monkeypatch):
+    # y^3 = x^4 + x + 1 over GF(4): 65 special divisors in 13 classes,
+    # which the pairwise merge sorted with 442 principality tests
+    scan = picard._prime_exponents
+    calls = Counter()
+    in_scan = [False]
+
+    def counting(c, D):
+        calls[in_scan[0]] += 1
+        return is_principal(c, D)
+
+    def scanning(c, reps, ln, a):
+        in_scan[0] = True
+        try:
+            return scan(c, reps, ln, a)
+        finally:
+            in_scan[0] = False
+
+    monkeypatch.setattr(picard, "is_principal", counting)
+    monkeypatch.setattr(picard, "_prime_exponents", scanning)
+    G = picard_group(SCAN_CURVES["gf4_441"]())
+    assert G.special_classes == 13
+    assert calls[False] == 0
+    assert calls[True] == sum(t for t, _, _ in SCANS["gf4_441"].values())
+
+
+def test_lines_are_one_per_projective_point():
+    for ctx, dim in ((gf.field(2), 3), (gf.field(3), 2), (gf.field(2, 2), 2),
+                     (gf.field(5), 1)):
+        q = ctx.order
+        lines = list(picard._lines(ctx, dim))
+        assert len(lines) == (q ** dim - 1) // (q - 1)
+        # no two proportional: scaling by the units gives every nonzero
+        # vector exactly once
+        scaled = {tuple(ctx.mul(c, v) for v in line)
+                  for line in lines for c in ctx.units()}
+        assert len(scaled) == q ** dim - 1
+        assert all(next(v for v in line if v) == 1 for line in lines)
+
+
+def test_a_member_missing_a_zero_is_refused(monkeypatch):
+    # the member of |K - 3 inf| is inf itself (g = 3): dropping the part
+    # at infinity leaves degree 0
+    residual = picard._residual
+
+    def no_infinity(curve, E, h, small):
+        F = residual(curve, E, h, small)
+        return Divisor([(P, c) for P, c in F.items()
+                        if not isinstance(P, InfPlace)])
+
+    monkeypatch.setattr(picard, "_residual", no_infinity)
+    with pytest.raises(InvariantViolation,
+                       match="is not effective of degree g - 2 = 1"):
+        picard_group(SCAN_CURVES["gf4_441"]())
+
+
+def test_a_member_with_a_pole_is_refused(monkeypatch):
+    # a member moved by inf - P, P an affine place of degree 1: the
+    # degree stays g - 2, but P is a pole wherever the member missed it
+    residual = picard._residual
+
+    def moved(curve, E, h, small):
+        return residual(curve, E, h, small) + Divisor(
+            [(curve.inf_place(), 1), (small[0][0], -1)])
+
+    monkeypatch.setattr(picard, "_residual", moved)
+    with pytest.raises(InvariantViolation,
+                       match="is not effective of degree g - 2 = 1"):
+        picard_group(SCAN_CURVES["gf4_441"]())
+
+
+def test_a_repeated_line_is_refused(monkeypatch):
+    lines = picard._lines
+    monkeypatch.setattr(picard, "_lines", lambda ctx, dim: [
+        line for line in lines(ctx, dim) for _ in range(2)])
+    with pytest.raises(InvariantViolation,
+                       match="2 lines of L\\(K - E\\) give 1 divisors"):
+        picard_group(SCAN_CURVES["gf4_441"]())
+
+
+def _merged_keys(monkeypatch, pick):
+    """_linear_system with the key of the second class that pick(k)
+    accepts replaced by the key of the first."""
+    system = picard._linear_system
+    keys = []
+
+    def merging(c, E, sp, small):
+        key = system(c, E, sp, small)
+        if pick(1 + sp.dim) and key not in keys:
+            keys.append(key)
+        return keys[0] if len(keys) > 1 and key == keys[1] else key
+
+    monkeypatch.setattr(picard, "_linear_system", merging)
+
+
+def test_a_key_that_merges_two_classes_is_refused(monkeypatch):
+    # two classes of l(E) = 2 over GF(4) hold 5 divisors each
+    _merged_keys(monkeypatch, lambda k: k == 2)
+    with pytest.raises(InvariantViolation, match="holds 10 divisors with "
+                       "l\\(E\\) in \\[2\\], expected 5"):
+        picard_group(SCAN_CURVES["gf4_441"]())
+
+
+def test_a_class_of_two_dimensions_is_refused(monkeypatch):
+    # the second divisor of the class with l(E) = 3 and the second of a
+    # class with l(E) = 2 trade keys: both groups keep their sizes, 13
+    # and 4, and only l(E) tells them apart
+    curve = _x9_gf3()
+    system = picard._linear_system
+    firsts = {}
+    seconds = {}
+
+    def recording(c, E, sp, small):
+        key = system(c, E, sp, small)
+        if key in firsts:
+            seconds.setdefault(1 + sp.dim, (E, key))
+        firsts.setdefault(key, E)
+        return key
+
+    monkeypatch.setattr(picard, "_linear_system", recording)
+    picard._divisor_classes(curve, enumerate_places(curve, curve.genus))
+    (a, key_a), (b, key_b) = seconds[2], seconds[3]
+    swapped = {a: key_b, b: key_a}
+    monkeypatch.setattr(picard, "_linear_system", lambda c, E, sp, small:
+                        swapped.get(E) or system(c, E, sp, small))
+    with pytest.raises(InvariantViolation,
+                       match="l\\(E\\) in \\[2, 3\\]"):
+        picard_group(curve)
+
+
+def test_a_key_that_splits_a_class_is_refused(monkeypatch):
+    system = picard._linear_system
+    keys = set()
+    split = []
+
+    def splitting(c, E, sp, small):
+        key = system(c, E, sp, small)
+        if key in keys and not split:
+            # the second divisor of the first class that has one
+            split.append(E)
+            return ("split", key)
+        keys.add(key)
+        return key
+
+    monkeypatch.setattr(picard, "_linear_system", splitting)
+    with pytest.raises(InvariantViolation, match="holds 4 divisors with "
+                       "l\\(E\\) in \\[2\\], expected 5"):
+        picard_group(SCAN_CURVES["gf4_441"]())
+    assert len(split) == 1
 
 
 # ---------------------------------------------------------------------------
