@@ -854,8 +854,7 @@ def test_special_classes_match_the_pairwise_merge(name):
     assert len(plain) + len(reps) == G.order
 
 
-def _recorded_systems(monkeypatch, curve):
-    """picard_group(curve) with every (E, l(E), |K - E|) recorded."""
+def test_linear_systems_of_the_genus_four_curve(monkeypatch):
     system = picard._linear_system
     seen = []
 
@@ -865,12 +864,8 @@ def _recorded_systems(monkeypatch, curve):
         return key
 
     monkeypatch.setattr(picard, "_linear_system", recording)
-    return picard_group(curve), seen
-
-
-def test_linear_systems_of_the_genus_four_curve(monkeypatch):
     curve = _x9_gf3()
-    G, seen = _recorded_systems(monkeypatch, curve)
+    G = picard_group(curve)
     assert (G.order, G.invariant_factors, G.special_classes) == \
         (100, (10, 10), 10)
     assert Counter(k for _, k, _ in seen) == {2: 36, 3: 13}
