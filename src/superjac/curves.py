@@ -176,13 +176,11 @@ class Divisor:
         return not self.data
 
     def __add__(self, other: "Divisor") -> "Divisor":
-        out = dict(self.data)
-        for p, c in other.data.items():
-            out[p] = out.get(p, 0) + c
-        return Divisor(out)
+        return Divisor([*self.data.items(), *other.data.items()])
 
     def __sub__(self, other: "Divisor") -> "Divisor":
-        return self + other.scale(-1)
+        return Divisor([*self.data.items(),
+                        *((p, -c) for p, c in other.data.items())])
 
     def __neg__(self) -> "Divisor":
         return self.scale(-1)

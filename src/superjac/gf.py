@@ -492,6 +492,12 @@ def nullspace(ctx: FieldCtx, rows, ncols: int) -> list[tuple[int, ...]]:
     table; each of their steps touches only the columns where its row is
     nonzero.  Eliminating above the pivots as well would double the row
     operations for the same basis.
+
+    The prime kernel needs no table.  Routed through the log kernel, a
+    prime field would build log tables on its first solve, which costs
+    memory and time on primes in the millions and is refused past
+    MAX_TABLE_CARD, where no caller refuses the prime first: principal
+    over GF(4194319) is answered only because of this route.
     """
     if ctx.order <= BYTES_CARD:
         return _kernel_bytes(ctx, rows, ncols)

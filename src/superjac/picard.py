@@ -20,17 +20,17 @@ nondegenerate, so the kernel over the base is unchanged.
 A condition (P, t) asks every monomial x^i y^j for its first t
 coefficients in a local parameter tau at P.  One coordinate is always
 linear in tau: x = x0 + tau where y0 != 0, and y = tau at a
-ramification point.  So only the powers of the other coordinate take
-series products.  At an unramified place the next x-power column is
-x0 * c + tau * c for the column c before it, one pass over t
-coefficients (in the log/Zech domain over an extension field, as ints
-mod p over a prime field); at a ramification point x^i y^j is x^i
-shifted by j orders.  A block of base rows depends only on (P, t) and
-the column layout tops, so each curve keeps every block it has built in
-CurveSpec._blocks, flattened into one bytes string (an array of four
-bytes an entry past a base of 256 elements), and a system is the stack
-of its blocks: row slices of a bytes block reach gf.nullspace's byte
-kernel with no copy.
+ramification point.  The columns are built by repeated products: y^j
+is y^(j-1) * y, and x^i y^j is x^(i-1) y^j * x, each through
+curves.s_mul, which reads the support of its second factor once, so a
+product by the linear coordinate is one pass over at most two terms.
+Only s_mul chooses how the residue field computes (ints mod p, or
+discrete logs over an extension field).  A block of base rows depends
+only on (P, t) and the column layout tops, so each curve keeps every
+block it has built in CurveSpec._blocks, flattened into one bytes
+string (an array of four bytes an entry past a base of 256 elements),
+and a system is the stack of its blocks: row slices of a bytes block
+reach gf.nullspace's byte kernel with no copy.
 
 The class group itself is enumerated through effective divisors of
 degree g: every degree-zero class is E - g*inf for such an E, and
@@ -141,59 +141,20 @@ class FunctionSpace:
 
 def _condition_columns(ctx: gf.FieldCtx, le, tops) -> list[list[int]]:
     """Columns x^i y^j mod tau^t, t = le.prec, of the condition at le's
-    place, over its residue field ctx: j-major, i from 0 to tops[j].
-    Only the coordinate that is not linear in tau takes series powers
-    (see the module docstring)."""
+    place, over its residue field ctx: j-major, i from 0 to tops[j], each
+    the column before it times y or x through s_mul (see the module
+    docstring)."""
     t = le.prec
     cols = []
-    if le.y_ser[0] == 0:
-        # ramification point: y = tau
-        xp = [[1] + [0] * (t - 1)]
-        for _ in range(max(tops)):
-            xp.append(s_mul(ctx, xp[-1], le.x_ser, t))
-        for j, top in enumerate(tops):
-            pad = [0] * min(j, t)
-            cols.extend(pad + xp[i][:t - len(pad)] for i in range(top + 1))
-        return cols
-    # unramified place: x = x0 + tau
     yp = [1] + [0] * (t - 1)
-    x0 = le.x_ser[0]
-    if ctx.n == 1:
-        p = ctx.p
-        for j, top in enumerate(tops):
-            if j:
-                yp = s_mul(ctx, yp, le.y_ser, t)
-            c = yp
-            cols.append(c)
-            for _ in range(top):
-                c = [(x0 * a + b) % p for a, b in zip(c, [0] + c)]
-                cols.append(c)
-        return cols
-    q1, exp, log, zech, _ = ctx.log_tables()
-    lx0 = log[x0]
     for j, top in enumerate(tops):
         if j:
             yp = s_mul(ctx, yp, le.y_ser, t)
-        cols.append(yp)
-        lc = [log[v] for v in yp]
+        c = yp
+        cols.append(c)
         for _ in range(top):
-            # logs of x0 * c + (c shifted one order up), summed by Zech
-            nxt = []
-            prev = -1
-            for a in lc:
-                if a >= 0 and lx0 >= 0:
-                    s = a + lx0
-                    if prev < 0:
-                        v = s % q1
-                    else:
-                        z = zech[(prev - s) % q1]
-                        v = -1 if z < 0 else (s + z) % q1
-                else:
-                    v = prev
-                nxt.append(v)
-                prev = a
-            lc = nxt
-            cols.append([exp[v] if v >= 0 else 0 for v in lc])
+            c = s_mul(ctx, c, le.x_ser, t)
+            cols.append(c)
     return cols
 
 

@@ -417,8 +417,10 @@ def test_infinity_collision_detection():
         valuation(c, mixed, c.inf_place())
 
 
+# past 256 elements the field tables are arrays, not lists: GF(1009),
+# GF(2^9)
 @pytest.mark.parametrize("p,n", [(2, 1), (7, 1), (2, 2), (3, 2), (2, 8),
-                                 (3, 4)])
+                                 (3, 4), (1009, 1), (2, 9)])
 def test_s_mul_matches_schoolbook(p, n):
     ctx = gf.field(p, n)
     rng = random.Random(31 * p + n)

@@ -695,6 +695,20 @@ def test_nullspace_routes_by_field_size(p, n, monkeypatch):
         [(0, 0, 0, 0, 1)]
 
 
+def test_nullspace_over_a_prime_past_the_table_cap_builds_no_table():
+    # the prime kernel solves over GF(p), p > MAX_TABLE_CARD, where the
+    # log kernel's tables would be refused
+    p = next(q for q in range(gf.MAX_TABLE_CARD + 1, gf.MAX_TABLE_CARD + 100)
+             if primes.is_prime(q))
+    ctx = gf.field(p)
+    rows = _full_column_rank(ctx, random.Random(11), 5, 4)
+    rows = [r + [ctx.mul(r[0], 3), 0] for r in rows]
+    got = gf.nullspace(ctx, rows, 6)
+    assert ctx._exp is None
+    assert got == _gauss_jordan_nullspace(ctx, rows, 6)
+    assert got == [(ctx.neg(3), 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)]
+
+
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (13, 1), (2, 2), (3, 2),
                                  (2, 4)])
 def test_corrupt_add_entry_fails_the_oracle(p, n, monkeypatch):
