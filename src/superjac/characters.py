@@ -46,6 +46,13 @@ is all it reuses; a memo over every character would only grow.  Each
 sum is still computed from its own level's histogram and passes the
 closed-form checks when it is computed, and neither identity takes one
 side from the other.
+
+``hasse_davenport_ok`` keeps (-G_1)^n of the character it last checked
+in a one-entry memo, which ``modified_gauss_sum`` drops together with
+that character's sums.  The grid asks n = 1, 2, ... in order, so level
+n costs one product, (-G_1)^(n-1) * (-G_1); any other n takes
+``** n``.  ``gauss_norm_ok`` takes G conj(G) as one product by
+``CycloInt.times_conjugate``.
 """
 
 from __future__ import annotations
@@ -61,6 +68,9 @@ from .errors import CharacterUnavailable, InvariantViolation, SuperjacError
 _HIST_CACHE: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {}
 # at most one entry: {(p, M, c, u, a): {level n: sum}}
 _SUMS: dict[tuple[int, int, int, int, int], dict[int, CycloInt]] = {}
+# at most one entry, for the character in _SUMS: {(p, M, c, u, a):
+# (n, (-G_1)^n)}; dropped with the sums
+_POWERS: dict[tuple[int, int, int, int, int], tuple[int, CycloInt]] = {}
 
 
 def _histogram(p: int, n: int, L: int) -> dict[tuple[int, int], int]:
@@ -132,6 +142,7 @@ def modified_gauss_sum(p: int, q_order: int, c: int, u: int, a: int,
         raise InvariantViolation("half-trivial sum must vanish")
     if key not in _SUMS:
         _SUMS.clear()
+        _POWERS.clear()
         _SUMS[key] = {}
     _SUMS[key][n] = total
     return total
@@ -189,7 +200,7 @@ def gauss_norm_ok(p: int, q_order: int, c: int, u: int, a: int,
     """G * conj(G) = p^n for both characters nontrivial."""
     _require_nontrivial(p, q_order, c, u)
     g = modified_gauss_sum(p, q_order, c, u, a, n)
-    return g * g.conjugate() == p ** n
+    return g.times_conjugate() == p ** n
 
 
 def hasse_davenport_ok(p: int, q_order: int, c: int, u: int, a: int,
@@ -198,7 +209,15 @@ def hasse_davenport_ok(p: int, q_order: int, c: int, u: int, a: int,
     _require_nontrivial(p, q_order, c, u)
     g1 = modified_gauss_sum(p, q_order, c, u, a, 1)
     gn = modified_gauss_sum(p, q_order, c, u, a, n)
-    return (-g1) ** n == -gn
+    key = (p, q_order, c % p, u % q_order, a % p)
+    held = _POWERS.get(key)
+    if held is not None and held[0] == n - 1:
+        power = held[1] * -g1
+    else:
+        power = (-g1) ** n
+    _POWERS.clear()
+    _POWERS[key] = (n, power)
+    return power == -gn
 
 
 def nontrivial_pairs(p: int, q_order: int):

@@ -278,7 +278,7 @@ def zeta_numerator_charsum(p: int, m: int, a: int,
     coeffs = [1]
     for d, k in _character_degrees(p, m):
         G = orbit_gauss_sum(p, d, 1, 1, a)
-        if G * G.conjugate() != p ** k:
+        if G.times_conjugate() != p ** k:
             raise InvariantViolation(f"Gauss sum of order {d} must have "
                                      f"norm {p}^{k}")
         n = G.ctx.phi // k

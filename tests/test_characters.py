@@ -6,6 +6,7 @@ the negated sum gives the level-2 value 3 zeta_3.
 """
 
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from superjac.characters import (
     orbit_gauss_sum,
     semiprimitive,
 )
-from superjac.cyclo import cyclo
+from superjac.cyclo import CycloCtx, cyclo
 from superjac.errors import (BudgetExceeded, CharacterUnavailable,
                              SuperjacError)
 
@@ -134,7 +135,7 @@ def test_closed_form_self_checks_are_typed_under_python_O():
     src = str(Path(superjac.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True,
-                          env={"PYTHONPATH": src})
+                          env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["trivial/trivial sum must be p^n",
                                         "half-trivial sum must vanish"]
@@ -206,6 +207,7 @@ def test_closed_form_builds_no_table(monkeypatch):
     monkeypatch.setattr(gf, "_CTX_CACHE", {})
     monkeypatch.setattr(characters, "_HIST_CACHE", {})
     monkeypatch.setattr(characters, "_SUMS", {})
+    monkeypatch.setattr(characters, "_POWERS", {})
     g = orbit_gauss_sum(7, 11, 1, 1, 1)
     assert g * g.conjugate() == 7 ** 10
     # eps = (-1)^((7^5 + 1)/11), zeta_7^(-k a) with k = 10, a = 1
@@ -239,7 +241,8 @@ def _identity_grid(p, q):
 @pytest.mark.parametrize("p,q", [(5, 2), (7, 3)])
 def test_memo_keeps_one_character(p, q, monkeypatch):
     monkeypatch.setattr(characters, "_SUMS", {})
-    calls, evaluated, held = [], [], []
+    monkeypatch.setattr(characters, "_POWERS", {})
+    calls, evaluated, held, powers = [], [], [], []
     real_sum, real_eval = modified_gauss_sum, characters._gauss_sum
 
     def spy(p, q_order, c, u, a, n=1):
@@ -247,6 +250,7 @@ def test_memo_keeps_one_character(p, q, monkeypatch):
         calls.append(((p, q_order, c % p, u % q_order, a % p), n))
         held.append({key: len(sums)
                      for key, sums in characters._SUMS.items()})
+        powers.append(set(characters._POWERS))
         return got
 
     def count(*args):
@@ -257,6 +261,9 @@ def test_memo_keeps_one_character(p, q, monkeypatch):
     monkeypatch.setattr(characters, "_gauss_sum", count)
     n_max = _identity_grid(p, q)
     assert all(len(h) == 1 and max(h.values()) <= n_max for h in held)
+    # the power memo holds at most the character whose sums are kept
+    assert all(keys <= set(h) for keys, h in zip(powers, held))
+    assert any(powers)
     # one evaluation per level within each run of calls for one character
     runs = []
     for key, n in calls:
@@ -271,6 +278,7 @@ def test_memo_keeps_one_character(p, q, monkeypatch):
 
 def test_refused_calls_leave_the_memo(monkeypatch):
     monkeypatch.setattr(characters, "_SUMS", {})
+    monkeypatch.setattr(characters, "_POWERS", {})
     g = modified_gauss_sum(5, 2, 1, 1, 1, 2)
     before = {key: dict(sums) for key, sums in characters._SUMS.items()}
     for call, exc in [
@@ -291,6 +299,7 @@ def test_memo_does_not_make_identities_hold(first, monkeypatch):
     # before, both identities at n = 2 must see it, in either order
     monkeypatch.setattr(characters, "_HIST_CACHE", {})
     monkeypatch.setattr(characters, "_SUMS", {})
+    monkeypatch.setattr(characters, "_POWERS", {})
     hist = characters._histogram(5, 2, 2)
     hist[next(iter(hist))] += 1
     checks = [lambda: gauss_norm_ok(5, 2, 1, 1, 1, 2),
@@ -300,3 +309,81 @@ def test_memo_does_not_make_identities_hold(first, monkeypatch):
     assert [check() for check in checks] == [False, False]
     # the level-1 sum is untouched
     assert gauss_norm_ok(5, 2, 1, 1, 1, 1)
+
+
+def _hd_by_powering(p, q, c, u, a, n):
+    """The Hasse-Davenport identity with (-G_1)^n raised from scratch."""
+    g1 = modified_gauss_sum(p, q, c, u, a, 1)
+    return (-g1) ** n == -modified_gauss_sum(p, q, c, u, a, n)
+
+
+@pytest.mark.parametrize("levels", [(1, 2, 3, 4), (3, 2), (2, 2),
+                                    (1, 3, 3, 2, 4), (4, 1, 2)])
+@pytest.mark.parametrize("poisoned", [False, True])
+def test_power_memo_in_any_order(levels, poisoned, monkeypatch):
+    # a poisoned level-1 histogram makes G_1, and so every (-G_1)^n with
+    # n >= 2, wrong; memo or not, the answers are those of powering from
+    # scratch
+    monkeypatch.setattr(characters, "_HIST_CACHE", {})
+    monkeypatch.setattr(characters, "_SUMS", {})
+    monkeypatch.setattr(characters, "_POWERS", {})
+    if poisoned:
+        hist = characters._histogram(5, 1, 2)
+        hist[next(iter(hist))] += 1
+    got = [hasse_davenport_ok(5, 2, 1, 1, 1, n) for n in levels]
+    key = (5, 2, 1, 1, 1)
+    n, power = characters._POWERS[key]
+    assert n == levels[-1]
+    assert power == (-modified_gauss_sum(5, 2, 1, 1, 1)) ** n
+    assert list(characters._POWERS) == [key]
+    assert got == [_hd_by_powering(5, 2, 1, 1, 1, n) for n in levels] \
+        == [n == 1 or not poisoned for n in levels]
+    assert gauss_norm_ok(5, 2, 1, 1, 1, 1) is not poisoned
+
+
+def test_each_level_costs_one_product(monkeypatch):
+    monkeypatch.setattr(characters, "_SUMS", {})
+    monkeypatch.setattr(characters, "_POWERS", {})
+    products = []
+    real_mul = CycloCtx.mul
+
+    def spy(self, a, b):
+        products.append(len(b))
+        return real_mul(self, a, b)
+
+    monkeypatch.setattr(CycloCtx, "mul", spy)
+    for n in range(1, 5):
+        g = modified_gauss_sum(7, 3, 1, 1, 2, n)
+        products.clear()
+        assert gauss_norm_ok(7, 3, 1, 1, 2, n)
+        # G times its unreduced conjugate, 21 long
+        assert products == [21]
+        products.clear()
+        assert hasse_davenport_ok(7, 3, 1, 1, 2, n)
+        assert len(products) == (n > 1)
+        assert characters._POWERS[(7, 3, 1, 1, 2)] == (n, -g)
+    # a level out of order powers from scratch: (x^2) x
+    products.clear()
+    assert hasse_davenport_ok(7, 3, 1, 1, 2, 3)
+    assert len(products) == 2
+
+
+def test_refused_calls_leave_the_power_memo(monkeypatch):
+    monkeypatch.setattr(characters, "_SUMS", {})
+    monkeypatch.setattr(characters, "_POWERS", {})
+    assert hasse_davenport_ok(5, 2, 1, 1, 1, 2)
+    held = characters._POWERS[(5, 2, 1, 1, 1)]
+    for call, exc in [
+            (lambda: hasse_davenport_ok(5, -2, 1, 1, 1, 3), SuperjacError),
+            (lambda: hasse_davenport_ok(5, 2, 5, 1, 1, 3), SuperjacError),
+            (lambda: hasse_davenport_ok(5, 2, 1, 1, 1, 10), BudgetExceeded),
+            (lambda: modified_gauss_sum(5, 2, 1, 1, 1, 10), BudgetExceeded),
+            (lambda: gauss_norm_ok(5, 2, 1, 1, 1, 10), BudgetExceeded)]:
+        with pytest.raises(exc):
+            call()
+        assert characters._POWERS == {(5, 2, 1, 1, 1): held}
+        assert characters._POWERS[(5, 2, 1, 1, 1)] is held
+    # another character's sums drop the memo with them
+    modified_gauss_sum(5, 2, 2, 1, 1)
+    assert not characters._POWERS
+

@@ -383,3 +383,101 @@ def test_bad_arguments_are_usage_errors():
         R.from_zeta_exponents({1: 1}) ** -1
     with pytest.raises(SuperjacError):
         R.from_zeta_exponents({1: 1}).galois(5)
+
+
+def _block_stepped(N: int, a: list[int], b: list[int]) -> list[int]:
+    """The schoolbook product folded mod x^N - 1 and block-stepped once
+    mod T_l, as lists: the slots that ``CycloCtx.mul`` unpacks."""
+    f = [0] * N
+    for k, c in enumerate(_zmul_schoolbook(a, b)):
+        f[k % N] += c
+    m = N // min((d for d in range(2, N + 1) if N % d == 0), default=N)
+    if m == N:
+        return f
+    return [f[i] - f[N - m + i % m] for i in range(N - m)]
+
+
+_PACKED_N = (1, 2, 9, 10, 15, 34, 55, 57, 77, 105)
+
+
+@pytest.mark.parametrize("N", _PACKED_N)
+def test_packed_product_matches_zmul_and_dense_oracle(N):
+    rng = random.Random(N)
+    R = cyclo(N)
+    lengths = sorted({1, R.phi, N, rng.randint(1, N)})
+    for bits in (1, 7, 8, 15, 16, 31, 32, 63, 64, 65, 200):
+        for la in lengths:
+            for lb in (R.phi, N):
+                a = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(la)]
+                b = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(lb)]
+                want = _oracle_reduce(N, _zmul_schoolbook(a, b))
+                assert R.mul(a, b) == R.reduce(_zmul(a, b)) == want, \
+                    (bits, la, lb)
+                assert R.mul(b, a) == want
+                # all-negative, and zero beside a nonzero operand
+                neg = [-abs(c) - 1 for c in a]
+                assert R.mul(neg, b) == _oracle_reduce(
+                    N, _zmul_schoolbook(neg, b))
+                assert R.mul([0] * la, b) == R.mul(a, [0] * lb) \
+                    == (0,) * R.phi
+
+
+def _operands_stepping_to(t: int, tight: bool) -> tuple[list[int], ...]:
+    """Operands over N = 21 (l = 3, m = 7) whose block-stepped slots
+    reach +-14 A B, which needs exactly t signed bits: seven terms A B
+    in slot 13 of the fold and seven terms -A B in its top slot 20.
+    ``tight`` takes A = B = 2^((t-5)/2) - 1, where the slot bound of
+    ``mul`` is t bits as well."""
+    if tight:
+        A = B = 2 ** ((t - 5) // 2) - 1
+    else:
+        A, B = -(-2 ** (t - 2) // 14), 1
+    b = [0] * 7 + [B] * 7 + [-B] * 7
+    return [A] * 7, b, [-c for c in b]
+
+
+# t = 8k + 1: the slot bound is t bits and the block-stepped slots fill
+# them, so packing one bit narrower would overflow a slot
+_TIGHT_SLOT_BYTES = {17: 4, 33: 8, 65: 9}
+
+
+@pytest.mark.parametrize("t", sorted(set(_SLOT_OF_BITS) | {17, 33}))
+def test_packed_product_slot_widths(t, monkeypatch):
+    widths = []
+    slots = cyclo_mod._slots
+
+    def spy(v, n, width, code, half, off):
+        widths.append(width)
+        return slots(v, n, width, code, half, off)
+
+    monkeypatch.setattr(cyclo_mod, "_slots", spy)
+    R = cyclo(21)
+    tight = t in _TIGHT_SLOT_BYTES
+    a, b, nb = _operands_stepping_to(t, tight)
+    stepped = _block_stepped(21, a, b) + _block_stepped(21, a, nb)
+    assert max(_signed_bits(c) for c in stepped) == t
+    assert max(stepped) == -min(stepped)
+    for x, y in [(a, b), (b, a), (a, nb), (nb, a)]:
+        assert R.mul(x, y) == _oracle_reduce(21, _zmul_schoolbook(x, y))
+    if tight:
+        assert set(widths) == {_TIGHT_SLOT_BYTES[t]}
+    assert all(8 * w >= t for w in widths)
+
+
+@pytest.mark.parametrize("N", _PACKED_N)
+def test_times_conjugate_is_the_product_with_the_conjugate(N):
+    rng = random.Random(-N)
+    R = cyclo(N)
+    for bits in (0, 7, 8, 64, 200):
+        x = CycloInt(R, tuple(rng.randint(-2 ** bits, 2 ** bits)
+                              for _ in range(R.phi)))
+        assert x.times_conjugate() == x * x.conjugate()
+        # the conjugate over the dense oracle: zeta^i -> zeta^(N-i)
+        image = [0] * N
+        for i, c in enumerate(x.coeffs):
+            image[-i % N] += c
+        assert x.times_conjugate().coeffs == _oracle_reduce(
+            N, _zmul_schoolbook(list(x.coeffs), image))
+    g = cyclo(15).from_zeta_exponents({1: 1, 6: -2})
+    # |zeta - 2 zeta^6|^2 = 5 - 2 (zeta^5 + zeta^-5) = 5 + 2 = 7
+    assert g.times_conjugate() == 7

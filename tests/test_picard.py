@@ -6,6 +6,7 @@ Anchor groups, cross-checked against zeta orders:
 """
 
 import math
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -197,7 +198,7 @@ def test_picard_invariants_are_typed_under_python_O():
     src = str(Path(superjac.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True,
-                          env={"PYTHONPATH": src})
+                          env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert "invariant factors (3, 3) multiply to 9, not 3" in proc.stdout
 
@@ -336,7 +337,7 @@ def test_a_scan_that_finds_no_kernel_is_refused(flags):
     src = str(Path(superjac.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, *flags, "-c", _REFUTED_SCAN],
                           capture_output=True, text=True,
-                          env={"PYTHONPATH": src})
+                          env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 3

@@ -4,6 +4,7 @@ Reduced Jacobian orders frozen from the character-sum route and checked
 odd/coprime to q by hand: (3,2,10) -> 7, (5,2,14) -> 71.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -101,7 +102,7 @@ def test_relation_check_is_typed_under_python_O():
     src = str(Path(superjac.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True,
-                          env={"PYTHONPATH": src})
+                          env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert "div(y - k)" in proc.stdout
 

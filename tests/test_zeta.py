@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -290,6 +291,7 @@ def test_count_points_without_mth_powers(p, m, monkeypatch):
     want = {n: _count_points_horner(curve, n) for n in levels}
     monkeypatch.setattr(gf, "_CTX_CACHE", {})
     monkeypatch.setattr(characters, "_SUMS", {})
+    monkeypatch.setattr(characters, "_POWERS", {})
     assert {n: count_points(curve, n) for n in levels} == \
         {n: p ** n + 1 for n in levels} == want
     assert not gf._CTX_CACHE
@@ -505,6 +507,7 @@ def test_refusal_builds_no_table(monkeypatch):
     # budget: refused before any extension of GF(7) is built
     monkeypatch.setattr(gf, "_CTX_CACHE", {})
     monkeypatch.setattr(characters, "_SUMS", {})
+    monkeypatch.setattr(characters, "_POWERS", {})
     res = torsion_criterion(7, 29, budget=200_000)
     assert res.evidence_route is None and res.jacobian_order is None
     assert not [key for key in gf._CTX_CACHE if key[0] == 7 and key[1] >= 2]
@@ -513,6 +516,7 @@ def test_refusal_builds_no_table(monkeypatch):
 def test_power_law_refuses_before_counting(monkeypatch):
     monkeypatch.setattr(gf, "_CTX_CACHE", {})
     monkeypatch.setattr(characters, "_SUMS", {})
+    monkeypatch.setattr(characters, "_POWERS", {})
     with pytest.raises(BudgetExceeded):
         power_law_check(3, 13, budget=200_000)
     assert not [key for key in gf._CTX_CACHE if key[0] == 3]
@@ -537,7 +541,7 @@ def test_non_integral_counts_are_typed_under_python_O():
     src = str(Path(superjac.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True,
-                          env={"PYTHONPATH": src})
+                          env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert "Newton's identities must stay integral" in proc.stdout
 
