@@ -36,56 +36,42 @@ where log(g^k) = k, so no discrete log is taken.  Only the field-table
 cap bounds the level.  The histogram stays the oracle for the closed form
 in the tests.
 
-``modified_gauss_sum`` keeps the sums of the last character it was
-asked for, by level: the key is (p, M, c mod p, u mod M, a mod p), and
-a call for another character drops them all.  The identity grid asks
-for one character's sums at every level n, G_1 again for each
-Hasse-Davenport check and G_n for both the norm and the Hasse-Davenport
-check at n, and then moves on to the next character, so one character
-is all it reuses; a memo over every character would only grow.  Each
-sum is still computed from its own level's histogram and passes the
+``modified_gauss_sum`` and ``hasse_davenport_ok`` keep their last
+eight sums and powers (-G_1)^n in ``functools.lru_cache``s keyed by
+(p, M, c mod p, u mod M, a mod p, n).  Criterion 03 asks one
+character's a = 0 sum and then levels 1..6 of its shift, 7 keys in all,
+before it moves on, so each sum is computed once and level n of
+Hasse-Davenport costs one product, (-G_1)^(n-1) * (-G_1).  Each sum is
+still computed from its own level's histogram and passes the
 closed-form checks when it is computed, and neither identity takes one
-side from the other.
-
-``hasse_davenport_ok`` keeps (-G_1)^n of the character it last checked
-in a one-entry memo, which ``modified_gauss_sum`` drops together with
-that character's sums.  The grid asks n = 1, 2, ... in order, so level
-n costs one product, (-G_1)^(n-1) * (-G_1); any other n takes
-``** n``.  ``gauss_norm_ok`` takes G conj(G) as one product by
-``CycloInt.times_conjugate``.
+side from the other.  ``gauss_norm_ok`` takes G conj(G) as one product
+by ``CycloInt.times_conjugate``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
 from itertools import cycle
 
 from . import gf, primes
 from .cyclo import CycloInt, cyclo
 from .errors import CharacterUnavailable, InvariantViolation, SuperjacError
 
-_HIST_CACHE: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {}
-# at most one entry: {(p, M, c, u, a): {level n: sum}}
-_SUMS: dict[tuple[int, int, int, int, int], dict[int, CycloInt]] = {}
-# at most one entry, for the character in _SUMS: {(p, M, c, u, a):
-# (n, (-G_1)^n)}; dropped with the sums
-_POWERS: dict[tuple[int, int, int, int, int], tuple[int, CycloInt]] = {}
+# criterion 03 asks one character's a = 0 sum and then levels 1..6 of its
+# shift, 7 keys in all, before it moves on
+_KEYS_KEPT = 8
 
 
+@lru_cache(maxsize=None)
 def _histogram(p: int, n: int, L: int) -> dict[tuple[int, int], int]:
     """Counts of (Tr(w), log(w) mod L) over nonzero w in GF(p^n)."""
-    key = (p, n, L)
-    got = _HIST_CACHE.get(key)
-    if got is not None:
-        return got
     ctx = gf.field(p, n)
     tr = ctx.trace_table()
     # exp[k] = g^k walks the units in log order, so log(w) mod L is k mod L
     exp = ctx.log_tables()[1]
-    hist = Counter(zip(map(tr.__getitem__, exp), cycle(range(L))))
-    _HIST_CACHE[key] = hist
-    return hist
+    return Counter(zip(map(tr.__getitem__, exp), cycle(range(L))))
 
 
 def _gauss_sum(p: int, n: int, M: int, c: int, u: int, a: int) -> CycloInt:
@@ -115,13 +101,12 @@ def modified_gauss_sum(p: int, q_order: int, c: int, u: int, a: int,
     if (p - 1) % M != 0:
         raise CharacterUnavailable(
             f"multiplicative characters of order {M} need {M} | {p - 1}")
-    c %= p
-    u %= M
-    a %= p
-    key = (p, M, c, u, a)
-    got = _SUMS.get(key, {}).get(n)
-    if got is not None:
-        return got
+    return _lifted_sum(p, M, c % p, u % M, a % p, n)
+
+
+@lru_cache(maxsize=_KEYS_KEPT)
+def _lifted_sum(p: int, M: int, c: int, u: int, a: int, n: int) -> CycloInt:
+    """modified_gauss_sum for c, u and a already reduced."""
     ctx = gf.field(p, n)
     # ind(N(w)) = s * log(w) with s = ind(N(g)), N(g) = g^((q - 1)/(p - 1))
     # for the generator g of GF(q)
@@ -140,11 +125,6 @@ def modified_gauss_sum(p: int, q_order: int, c: int, u: int, a: int,
             raise InvariantViolation("trivial/trivial sum must be p^n")
     elif (c == 0 or u == 0) and not total.is_zero():
         raise InvariantViolation("half-trivial sum must vanish")
-    if key not in _SUMS:
-        _SUMS.clear()
-        _POWERS.clear()
-        _SUMS[key] = {}
-    _SUMS[key][n] = total
     return total
 
 
@@ -207,17 +187,17 @@ def hasse_davenport_ok(p: int, q_order: int, c: int, u: int, a: int,
                        n: int) -> bool:
     """-G_a at level n equals (-G_a at level 1)^n (nontrivial pair)."""
     _require_nontrivial(p, q_order, c, u)
-    g1 = modified_gauss_sum(p, q_order, c, u, a, 1)
+    # G_n first: a level past the table cap raises before any product
     gn = modified_gauss_sum(p, q_order, c, u, a, n)
-    key = (p, q_order, c % p, u % q_order, a % p)
-    held = _POWERS.get(key)
-    if held is not None and held[0] == n - 1:
-        power = held[1] * -g1
-    else:
-        power = (-g1) ** n
-    _POWERS.clear()
-    _POWERS[key] = (n, power)
-    return power == -gn
+    return _hd_power(p, q_order, c % p, u % q_order, a % p, n) == -gn
+
+
+@lru_cache(maxsize=_KEYS_KEPT)
+def _hd_power(p: int, M: int, c: int, u: int, a: int, n: int) -> CycloInt:
+    """(-G_1)^n for c, u and a already reduced, as (-G_1)^(n-1) * (-G_1):
+    one product when level n - 1 is kept, n - 1 when none is."""
+    g1 = -_lifted_sum(p, M, c, u, a, 1)
+    return g1 if n == 1 else _hd_power(p, M, c, u, a, n - 1) * g1
 
 
 def nontrivial_pairs(p: int, q_order: int):

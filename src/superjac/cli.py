@@ -32,11 +32,6 @@ from .errors import (BudgetExceeded, CacheMismatch, CheckFailed,
                      EvidenceFailed, HypothesisFailed, IncompleteEnumeration,
                      InvariantViolation, OracleMismatch, SuperjacError)
 
-CACHED_OPS = {"gauss", "count", "zeta", "jacobian-order", "torsion-test",
-              "power-law", "picard", "conjecture-test", "proof-replay",
-              "rank-certify", "delta-structure", "principal", "find-prime"}
-
-
 def _int(token: str) -> int:
     try:
         return int(token)
@@ -402,7 +397,7 @@ def main(argv=None) -> int:
         if args.budget is not None and args.budget < 1:
             raise SuperjacError(
                 f"--budget must be at least 1, got {args.budget}")
-        if args.cache_dir and args.cmd in CACHED_OPS:
+        if args.cache_dir and args.cmd != "genus":
             cache = ResultCache(args.cache_dir, verify=args.verify_cache)
             params = {k: v for k, v in vars(args).items()
                       if k not in ("func", "cmd", "json", "cache_dir",

@@ -44,8 +44,8 @@ coefficients enter via FieldElem wrappers or base_change.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import gf
 from .errors import (
@@ -64,10 +64,13 @@ PRECISION_CAP = 1 << 10
 
 # ---------------------------------------------------------------------------
 # places
+#
+# Places are named tuples, so hashing and equality are tuple operations
+# in C.  The three kinds have lengths 2, 1 and 4, so places of different
+# kinds never compare equal.
 
 
-@dataclass(frozen=True)
-class RamPlace:
+class RamPlace(NamedTuple):
     """Ramification point R_i = (alpha_i, 0); 1-based index, alpha packed."""
 
     idx: int
@@ -87,8 +90,7 @@ class RamPlace:
         return f"R{self.idx}"
 
 
-@dataclass(frozen=True)
-class InfPlace:
+class InfPlace(NamedTuple):
     """The formal sum of the d points above x = infinity."""
 
     deg: int
@@ -104,8 +106,7 @@ class InfPlace:
         return "inf"
 
 
-@dataclass(frozen=True)
-class ClosedPlace:
+class ClosedPlace(NamedTuple):
     """Frobenius orbit of an affine point, stored over its minimal field.
 
     base_p, base_n identify the curve's base GF(base_p^base_n); the orbit

@@ -283,15 +283,9 @@ class CycloCtx:
         return f"Z[zeta_{self.N}]"
 
 
-_CYCLO_CACHE: dict[int, CycloCtx] = {}
-
-
+@lru_cache(maxsize=None)
 def cyclo(N: int) -> CycloCtx:
-    ctx = _CYCLO_CACHE.get(N)
-    if ctx is None:
-        ctx = CycloCtx(N)
-        _CYCLO_CACHE[N] = ctx
-    return ctx
+    return CycloCtx(N)
 
 
 class CycloInt:

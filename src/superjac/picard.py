@@ -27,10 +27,9 @@ product by the linear coordinate is one pass over at most two terms.
 Only s_mul chooses how the residue field computes (ints mod p, or
 discrete logs over an extension field).  A block of base rows depends
 only on (P, t) and the column layout tops, so each curve keeps every
-block it has built in CurveSpec._blocks, flattened into one bytes
-string (an array of four bytes an entry past a base of 256 elements),
-and a system is the stack of its blocks: row slices of a bytes block
-reach gf.nullspace's byte kernel with no copy.
+block it has built in CurveSpec._blocks as a tuple of rows (bytes up
+to a base of 256 elements, tuples of ints past it), and a system is the
+stack of its blocks.
 
 The class group itself is enumerated through effective divisors of
 degree g: every degree-zero class is E - g*inf for such an E, and
@@ -68,7 +67,6 @@ place at infinity.
 
 import itertools
 import math
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -180,19 +178,17 @@ def _base_rows(base: gf.FieldCtx, ctx: gf.FieldCtx, cols) -> list:
     return rows
 
 
-def _block(curve: CurveSpec, place, t: int, tops) -> bytes | array:
-    """Base rows of the condition (place, t) on the monomials of tops,
-    flattened row after row into one bytes string (an array("I") past a
-    base of 256 elements): built once per curve and key, then read from
-    curve._blocks."""
+def _block(curve: CurveSpec, place, t: int, tops) -> tuple:
+    """Base rows of the condition (place, t) on the monomials of tops, as
+    bytes up to a base of 256 elements and tuples of ints past it: built
+    once per curve and key, then read from curve._blocks."""
     key = (place, t, tuple(tops))
     got = curve._blocks.get(key)
     if got is None:
         base = curve.base
         le = local_expansion(curve, place, t)
         rows = _base_rows(base, le.ctx, _condition_columns(le.ctx, le, tops))
-        flat = [v for row in rows for v in row]
-        got = bytes(flat) if base.order <= 256 else array("I", flat)
+        got = tuple(map(bytes if base.order <= 256 else tuple, rows))
         curve._blocks[key] = got
     return got
 
@@ -256,13 +252,11 @@ def function_space(curve: CurveSpec, bound: Divisor) -> FunctionSpace:
                  for i in range(top + 1)]
 
     rows = []
-    n = len(monomials)
-    if n:
+    if monomials:
         for P, t in cond:
-            blk = _block(curve, P, t, tops)
-            rows.extend(blk[k:k + n] for k in range(0, len(blk), n))
+            rows.extend(_block(curve, P, t, tops))
 
-    vectors = gf.nullspace(base, rows, n)
+    vectors = gf.nullspace(base, rows, len(monomials))
 
     degb = bound.degree()
     g = curve.genus

@@ -1,8 +1,10 @@
 """Smith normal form over the integers.
 
 Exact big-integer row/column reduction with smallest-pivot selection.
-The returned diagonal satisfies the divisibility chain d1 | d2 | ... with
-nonnegative entries; trailing zeros indicate free rank in the cokernel.
+Each pivot is made to divide the rest of its block before the next one
+is chosen, so the returned diagonal satisfies the divisibility chain
+d1 | d2 | ... with nonnegative entries; trailing zeros indicate free
+rank in the cokernel.
 """
 
 from __future__ import annotations
@@ -63,26 +65,20 @@ def smith_normal_form(rows: list[list[int]]) -> list[int]:
                         r[top], r[j] = r[j], r[top]
                     changed = True
                     break
+            if changed:
+                continue
+            # the pivot must divide the rest of its block: a row it does
+            # not divide is added to the pivot row, whose remainders then
+            # give a smaller pivot
+            for i in range(top + 1, m):
+                if any(v % pv for v in a[i][top + 1:]):
+                    a[top] = [x + y for x, y in zip(a[top], a[i])]
+                    changed = True
+                    break
         diag.append(abs(a[top][top]))
         top += 1
     while len(diag) < min(m, n):
         diag.append(0)
-    # enforce the divisibility chain; gcd/lcm swaps preserve the group
-    import math
-    k = len(diag)
-    for _ in range(k):
-        settled = True
-        for i in range(k - 1):
-            x, y = diag[i], diag[i + 1]
-            if x and y and y % x:
-                g = math.gcd(x, y)
-                diag[i], diag[i + 1] = g, x * y // g
-                settled = False
-            elif x == 0 and y != 0:
-                diag[i], diag[i + 1] = y, 0
-                settled = False
-        if settled:
-            break
     return diag
 
 

@@ -181,8 +181,7 @@ def _histogram_by_dlog(p, n, L):
 
 @pytest.mark.parametrize("p,n", [(7, 1), (19, 1), (2, 4), (3, 7), (5, 5),
                                  (11, 3), (2, 12)])
-def test_histogram_matches_per_unit_dlog(p, n, monkeypatch):
-    monkeypatch.setattr(characters, "_HIST_CACHE", {})
+def test_histogram_matches_per_unit_dlog(p, n, fresh_sum_caches):
     q1 = p ** n - 1
     # divisors of q - 1, and an L that divides nothing in sight
     for L in sorted({1, 2, q1 // math.gcd(q1, 4), q1, 7} - {0}):
@@ -202,17 +201,15 @@ def test_semiprimitive_pairs():
     assert semiprimitive(2, 15) is None
 
 
-def test_closed_form_builds_no_table(monkeypatch):
+def test_closed_form_builds_no_table(monkeypatch, fresh_sum_caches):
     # (7, 11): a sum over GF(7^10), past the table cap's reach of 7^7
     monkeypatch.setattr(gf, "_CTX_CACHE", {})
-    monkeypatch.setattr(characters, "_HIST_CACHE", {})
-    monkeypatch.setattr(characters, "_SUMS", {})
-    monkeypatch.setattr(characters, "_POWERS", {})
     g = orbit_gauss_sum(7, 11, 1, 1, 1)
     assert g * g.conjugate() == 7 ** 10
     # eps = (-1)^((7^5 + 1)/11), zeta_7^(-k a) with k = 10, a = 1
     assert g == cyclo(77).from_zeta_exponents({11 * (-10 % 7): 7 ** 5})
-    assert not gf._CTX_CACHE and not characters._HIST_CACHE
+    assert not gf._CTX_CACHE
+    assert characters._histogram.cache_info().currsize == 0
 
 
 def test_trivial_characters_are_usage_errors():
@@ -238,19 +235,25 @@ def _identity_grid(p, q):
     return n_max
 
 
+def _kept():
+    """Entries held by the sum and the power memo."""
+    return (characters._lifted_sum.cache_info().currsize,
+            characters._hd_power.cache_info().currsize)
+
+
 @pytest.mark.parametrize("p,q", [(5, 2), (7, 3)])
-def test_memo_keeps_one_character(p, q, monkeypatch):
-    monkeypatch.setattr(characters, "_SUMS", {})
-    monkeypatch.setattr(characters, "_POWERS", {})
-    calls, evaluated, held, powers = [], [], [], []
+def test_memo_keeps_one_character(p, q, monkeypatch, fresh_sum_caches):
+    # the memos hold at most 8 keys, enough for the 7 that one character
+    # takes on the grid, so each (character, level) run is computed once
+    assert characters._lifted_sum.cache_info().maxsize == 8
+    assert characters._hd_power.cache_info().maxsize == 8
+    calls, evaluated, held = [], [], []
     real_sum, real_eval = modified_gauss_sum, characters._gauss_sum
 
     def spy(p, q_order, c, u, a, n=1):
         got = real_sum(p, q_order, c, u, a, n)
         calls.append(((p, q_order, c % p, u % q_order, a % p), n))
-        held.append({key: len(sums)
-                     for key, sums in characters._SUMS.items()})
-        powers.append(set(characters._POWERS))
+        held.append(_kept())
         return got
 
     def count(*args):
@@ -260,10 +263,8 @@ def test_memo_keeps_one_character(p, q, monkeypatch):
     monkeypatch.setattr(characters, "modified_gauss_sum", spy)
     monkeypatch.setattr(characters, "_gauss_sum", count)
     n_max = _identity_grid(p, q)
-    assert all(len(h) == 1 and max(h.values()) <= n_max for h in held)
-    # the power memo holds at most the character whose sums are kept
-    assert all(keys <= set(h) for keys, h in zip(powers, held))
-    assert any(powers)
+    assert max(held) == (8, 8)
+    assert all(sums <= 8 and powers <= 8 for sums, powers in held)
     # one evaluation per level within each run of calls for one character
     runs = []
     for key, n in calls:
@@ -276,11 +277,17 @@ def test_memo_keeps_one_character(p, q, monkeypatch):
         * (1 + n_max) < len(calls)
 
 
-def test_refused_calls_leave_the_memo(monkeypatch):
-    monkeypatch.setattr(characters, "_SUMS", {})
-    monkeypatch.setattr(characters, "_POWERS", {})
+def test_refused_calls_leave_the_memo(monkeypatch, fresh_sum_caches):
     g = modified_gauss_sum(5, 2, 1, 1, 1, 2)
-    before = {key: dict(sums) for key, sums in characters._SUMS.items()}
+    before = _kept()
+    evaluated = []
+    real_eval = characters._gauss_sum
+
+    def count(*args):
+        evaluated.append(args)
+        return real_eval(*args)
+
+    monkeypatch.setattr(characters, "_gauss_sum", count)
     for call, exc in [
             (lambda: modified_gauss_sum(5, 3, 1, 1, 1), CharacterUnavailable),
             (lambda: modified_gauss_sum(5, 0, 1, 1, 1), SuperjacError),
@@ -289,17 +296,16 @@ def test_refused_calls_leave_the_memo(monkeypatch):
             (lambda: modified_gauss_sum(3, 2, 1, 1, 1, 14), BudgetExceeded)]:
         with pytest.raises(exc):
             call()
-        assert characters._SUMS == before
-    assert characters._SUMS[(5, 2, 1, 1, 1)][2] is g
+        assert _kept() == before
+    # the kept sum is served as it was, with no new evaluation
+    assert modified_gauss_sum(5, 2, 1, 1, 1, 2) is g
+    assert not evaluated
 
 
 @pytest.mark.parametrize("first", ["norm", "hasse_davenport"])
-def test_memo_does_not_make_identities_hold(first, monkeypatch):
+def test_memo_does_not_make_identities_hold(first, fresh_sum_caches):
     # a poisoned level-2 histogram makes G_2 wrong; with no sum kept from
     # before, both identities at n = 2 must see it, in either order
-    monkeypatch.setattr(characters, "_HIST_CACHE", {})
-    monkeypatch.setattr(characters, "_SUMS", {})
-    monkeypatch.setattr(characters, "_POWERS", {})
     hist = characters._histogram(5, 2, 2)
     hist[next(iter(hist))] += 1
     checks = [lambda: gauss_norm_ok(5, 2, 1, 1, 1, 2),
@@ -320,30 +326,29 @@ def _hd_by_powering(p, q, c, u, a, n):
 @pytest.mark.parametrize("levels", [(1, 2, 3, 4), (3, 2), (2, 2),
                                     (1, 3, 3, 2, 4), (4, 1, 2)])
 @pytest.mark.parametrize("poisoned", [False, True])
-def test_power_memo_in_any_order(levels, poisoned, monkeypatch):
+def test_power_memo_in_any_order(levels, poisoned, fresh_sum_caches):
     # a poisoned level-1 histogram makes G_1, and so every (-G_1)^n with
     # n >= 2, wrong; memo or not, the answers are those of powering from
     # scratch
-    monkeypatch.setattr(characters, "_HIST_CACHE", {})
-    monkeypatch.setattr(characters, "_SUMS", {})
-    monkeypatch.setattr(characters, "_POWERS", {})
     if poisoned:
         hist = characters._histogram(5, 1, 2)
         hist[next(iter(hist))] += 1
     got = [hasse_davenport_ok(5, 2, 1, 1, 1, n) for n in levels]
-    key = (5, 2, 1, 1, 1)
-    n, power = characters._POWERS[key]
-    assert n == levels[-1]
-    assert power == (-modified_gauss_sum(5, 2, 1, 1, 1)) ** n
-    assert list(characters._POWERS) == [key]
+    # a level asked cold keeps every level below it
+    top = max(levels)
+    assert _kept()[1] == top
+    g1 = modified_gauss_sum(5, 2, 1, 1, 1)
+    misses = characters._hd_power.cache_info().misses
+    assert [characters._hd_power(5, 2, 1, 1, 1, n)
+            for n in range(1, top + 1)] == \
+        [(-g1) ** n for n in range(1, top + 1)]
+    assert characters._hd_power.cache_info().misses == misses
     assert got == [_hd_by_powering(5, 2, 1, 1, 1, n) for n in levels] \
         == [n == 1 or not poisoned for n in levels]
     assert gauss_norm_ok(5, 2, 1, 1, 1, 1) is not poisoned
 
 
-def test_each_level_costs_one_product(monkeypatch):
-    monkeypatch.setattr(characters, "_SUMS", {})
-    monkeypatch.setattr(characters, "_POWERS", {})
+def test_each_level_costs_one_product(monkeypatch, fresh_sum_caches):
     products = []
     real_mul = CycloCtx.mul
 
@@ -361,18 +366,21 @@ def test_each_level_costs_one_product(monkeypatch):
         products.clear()
         assert hasse_davenport_ok(7, 3, 1, 1, 2, n)
         assert len(products) == (n > 1)
-        assert characters._POWERS[(7, 3, 1, 1, 2)] == (n, -g)
-    # a level out of order powers from scratch: (x^2) x
+        assert characters._hd_power(7, 3, 1, 1, 2, n) == -g
+    # a repeated level costs none
     products.clear()
+    assert hasse_davenport_ok(7, 3, 1, 1, 2, 3)
+    assert not products
+    # a level asked cold costs n - 1: ((-G_1) (-G_1)) (-G_1)
+    characters._hd_power.cache_clear()
     assert hasse_davenport_ok(7, 3, 1, 1, 2, 3)
     assert len(products) == 2
 
 
-def test_refused_calls_leave_the_power_memo(monkeypatch):
-    monkeypatch.setattr(characters, "_SUMS", {})
-    monkeypatch.setattr(characters, "_POWERS", {})
+def test_refused_calls_leave_the_power_memo(fresh_sum_caches):
     assert hasse_davenport_ok(5, 2, 1, 1, 1, 2)
-    held = characters._POWERS[(5, 2, 1, 1, 1)]
+    held = characters._hd_power(5, 2, 1, 1, 1, 2)
+    before = _kept()
     for call, exc in [
             (lambda: hasse_davenport_ok(5, -2, 1, 1, 1, 3), SuperjacError),
             (lambda: hasse_davenport_ok(5, 2, 5, 1, 1, 3), SuperjacError),
@@ -381,9 +389,9 @@ def test_refused_calls_leave_the_power_memo(monkeypatch):
             (lambda: gauss_norm_ok(5, 2, 1, 1, 1, 10), BudgetExceeded)]:
         with pytest.raises(exc):
             call()
-        assert characters._POWERS == {(5, 2, 1, 1, 1): held}
-        assert characters._POWERS[(5, 2, 1, 1, 1)] is held
-    # another character's sums drop the memo with them
-    modified_gauss_sum(5, 2, 2, 1, 1)
-    assert not characters._POWERS
-
+        assert _kept() == before
+        assert characters._hd_power(5, 2, 1, 1, 1, 2) is held
+    # another character's powers are kept beside it, up to 8 keys
+    assert hasse_davenport_ok(5, 2, 2, 1, 1, 2)
+    assert _kept()[1] == 4
+    assert characters._hd_power(5, 2, 1, 1, 1, 2) is held

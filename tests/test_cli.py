@@ -440,6 +440,16 @@ def test_cache_roundtrip(tmp_path, capsys) -> None:
     assert first == third
 
 
+def test_genus_writes_no_cache_entry(tmp_path, capsys) -> None:
+    # genus is arithmetic on its arguments alone, the one subcommand that
+    # is never cached
+    argv = ["genus", "--m", "3", "--r", "5", "--cache-dir", str(tmp_path)]
+    for flags in ([], ["--json"], ["--verify-cache"]):
+        code, out = run(capsys, argv + flags)
+        assert code == 0 and "4" in out
+    assert not list(tmp_path.rglob("*"))
+
+
 def test_cache_verify_detects_tampering(tmp_path, capsys) -> None:
     argv = ["zeta", "--p", "2", "--q", "7", "--a", "1", "--json",
             "--cache-dir", str(tmp_path)]

@@ -4,16 +4,18 @@ Divisor-of-function oracles are frozen from hand calculations on small
 split curves; the expansion engine must reproduce them exactly.
 """
 
+import hashlib
 import math
 import random
 
 import pytest
 
-from superjac import curves, delta, gf
+from superjac import curves, delta, gf, picard
 from superjac.curves import (
     ClosedPlace,
     Divisor,
     FunctionRep,
+    InfPlace,
     RamPlace,
     base_change,
     div_x_minus_root,
@@ -106,6 +108,42 @@ def test_roots_sorted_and_indexed():
     assert c.roots == (0, 1, 2, 3)
     assert c.ram_place(2) == RamPlace(2, 1)
     assert c.ram_place(2).degree == 1
+
+
+def test_places_of_different_kinds_never_compare_equal():
+    # the same field values in places of each kind
+    kinds = [RamPlace(1, 1), InfPlace(1), ClosedPlace(1, 1, 1, ((1, 1),)),
+             RamPlace(1, 2), InfPlace(2), ClosedPlace(1, 1, 2, ((1, 1),))]
+    for i, P in enumerate(kinds):
+        for j, Q in enumerate(kinds):
+            assert (P == Q) is (i == j) and (P != Q) is (i != j), (P, Q)
+    assert len(set(kinds)) == len({P: 0 for P in kinds}) == 6
+    assert Divisor([(P, 1) for P in kinds]).degree() == 1 + 1 + 1 + 1 + 2 + 2
+
+
+def test_place_order_keys_and_reprs_are_frozen():
+    # every place of degree <= 2 on y^3 = x(x-1)(x-2)(x-3) over GF(7):
+    # order, labels, reprs and divisor keys are part of the printed output
+    c = curve_34_f7()
+    places = picard.enumerate_places(c, 2)
+    ordered = sorted(places, key=lambda P: P.sort_key())
+    assert len(ordered) == 38
+    assert [repr(P) for P in ordered[:2] + ordered[-2:]] == [
+        "RamPlace(idx=1, alpha=0)", "RamPlace(idx=2, alpha=1)",
+        "ClosedPlace(base_p=7, base_n=1, b=2, pts=((27, 42), (34, 7)))",
+        "InfPlace(deg=1)"]
+    assert [P.label() for P in ordered[:10]] == [
+        "R1", "R2", "R3", "R4", "P1(5,1)", "P1(5,2)", "P1(5,4)",
+        "P2(8,9)", "P2(8,18)", "P2(8,29)"]
+    assert hashlib.sha256("\n".join(map(repr, ordered)).encode()) \
+        .hexdigest() == ("ea12c21c9f0dc3a4a9b571ed1414784a"
+                         "93c759421b7b9228e587c31a60e10be0")
+    D = Divisor([(P, k) for k, P in enumerate(reversed(places), -3)])
+    assert hashlib.sha256(D.key().encode()).hexdigest() == (
+        "4575a762f6cf6e67bb62ddd7e2aed3a65c82f1263a05c29c3bb3619b56291984")
+    E = Divisor([(ordered[0], 2), (ordered[5], -1), (ordered[-2], 1),
+                 (ordered[-1], -3)])
+    assert repr(E) == "Divisor(2*R1+-1*P1(5,2)+1*P2(27,42)+-3*inf)"
 
 
 def test_expansion_residuals_affine():

@@ -1039,7 +1039,7 @@ def _fresh_block(curve, place, t, tops):
     le = local_expansion(curve, place, t)
     rows = picard._base_rows(curve.base, le.ctx,
                              picard._condition_columns(le.ctx, le, tops))
-    return [v for row in rows for v in row]
+    return [list(row) for row in rows]
 
 
 @pytest.mark.parametrize("make, run", [
@@ -1051,7 +1051,7 @@ def _fresh_block(curve, place, t, tops):
     (_cubic4, lambda c: picard_group(c)),
     (_cubic4, lambda c: is_principal(c, _multiple_of_place_class(
         c, ["R1"], 29))),
-    # a base of more than 256 elements keeps 4-byte entries
+    # a base of more than 256 elements keeps tuples of ints
     (lambda: make_curve(2, [1, 2, 0, 0, 0, 1], gf.field(263)),
      lambda c: function_space(c, Divisor(
          [(P, -k) for P, k in zip(enumerate_places(c, 1)[::2], (3, 2))]
@@ -1063,14 +1063,15 @@ def test_cached_blocks_match_fresh_ones(make, run):
     run(c)
     assert c._blocks
     for (P, t, tops), blk in c._blocks.items():
-        # bytes wherever the base fits in one byte, 4-byte entries past it
-        if c.base.order <= 256:
-            assert type(blk) is bytes
-        else:
-            assert blk.itemsize == 4
-        assert list(blk) == _fresh_block(c, P, t, list(tops)), (P, t, tops)
+        # t * deg P rows of one entry per monomial: bytes wherever the
+        # base fits in one byte, tuples of ints past it
         ncols = sum(top + 1 for top in tops)
-        assert len(blk) == t * P.degree * ncols
+        assert type(blk) is tuple and len(blk) == t * P.degree
+        row_type = bytes if c.base.order <= 256 else tuple
+        assert all(type(row) is row_type and len(row) == ncols
+                   for row in blk)
+        assert list(map(list, blk)) == _fresh_block(c, P, t, list(tops)), \
+            (P, t, tops)
 
 
 def test_curves_with_equal_coefficients_share_no_blocks():
@@ -1079,11 +1080,11 @@ def test_curves_with_equal_coefficients_share_no_blocks():
     assert first._blocks and second._blocks == {}
     assert picard_group(second).invariant_factors == (26,)
     assert set(first._blocks) == set(second._blocks)
-    # CPython keeps one bytes object per value of length 0 or 1, so only
-    # longer blocks tell a shared block from an equal one
+    # CPython keeps one empty tuple, so only blocks with rows tell a
+    # shared block from an equal one
     assert first._blocks is not second._blocks
     assert all(first._blocks[k] is not blk
-               for k, blk in second._blocks.items() if len(blk) > 1)
+               for k, blk in second._blocks.items() if blk)
     # a curve made after the others are gone starts with no blocks, even
     # where it takes an address one of them had
     del first, second

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -66,6 +67,40 @@ def test_square_matrix_invariants(seed):
     d = _det(mat)
     prod = math.prod(diag)
     assert abs(d) == prod
+
+
+def _determinantal_divisors(mat):
+    """gcd of the k x k minors for k = 1..min(m, n): d_1 ... d_k, an
+    oracle that takes no elimination step."""
+    m, n = len(mat), len(mat[0])
+    return [math.gcd(*(_det([[mat[i][j] for j in cols] for i in rows])
+                       for rows in itertools.combinations(range(m), k)
+                       for cols in itertools.combinations(range(n), k)))
+            for k in range(1, min(m, n) + 1)]
+
+
+def test_diagonal_products_are_gcds_of_minors():
+    # 400 random shapes up to 4 x 4, small entries so that pivots share
+    # factors; every third matrix with three rows or more is made rank
+    # deficient by setting a row to a combination of two others
+    rng = random.Random(5)
+    deficient = 0
+    for k in range(400):
+        m, n = rng.randrange(1, 5), rng.randrange(1, 5)
+        mat = [[rng.choice((0, 1, -1, rng.randrange(-30, 31)))
+                for _ in range(n)] for _ in range(m)]
+        if k % 3 == 0 and m >= 3:
+            x, y = rng.randrange(-3, 4), rng.randrange(-3, 4)
+            mat[2] = [x * a + y * b for a, b in zip(mat[0], mat[1])]
+        diag = smith_normal_form(mat)
+        assert len(diag) == min(m, n)
+        assert all(d >= 0 for d in diag)
+        assert all(b % a == 0 if a else b == 0
+                   for a, b in zip(diag, diag[1:])), mat
+        assert list(itertools.accumulate(diag, lambda a, b: a * b)) == \
+            _determinantal_divisors(mat), mat
+        deficient += 0 in diag
+    assert deficient > 50
 
 
 def test_malformed_matrices_are_usage_errors():

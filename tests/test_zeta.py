@@ -284,14 +284,12 @@ T1_CASES = [(p, m) for p, m in itertools.permutations((2, 3, 5, 7, 11, 13), 2)
 
 @pytest.mark.parametrize("p,m", T1_CASES,
                          ids=[f"{p}-{m}" for p, m in T1_CASES])
-def test_count_points_without_mth_powers(p, m, monkeypatch):
+def test_count_points_without_mth_powers(p, m, monkeypatch, fresh_sum_caches):
     # t = 1: the count p^n + 1 builds no table; the enumeration agrees
     curve = artin_schreier_curve(p, m, 1)
     levels = _t1_levels(p, m)
     want = {n: _count_points_horner(curve, n) for n in levels}
     monkeypatch.setattr(gf, "_CTX_CACHE", {})
-    monkeypatch.setattr(characters, "_SUMS", {})
-    monkeypatch.setattr(characters, "_POWERS", {})
     assert {n: count_points(curve, n) for n in levels} == \
         {n: p ** n + 1 for n in levels} == want
     assert not gf._CTX_CACHE
@@ -502,21 +500,17 @@ def test_every_route_needs_m_at_least_2_prime_to_p(m):
             route(7, m, 1)
 
 
-def test_refusal_builds_no_table(monkeypatch):
+def test_refusal_builds_no_table(monkeypatch, fresh_sum_caches):
     # ord_29(7) = 7 is odd, so no closed form, and 7^7 is past the
     # budget: refused before any extension of GF(7) is built
     monkeypatch.setattr(gf, "_CTX_CACHE", {})
-    monkeypatch.setattr(characters, "_SUMS", {})
-    monkeypatch.setattr(characters, "_POWERS", {})
     res = torsion_criterion(7, 29, budget=200_000)
     assert res.evidence_route is None and res.jacobian_order is None
     assert not [key for key in gf._CTX_CACHE if key[0] == 7 and key[1] >= 2]
 
 
-def test_power_law_refuses_before_counting(monkeypatch):
+def test_power_law_refuses_before_counting(monkeypatch, fresh_sum_caches):
     monkeypatch.setattr(gf, "_CTX_CACHE", {})
-    monkeypatch.setattr(characters, "_SUMS", {})
-    monkeypatch.setattr(characters, "_POWERS", {})
     with pytest.raises(BudgetExceeded):
         power_law_check(3, 13, budget=200_000)
     assert not [key for key in gf._CTX_CACHE if key[0] == 3]
