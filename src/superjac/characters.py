@@ -93,10 +93,12 @@ def modified_gauss_sum(p: int, q_order: int, c: int, u: int, a: int,
                        n: int = 1) -> CycloInt:
     """G_a(psi_c o Tr, chi_u o Norm) at level n, exactly in Z[zeta_(p*M)].
 
-    q_order is the order bound M of the multiplicative character and
-    must divide p - 1.
+    p must be prime; q_order is the order bound M of the multiplicative
+    character and must divide p - 1.  Both are refused with a
+    ``SuperjacError`` before any reduction mod p, as in the two identities.
     """
     M = q_order
+    _require_prime(p)
     _require_order(M)
     if (p - 1) % M != 0:
         raise CharacterUnavailable(
@@ -161,6 +163,13 @@ def orbit_gauss_sum(p: int, M: int, c: int, u: int, a: int) -> CycloInt:
         {M * ((-c * k * a) % p): eps * p ** s})
 
 
+@lru_cache(maxsize=None)
+def _require_prime(p: int) -> None:
+    # memoized: criterion 03's grid checks seven primes some 32 000 times
+    if not primes.is_prime(p):
+        raise SuperjacError(f"the characteristic p must be prime, got {p}")
+
+
 def _require_order(q_order: int) -> None:
     if q_order < 1:
         raise SuperjacError(f"the character order must be at least 1, "
@@ -168,6 +177,7 @@ def _require_order(q_order: int) -> None:
 
 
 def _require_nontrivial(p: int, q_order: int, c: int, u: int) -> None:
+    _require_prime(p)
     _require_order(q_order)
     if c % p == 0 or u % q_order == 0:
         raise SuperjacError(

@@ -12,8 +12,15 @@ arguments alone, can be kept in an on-disk cache (--cache-dir);
 divergence.  Exit-3 refusals are cached like answers: every cap depends
 only on the parameters and on constants in the sources, both of which
 are in the cache key.  Exit-1 check failures and exit-2 usage errors
-are never cached.  --budget below 1 is a usage error on every
-subcommand.
+are never cached.
+
+Each check lives in the module that owns it.  A math module refuses a
+parameter outside its domain (a p that is not prime, a character order
+below 1, a curve it cannot take) with a SuperjacError, which exits 2
+with that module's message.  The CLI checks only what it composes
+itself: --budget below 1 on every subcommand, ``count --n`` and
+``picard --ext`` below 1, and ``genus``'s m and deg F, which it works
+out without a math module.
 
 This module imports only the standard library, ``cache`` and
 ``errors``; each handler imports the math modules it runs, so a cache
@@ -55,12 +62,6 @@ def _field(text: str):
         raise SuperjacError(f"{v} is not a prime power")
     (p, n), = fac.items()
     return gf.field(p, n)
-
-
-def _require_prime(v: int, name: str) -> None:
-    from . import primes
-    if not primes.is_prime(v):
-        raise SuperjacError(f"--{name} must be prime, got {v}")
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +119,6 @@ def _cmd_principal(args):
 
 def _cmd_gauss(args):
     from . import characters
-    _require_prime(args.p, "p")
     g = characters.modified_gauss_sum(args.p, args.q, 1, 1, args.a, args.n)
     ok = characters.gauss_norm_ok(args.p, args.q, 1, 1, args.a, args.n)
     return 0, {"p": args.p, "q": args.q, "a": args.a % args.p, "n": args.n,
@@ -140,7 +140,6 @@ def _counts_naive(args, upto: int) -> list[int]:
 
 def _cmd_count(args):
     from . import zeta
-    _require_prime(args.p, "p")
     if args.n < 1:
         raise SuperjacError(f"--n must be at least 1, got {args.n}")
     naive = charsum = None
@@ -164,7 +163,6 @@ def _cmd_count(args):
 
 def _lpoly(args):
     from . import zeta
-    _require_prime(args.p, "p")
     _, P = zeta.artin_schreier_lpoly(args.p, args.q, args.a, _budget(args))
     return P
 
@@ -197,7 +195,7 @@ def _cmd_power_law(args):
 def _picard_curve(args):
     from . import gf
     from .curves import base_change, make_curve
-    _require_prime(args.p, "p")
+    # ext 0 would otherwise answer for ext 1
     if args.ext < 1:
         raise SuperjacError(f"--ext must be at least 1, got {args.ext}")
     curve = make_curve(args.m, _ints(args.f), gf.field(args.p))
@@ -238,6 +236,61 @@ def _cmd_find_prime(args):
 # ---------------------------------------------------------------------------
 # wiring
 
+# each option is declared once as (flag, add_argument keywords), each
+# group of options once as a tuple, and each subcommand once in _COMMANDS
+_INT = {"type": int, "required": True}
+_M, _P, _Q, _K = (("--" + name, _INT) for name in "mpqk")
+_A = ("--a", _INT)
+_A1 = ("--a", {"type": int, "default": 1})
+_EXT = ("--ext", {"type": int, "default": 1})
+_F_HELP = {"help": "coefficients of F, constant first"}
+_CURVE = (_M, ("--f", {"required": True}))       # y^m = F(x)
+_AS = (_P, _Q, _A)                               # y^q = x^p - x + a
+_AS1 = (_P, _Q, _A1)                             # the same, a defaults to 1
+
+_COMMANDS = (
+    ("genus", _cmd_genus, "genus of y^m = F(x)",
+     (_M, ("--r", {"type": int, "help": "degree of F"}), ("--f", _F_HELP))),
+    ("delta-structure", _cmd_delta_structure,
+     "invariant factors of the ramification-supported subgroup",
+     (_M, ("--r", _INT))),
+    ("proof-replay", _cmd_proof_replay,
+     "machine certificate for the subgroup structure on a curve",
+     (_M, ("--f", dict(required=True, **_F_HELP)),
+      ("--field", {"required": True, "help": "base field, e.g. 7, 5^2"}))),
+    ("principal", _cmd_principal, "is sum a_i (R_i - inf) principal?",
+     _CURVE + (("--coeffs", {"required": True,
+                             "help": "a_1..a_(r-1), comma separated"}),
+               ("--field", {"help": "finite base field; omit for Q"}))),
+    ("gauss", _cmd_gauss, "modified Gauss sum for the (1,1) pair",
+     (_P, ("--q", dict(_INT, help="multiplicative character order, "
+                                  "q | p-1")),
+      _A, ("--n", {"type": int, "default": 1, "help": "extension level"}))),
+    ("count", _cmd_count, "points of y^q = x^p - x + a",
+     _AS + (("--n", dict(_INT, help="count over GF(p^1)..GF(p^n)")),
+            ("--route", {"choices": ["naive", "charsum", "both"],
+                         "default": "both"}))),
+    ("zeta", _cmd_zeta, "zeta numerator of y^q = x^p - x + a", _AS),
+    ("jacobian-order", _cmd_jacobian_order,
+     "|J(GF(p^ext))| for y^q = x^p - x + a", _AS + (_EXT,)),
+    ("torsion-test", _cmd_torsion_test,
+     "q-torsion of y^(q^l) = x^p - x + a over GF(p)",
+     (_P, _Q, ("--l", {"type": int, "default": 1}), _A1)),
+    ("power-law", _cmd_power_law,
+     "extension orders obey |J(GF(p^k'))| = |J(GF(p))|^k'", _AS1),
+    ("picard", _cmd_picard,
+     "brute-force class group of y^m = F(x) over GF(p^ext)",
+     _CURVE + (_P, _EXT)),
+    ("conjecture-test", _cmd_conjecture_test,
+     "compare J(GF(p^k)) with J(GF(p))^k as abstract groups", _AS1),
+    ("rank-certify", _cmd_rank_certify,
+     "rank >= p-1 certificate for y^q = x(x-1)..(x-(p-1)) + k^q",
+     (_P, _Q, _K)),
+    ("find-prime", _cmd_find_prime,
+     "smallest prime divisor of k passing the reduction checks",
+     (_M, ("--roots", {"required": True, "help": "comma separated"}), _K)),
+)
+
 
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -259,103 +312,11 @@ def _parser() -> argparse.ArgumentParser:
                     "Jacobians: torsion structure, zeta functions, class "
                     "groups, rank certificates")
     sub = top.add_subparsers(dest="cmd", required=True)
-
-    def add(name, fn, helptext):
+    for name, fn, helptext, options in _COMMANDS:
         sp = sub.add_parser(name, parents=[common], help=helptext)
         sp.set_defaults(func=fn)
-        return sp
-
-    sp = add("genus", _cmd_genus, "genus of y^m = F(x)")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--r", type=int, help="degree of F")
-    sp.add_argument("--f", help="coefficients of F, constant first")
-
-    sp = add("delta-structure", _cmd_delta_structure,
-             "invariant factors of the ramification-supported subgroup")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-
-    sp = add("proof-replay", _cmd_proof_replay,
-             "machine certificate for the subgroup structure on a curve")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--f", required=True,
-                    help="coefficients of F, constant first")
-    sp.add_argument("--field", required=True, help="base field, e.g. 7, 5^2")
-
-    sp = add("principal", _cmd_principal,
-             "is sum a_i (R_i - inf) principal?")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--f", required=True)
-    sp.add_argument("--coeffs", required=True,
-                    help="a_1..a_(r-1), comma separated")
-    sp.add_argument("--field", help="finite base field; omit for Q")
-
-    sp = add("gauss", _cmd_gauss, "modified Gauss sum for the (1,1) pair")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True,
-                    help="multiplicative character order, q | p-1")
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--n", type=int, default=1, help="extension level")
-
-    sp = add("count", _cmd_count, "points of y^q = x^p - x + a")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True,
-                    help="count over GF(p^1)..GF(p^n)")
-    sp.add_argument("--route", choices=["naive", "charsum", "both"],
-                    default="both")
-
-    sp = add("zeta", _cmd_zeta, "zeta numerator of y^q = x^p - x + a")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
-
-    sp = add("jacobian-order", _cmd_jacobian_order,
-             "|J(GF(p^ext))| for y^q = x^p - x + a")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--ext", type=int, default=1)
-
-    sp = add("torsion-test", _cmd_torsion_test,
-             "q-torsion of y^(q^l) = x^p - x + a over GF(p)")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--l", type=int, default=1)
-    sp.add_argument("--a", type=int, default=1)
-
-    sp = add("power-law", _cmd_power_law,
-             "extension orders obey |J(GF(p^k'))| = |J(GF(p))|^k'")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--a", type=int, default=1)
-
-    sp = add("picard", _cmd_picard,
-             "brute-force class group of y^m = F(x) over GF(p^ext)")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--f", required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--ext", type=int, default=1)
-
-    sp = add("conjecture-test", _cmd_conjecture_test,
-             "compare J(GF(p^k)) with J(GF(p))^k as abstract groups")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--a", type=int, default=1)
-
-    sp = add("rank-certify", _cmd_rank_certify,
-             "rank >= p-1 certificate for y^q = x(x-1)..(x-(p-1)) + k^q")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-
-    sp = add("find-prime", _cmd_find_prime,
-             "smallest prime divisor of k passing the reduction checks")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--roots", required=True, help="comma separated")
-    sp.add_argument("--k", type=int, required=True)
-
+        for flag, kw in options:
+            sp.add_argument(flag, **kw)
     return top
 
 

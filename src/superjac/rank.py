@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from . import zeta
 from .curves import Divisor, FunctionRep, closed_place, principal_divisor
-from .errors import (EvidenceFailed, HypothesisFailed, InvariantViolation,
+from .errors import (BudgetExceeded, HypothesisFailed, InvariantViolation,
                      OracleMismatch, SuperjacError)
 from .primes import factorize, is_prime
 
@@ -187,11 +187,13 @@ def _verify_reduced_relation(p: int, q: int, a: int, kr: int) -> None:
 def certify_rank(p: int, q: int, k: int) -> RankCertificate:
     """Certificate that y^q = x(x-1)...(x-(p-1)) + k^q has rank >= p - 1.
 
-    Checks T1-T4 plus the induced reduction conditions at p, computes
-    |J(F_p)| of the reduced curve through the character-sum zeta route,
-    and requires q not to divide it.  Any failed hypothesis raises
-    HypothesisFailed carrying the full report; the divisibility check
-    failing would contradict a theorem, so it raises EvidenceFailed.
+    Checks T1-T4 plus the induced reduction conditions at p, and takes
+    |J(F_p)| of the reduced curve and its q-valuation from
+    ``zeta.torsion_criterion``, which requires q not to divide it.  Any
+    failed hypothesis raises HypothesisFailed carrying the full report;
+    q dividing |J(F_p)| would contradict a theorem, so the criterion's
+    iff check raises EvidenceFailed, and no evidence route within the
+    cap raises BudgetExceeded.
     """
     rep = _theorem_hypotheses(p, q, k)
     if not rep.all_pass():
@@ -208,18 +210,20 @@ def certify_rank(p: int, q: int, k: int) -> RankCertificate:
     a = pow(k, q, p)
     if a == 0:
         raise InvariantViolation(f"k^q = 0 mod {p} although T4 holds")
-    P = zeta.zeta_numerator_charsum(p, q, a)
-    order = P.jacobian_order(1)
-    if order % q == 0:
-        raise EvidenceFailed(
-            f"q = {q} divides |J(F_{p})| = {order}")
+    # q | p - 1 gives ord_q(p) = 1, so the torsion criterion says q does
+    # not divide |J(F_p)|, and its iff check raises EvidenceFailed if it does
+    res = zeta.torsion_criterion(p, q, a=a)
+    if res.evidence_route is None:
+        raise BudgetExceeded(
+            f"|J(F_{p})| of y^{q} = x^{p} - x + {a} has no evidence route "
+            f"within the budget and table cap {zeta.COUNT_BUDGET}")
     kr = k % p
     _verify_reduced_relation(p, q, a, kr)
     evidence = {
         "a": a,
         "separable": True,
-        "jacobian_order": order,
-        "q_divides": False,
+        "jacobian_order": res.jacobian_order,
+        "q_divides": res.q_valuation > 0,
     }
     gens = tuple((i, (i, k)) for i in range(p))
     note = ("torsion of the rational points injects into the reduction "

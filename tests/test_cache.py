@@ -1,5 +1,9 @@
 import json
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,3 +118,25 @@ def test_key_follows_the_code(tmp_path, monkeypatch) -> None:
     assert changed.get_or_compute("op", {"x": 1}, lambda: [0, {"v": 2}]) \
         == [0, {"v": 2}]
     assert (changed.hits, changed.misses) == (0, 1)
+
+
+def test_code_version_follows_the_sources(tmp_path) -> None:
+    # a digest blind to the sources would serve results computed by
+    # other code
+    pkg = tmp_path / "superjac"
+    shutil.copytree(Path(cache_mod.__file__).parent, pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+
+    def version() -> str:
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c",
+             "from superjac.cache import code_version; print(code_version())"],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(tmp_path)))
+        return proc.stdout.strip()
+
+    before = version()
+    assert before == cache_mod.code_version()
+    with open(pkg / "errors.py", "ab") as fh:
+        fh.write(b"\n")
+    assert version() != before

@@ -93,6 +93,16 @@ def test_character_order_must_be_positive(q_order):
             call()
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, -3])
+def test_characteristic_must_be_prime(p):
+    # refused before any reduction mod p, which divides by zero at p = 0
+    for call in (lambda: modified_gauss_sum(p, 1, 1, 1, 1),
+                 lambda: gauss_norm_ok(p, 1, 1, 1, 1),
+                 lambda: hasse_davenport_ok(p, 1, 1, 1, 1, 2)):
+        with pytest.raises(SuperjacError, match="must be prime"):
+            call()
+
+
 def test_level_caps():
     # only the field-table cap bounds the level: GF(3^7) and GF(31^4)
     # answer, and GF(3^14) is refused, naming the field and the cap

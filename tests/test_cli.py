@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import superjac
-from superjac import curves, delta, gf, picard, rank
+from superjac import curves, delta, gf, picard, rank, zeta
 from superjac.cli import main
 
 SRC = str(Path(superjac.__file__).resolve().parents[1])
@@ -57,6 +57,16 @@ def test_torsion_test_contract(capsys) -> None:
     assert code == 0
     assert doc["has_torsion"] is True
     assert doc["ord"] == 4
+
+
+def test_torsion_test_exits_1_on_contradicting_evidence(capsys,
+                                                       monkeypatch) -> None:
+    # P(1) = 3 is prime to q = 5 although ord_5(2) = 4 is even
+    P = zeta.LPolynomial(2, 1, (1, 0, 2))
+    monkeypatch.setattr(zeta, "artin_schreier_lpoly",
+                        lambda *args, **kw: ("character-sum", P))
+    code, doc = run_json(capsys, ["torsion-test", "--p", "2", "--q", "5"])
+    assert (code, doc["error"]) == (1, "EvidenceFailed")
 
 
 def test_proof_replay(capsys) -> None:
@@ -374,6 +384,12 @@ BAD_PARAMETERS = [
     ["zeta", "--p", "7", "--q", "-2", "--a", "1"],
     ["count", "--p", "7", "--q", "0", "--a", "1", "--n", "1", "--route",
      "charsum"],
+    # a characteristic that is not prime, refused by the math layer
+    ["gauss", "--p", "0", "--q", "1", "--a", "1"],
+    ["gauss", "--p", "4", "--q", "3", "--a", "1"],
+    ["count", "--p", "4", "--q", "3", "--a", "1", "--n", "1"],
+    ["jacobian-order", "--p", "9", "--q", "2", "--a", "1"],
+    ["picard", "--m", "3", "--f", "1,1,1", "--p", "4"],
 ]
 
 

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import superjac
-from superjac import rank
-from superjac.errors import HypothesisFailed, SuperjacError
+from superjac import rank, zeta
+from superjac.errors import (BudgetExceeded, EvidenceFailed, HypothesisFailed,
+                             SuperjacError)
 
 
 def test_hypothesis_report_h2_failure():
@@ -69,12 +70,35 @@ def test_certificates(p, q, k, order):
     (3, 2, 9, {"T3", "T4"}),
     (4, 2, 10, {"T1", "T2"}),
     (3, 5, 35, {"T2"}),
+    (2, 3, 15, {"T1", "T2"}),
 ])
 def test_no_certificate_on_failed_hypothesis(p, q, k, bad):
     with pytest.raises(HypothesisFailed) as exc:
         rank.certify_rank(p, q, k)
     assert {h.id for h in exc.value.report.failed()} == bad
     assert exc.value.hyp_id in bad
+
+
+def _route_gives(result):
+    def fake(*args, **kw):
+        if isinstance(result, Exception):
+            raise result
+        return "character-sum", result
+    return fake
+
+
+@pytest.mark.parametrize("result,error", [
+    # P(1) = 4 although q = 2 divides p - 1 = 2
+    (zeta.LPolynomial(3, 1, (1, 0, 3)), EvidenceFailed),
+    (BudgetExceeded("GF(3) exceeds the table cap"), BudgetExceeded),
+])
+def test_evidence_comes_from_the_torsion_criterion(monkeypatch, result,
+                                                   error):
+    # the certificate reads |J(F_p)| through torsion_criterion, whose iff
+    # check refuses an order divisible by q; no route there is exit 3
+    monkeypatch.setattr(zeta, "artin_schreier_lpoly", _route_gives(result))
+    with pytest.raises(error):
+        rank.certify_rank(3, 2, 10)
 
 
 def test_evidence_orders_coprime_to_q_on_grid():

@@ -26,6 +26,7 @@ from superjac import zeta as zeta_module
 from superjac.cyclo import cyclo
 from superjac.errors import (
     BudgetExceeded,
+    EvidenceFailed,
     InvariantViolation,
     RequiresD1,
     SuperjacError,
@@ -153,6 +154,16 @@ def test_torsion_criterion_higher_level():
     assert res.has_torsion
     assert res.evidence_route == "point-count"
     assert res.q_valuation >= 1 and res.evidence_ok
+
+
+def test_torsion_iff_refuses_contradicting_evidence(monkeypatch):
+    # P(1) = 3 is prime to q = 5 although ord_5(2) = 4 is even: only the
+    # iff check stands between this P and a wrong evidence_ok
+    monkeypatch.setattr(zeta_module, "artin_schreier_lpoly",
+                        lambda *args, **kw: ("character-sum",
+                                             LPolynomial(2, 1, (1, 0, 2))))
+    with pytest.raises(EvidenceFailed):
+        torsion_criterion(2, 5)
 
 
 def test_torsion_budget_leaves_verdict():
