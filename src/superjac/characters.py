@@ -68,9 +68,10 @@ _KEYS_KEPT = 8
 def _histogram(p: int, n: int, L: int) -> dict[tuple[int, int], int]:
     """Counts of (Tr(w), log(w) mod L) over nonzero w in GF(p^n)."""
     ctx = gf.field(p, n)
-    tr = ctx.trace_table()
+    # log tables first: past the cap they refuse GF(p), trace_table does not
     # exp[k] = g^k walks the units in log order, so log(w) mod L is k mod L
     exp = ctx.log_tables()[1]
+    tr = ctx.trace_table()
     return Counter(zip(map(tr.__getitem__, exp), cycle(range(L))))
 
 
@@ -79,10 +80,11 @@ def _gauss_sum(p: int, n: int, M: int, c: int, u: int, a: int) -> CycloInt:
 
     Exact in Z[zeta_(p*M)]; needs M / gcd(u, M) to divide p^n - 1.
     """
-    L = math.gcd(M, p ** n - 1)
+    # the histogram first: it refuses a field past the cap before the ring
+    hist = _histogram(p, n, math.gcd(M, p ** n - 1))
     ring = cyclo(p * M)
     acc = [0] * ring.N
-    for (t, r), cnt in _histogram(p, n, L).items():
+    for (t, r), cnt in hist.items():
         ep = (c * (t - n * a)) % p
         em = (u * r) % M
         acc[(M * ep + p * em) % ring.N] += cnt

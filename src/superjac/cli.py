@@ -147,7 +147,8 @@ def _cmd_count(args):
         naive = _counts_naive(args, args.n)
     if args.route in ("charsum", "both"):
         try:
-            charsum = zeta.counts_by_charsum(args.p, args.q, args.a, args.n)
+            charsum = zeta.counts_by_charsum(args.p, args.q, args.a, args.n,
+                                             _budget(args))
         except BudgetExceeded:
             # both routes are compared only where the Gauss sums' field fits
             if args.route == "charsum":

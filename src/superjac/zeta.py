@@ -22,17 +22,12 @@ field table (``characters.orbit_gauss_sum``).  The enumeration costs
 p^g; the character sums cost p^k, k the largest k_d of a d that is not
 semiprimitive, and nothing else (k = 1 when m | p - 1).
 ``artin_schreier_lpoly`` is the one entry point that picks between
-them, in this order:
-
-1. character sums when m | p - 1;
-2. enumeration when p^g <= budget;
-3. character sums when p^k_d <= budget for every d that is not
-   semiprimitive;
-4. otherwise BudgetExceeded.
-
-The budget is also clipped to the field-table cap, and the route and
-any refusal are decided from p, m and the budget alone, before any
-field table is built.
+them, by one rule: enumeration when m does not divide p - 1 and p^g
+fits the budget, else character sums, which ``zeta_numerator_charsum``
+alone sizes: past the budget it raises BudgetExceeded, naming GF(p^g)
+and GF(p^k).  The budget is clipped to the field-table cap, and the
+route and any refusal are decided from p, m and the budget alone,
+before any ring, histogram or field table is built.
 
 Every character-sum P is checked against N_1 and N_2 by enumeration
 over GF(p) and GF(p^2), at each level within the budget.  Those counts
@@ -235,14 +230,13 @@ def _require_a(p: int, a: int) -> None:
         raise SuperjacError(f"a must be nonzero mod p = {p}, got {a}")
 
 
-def counts_by_charsum(p: int, m: int, a: int, upto: int) -> list[int]:
+def counts_by_charsum(p: int, m: int, a: int, upto: int,
+                      budget: int = COUNT_BUDGET) -> list[int]:
     """N_1..N_upto for y^m = x^p - x + a, read off the character-sum
     numerator P(T) of ``zeta_numerator_charsum``, for any m >= 2 prime
     to p.
     """
-    _require_curve(p, m)
-    _require_a(p, a)
-    P = zeta_numerator_charsum(p, m, a)
+    P = zeta_numerator_charsum(p, m, a, budget)
     return [P.point_count(n) for n in range(1, upto + 1)]
 
 
@@ -266,6 +260,10 @@ def zeta_numerator_charsum(p: int, m: int, a: int,
     its n = (p - 1) phi(d) / k_d, and R_d's functional equation
     e_(n-j) = p^(k_d n/2 - k_d j) e_j gives the rest.
 
+    The one sizing of the route: GF(p^k), k the largest k_d of a d that
+    is not semiprimitive, past the budget or the table cap is refused
+    before any ring, histogram or field table is built.
+
     Checks, all typed: G_d conj(G_d) = p^k_d, each trace divisible by
     k_d, Newton's identities integral, the functional equation at the
     middle coefficient, and N_1, N_2 of P against ``count_points`` at
@@ -275,8 +273,15 @@ def zeta_numerator_charsum(p: int, m: int, a: int,
     """
     _require_curve(p, m)
     _require_a(p, a)
+    degrees = _character_degrees(p, m)
+    k = max((k for d, k in degrees if semiprimitive(p, d) is None),
+            default=0)
+    if not _fits(p, k, budget):
+        raise _refusal(p, m, budget, f"point counts need GF({p}^"
+                       f"{(p - 1) * (m - 1) // 2}), character sums "
+                       f"GF({p}^{k})")
     coeffs = [1]
-    for d, k in _character_degrees(p, m):
+    for d, k in degrees:
         G = orbit_gauss_sum(p, d, 1, 1, a)
         if G.times_conjugate() != p ** k:
             raise InvariantViolation(f"Gauss sum of order {d} must have "
@@ -311,52 +316,40 @@ def _check_low_counts(P: LPolynomial, curve: CurveSpec, budget: int) -> None:
     budget and the table cap."""
     p = curve.base.p
     for n in (1, 2):
-        if p ** n <= min(budget, gf.MAX_TABLE_CARD) and \
+        if _fits(p, n, budget) and \
                 P.point_count(n) != count_points(curve, n, budget):
             raise InvariantViolation(
                 f"N_{n} of the character-sum numerator disagrees with "
                 f"the enumeration")
 
 
-def artin_schreier_lpoly(p: int, m: int, a: int, budget: int = COUNT_BUDGET,
-                         orbit_route: bool = True
+def artin_schreier_lpoly(p: int, m: int, a: int, budget: int = COUNT_BUDGET
                          ) -> tuple[str, LPolynomial]:
     """P(T) of y^m = x^p - x + a over GF(p), and the route that gave it.
 
-    The route ("character-sum" or "point-count") and any refusal follow
-    the order in the module docstring and are decided before any field
-    table is built.  With orbit_route False, character sums are used
-    only when m | p - 1.
+    The route is "point-count" when m does not divide p - 1 and GF(p^g)
+    fits the budget and the table cap, else "character-sum", which
+    ``zeta_numerator_charsum`` sizes and may refuse before any work.
     """
     _require_curve(p, m)
-    if (p - 1) % m == 0:
-        return "character-sum", zeta_numerator_charsum(p, m, a, budget)
     g = (p - 1) * (m - 1) // 2
-    limit = min(budget, gf.MAX_TABLE_CARD)
-    top = _max_degree(p, limit)
-    if g <= top:
+    if (p - 1) % m and _fits(p, g, budget):
         curve = artin_schreier_curve(p, m, a)
         counts = [count_points(curve, n, budget) for n in range(1, g + 1)]
         return "point-count", lpoly_from_counts(p, counts, g)
-    need = f"point counts need GF({p}^{g})"
-    if orbit_route:
-        # a semiprimitive order takes its Gauss sum in closed form
-        k = max((k for d, k in _character_degrees(p, m)
-                 if semiprimitive(p, d) is None), default=0)
-        if k <= top:
-            return "character-sum", zeta_numerator_charsum(p, m, a, budget)
-        need += f", character sums GF({p}^{k})"
-    raise BudgetExceeded(
+    return "character-sum", zeta_numerator_charsum(p, m, a, budget)
+
+
+def _fits(p: int, n: int, budget: int) -> bool:
+    """Whether GF(p^n) is within the budget and the table cap."""
+    limit = min(budget, gf.MAX_TABLE_CARD)
+    return n <= limit.bit_length() and p ** n <= limit
+
+
+def _refusal(p: int, m: int, budget: int, need: str) -> BudgetExceeded:
+    return BudgetExceeded(
         f"y^{m} = x^{p} - x + a over GF({p}): {need}; the budget is "
         f"{budget} and the table cap {gf.MAX_TABLE_CARD}")
-
-
-def _max_degree(p: int, limit: int) -> int:
-    """Largest n with p^n <= limit."""
-    n, size = 0, p
-    while size <= limit:
-        n, size = n + 1, size * p
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +385,11 @@ def torsion_criterion(p: int, q: int, level: int = 1, a: int = 1,
 
     The criterion is the same for every level: q divides |J(GF(p))|
     exactly when p divides k = ord of p modulo q.  Evidence |J(GF(p))|
-    comes from ``artin_schreier_lpoly`` with m = q^level: character
-    sums when m | p - 1, else enumeration when p^g <= budget, else
-    character sums, one Gauss sum per character order d | m, when each
-    one not in Stickelberger's closed form lives on a GF(p^k_d) within
-    the budget (both clipped to the table cap).  Beyond that the
-    evidence route is None, decided before any table is built.  The
+    comes from ``artin_schreier_lpoly`` with m = q^level: enumeration
+    when m does not divide p - 1 and p^g fits the budget, else character
+    sums, one Gauss sum per character order d | m, sized by
+    ``zeta_numerator_charsum`` (k_d = 1 when m | p - 1).  Past the budget
+    the evidence route is None, decided before any work.  The
     divisibility is an iff, so evidence that contradicts the criterion
     raises EvidenceFailed; for a P whose factors all have k_d > 2 this
     iff is, with the theorems behind the route, the only check beyond
@@ -481,10 +473,15 @@ def power_law_check(p: int, q: int, a: int = 1,
     """Power-law and trivial-count checks for y^q = x^p - x + a.
 
     Orbit character sums build P as a polynomial in T^k, which obeys
-    the power law by construction, so they are not used here."""
+    the power law by construction, so they are used only when q | p - 1;
+    elsewhere GF(p^g) past the budget is refused before any count."""
     _require_a(p, a)
     if not primes.is_prime(q):
         raise SuperjacError(f"q must be prime, got {q}")
-    _, P = artin_schreier_lpoly(p, q, a, budget, orbit_route=False)
+    _require_curve(p, q)
+    g = (p - 1) * (q - 1) // 2
+    if (p - 1) % q and not _fits(p, g, budget):
+        raise _refusal(p, q, budget, f"point counts need GF({p}^{g})")
+    _, P = artin_schreier_lpoly(p, q, a, budget)
     return _power_law_report(P, p, q, a)
 

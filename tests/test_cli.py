@@ -161,6 +161,13 @@ def test_count_routes(capsys) -> None:
     assert doc["routes"] == {"naive": [8], "charsum": None}
     assert doc["agree"] is None
 
+    # and where --budget refuses the Gauss sums: ord_7(2) = 3, and GF(2^3)
+    # is past a budget of 4 while GF(2) is not
+    code, doc = run_json(capsys, ["count", "--p", "2", "--q", "7", "--a",
+                                  "1", "--n", "1", "--budget", "4"])
+    assert code == 0
+    assert doc["routes"] == {"naive": [3], "charsum": None}
+
     code, doc = run_json(capsys, ["count", "--p", "7", "--q", "31",
                                   "--a", "1", "--n", "1", "--route",
                                   "charsum"])
@@ -279,6 +286,22 @@ def test_capacity_exit_code(capsys) -> None:
                                   "1", "--budget", "200000"])
     assert code == 3
     assert "GF(7^7)" in doc["detail"]
+
+
+@pytest.mark.parametrize("argv,detail", [
+    (["zeta", "--p", "7", "--q", "3", "--a", "1", "--budget", "5"],
+     "GF(7"),
+    (["count", "--p", "7", "--q", "3", "--a", "1", "--n", "1", "--route",
+      "charsum", "--budget", "5"], "GF(7^1)"),
+    # 4194319 is the least prime past the table cap, and 3 divides p - 1
+    (["rank-certify", "--p", "4194319", "--q", "3", "--k", "4194329"],
+     "table cap 4194304"),
+], ids=["zeta", "count", "rank-certify"])
+def test_character_sums_obey_the_budget_and_the_cap(capsys, argv,
+                                                    detail) -> None:
+    code, doc = run_json(capsys, argv)
+    assert (code, doc["error"]) == (3, "budget-exceeded")
+    assert detail in doc["detail"]
 
 
 def test_class_group_past_the_old_splitting_field(capsys) -> None:

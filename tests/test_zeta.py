@@ -493,9 +493,10 @@ def test_route_order():
     assert artin_schreier_lpoly(2, 5, 1)[0] == "point-count"
     assert artin_schreier_lpoly(3, 13, 1, budget=200_000)[0] == \
         "character-sum"
-    # without the orbit route the enumeration wall refuses
-    with pytest.raises(BudgetExceeded):
-        artin_schreier_lpoly(3, 13, 1, budget=200_000, orbit_route=False)
+    # power-law takes character sums only when q | p - 1, so there the
+    # enumeration wall refuses
+    with pytest.raises(BudgetExceeded, match=r"GF\(3\^12\)"):
+        power_law_check(3, 13, budget=200_000)
     # (2, 13) takes its sum in closed form and needs no table at all;
     # ord_47(2) = 23 is odd, so (2, 47) still needs GF(2^23)
     assert artin_schreier_lpoly(2, 13, 1, budget=10)[0] == "character-sum"
@@ -518,6 +519,48 @@ def test_refusal_builds_no_table(monkeypatch, fresh_sum_caches):
     res = torsion_criterion(7, 29, budget=200_000)
     assert res.evidence_route is None and res.jacobian_order is None
     assert not [key for key in gf._CTX_CACHE if key[0] == 7 and key[1] >= 2]
+
+
+# 4194319 is the least prime past the table cap 2^22, and 3 divides
+# 4194319 - 1: the Gauss sums of order 3 would read GF(4194319) itself
+BIG = 4194319
+
+
+@pytest.fixture
+def no_work(monkeypatch, fresh_sum_caches):
+    """A fresh field cache, and a failure at the first ring or trace
+    table built: each costs time and memory of the order of p."""
+    def built(*args):
+        pytest.fail(f"built {args} before refusing")
+    monkeypatch.setattr(gf, "_CTX_CACHE", {})
+    monkeypatch.setattr(characters, "cyclo", built)
+    monkeypatch.setattr(gf.FieldCtx, "trace_table", built)
+
+
+@pytest.mark.parametrize("ask,p,raises", [
+    (lambda: zeta_numerator_charsum(BIG, 3, 1), BIG, True),
+    (lambda: counts_by_charsum(BIG, 3, 1, 1), BIG, True),
+    (lambda: artin_schreier_lpoly(BIG, 3, 1), BIG, True),
+    (lambda: torsion_criterion(BIG, 3), BIG, False),
+    # 401 is past a budget of 10: m | p - 1 obeys the budget too
+    (lambda: torsion_criterion(401, 2, budget=10), 401, False),
+], ids=["charsum", "counts", "lpoly", "torsion", "torsion-budget"])
+def test_character_sums_refuse_before_work(no_work, ask, p, raises):
+    if raises:
+        with pytest.raises(BudgetExceeded, match=f"GF\\({p}\\^1\\)"):
+            ask()
+    else:
+        assert ask().evidence_route is None
+    assert not [key for key in gf._CTX_CACHE if key[0] == p]
+
+
+def test_orbit_sum_refuses_before_the_ring(no_work):
+    # the histogram's log tables refuse GF(p) itself; the context they
+    # were asked of holds no table
+    with pytest.raises(BudgetExceeded, match=f"GF\\({BIG}\\)"):
+        characters.orbit_gauss_sum(BIG, 3, 1, 1, 1)
+    assert [key for key in gf._CTX_CACHE if key[0] == BIG] == [(BIG, 1)]
+    assert gf._CTX_CACHE[BIG, 1]._exp is None
 
 
 def test_power_law_refuses_before_counting(monkeypatch, fresh_sum_caches):
