@@ -3,8 +3,11 @@
 One subcommand per question.  Output is readable key: value lines, or
 canonical JSON with --json (sorted keys, fixed layout, so identical
 invocations with the same seed are byte-identical).  Exit codes:
-0 success, 1 a check or hypothesis failed (a report is still printed),
-2 usage error, 3 work budget or table cap exceeded.
+0 success, 1 a check or hypothesis failed (a CheckError; its report is
+still printed), 2 usage error, 3 work budget or table cap exceeded.
+Every subcommand takes --json, --cache-dir and --verify-cache; only the
+seven handlers that pass a work cap on take --budget, and proof-replay
+alone takes --seed.
 
 Results of every subcommand but ``genus``, which is arithmetic on its
 arguments alone, can be kept in an on-disk cache (--cache-dir);
@@ -18,9 +21,8 @@ Each check lives in the module that owns it.  A math module refuses a
 parameter outside its domain (a p that is not prime, a character order
 below 1, a curve it cannot take) with a SuperjacError, which exits 2
 with that module's message.  The CLI checks only what it composes
-itself: --budget below 1 on every subcommand, ``count --n`` and
-``picard --ext`` below 1, and ``genus``'s m and deg F, which it works
-out without a math module.
+itself: --budget, ``count --n`` and ``picard --ext`` below 1, and
+``genus``'s m and deg F, which it works out without a math module.
 
 This module imports only the standard library, ``cache`` and
 ``errors``; each handler imports the math modules it runs, so a cache
@@ -35,9 +37,7 @@ import math
 import sys
 
 from .cache import ResultCache
-from .errors import (BudgetExceeded, CacheMismatch, CheckFailed,
-                     EvidenceFailed, HypothesisFailed, IncompleteEnumeration,
-                     InvariantViolation, OracleMismatch, SuperjacError)
+from .errors import BudgetExceeded, CheckError, SuperjacError
 
 def _int(token: str) -> int:
     try:
@@ -128,37 +128,39 @@ def _cmd_gauss(args):
 
 def _budget(args) -> int:
     from . import zeta
+    if args.budget is not None and args.budget < 1:
+        raise SuperjacError(f"--budget must be at least 1, got {args.budget}")
     return zeta.COUNT_BUDGET if args.budget is None else args.budget
 
 
-def _counts_naive(args, upto: int) -> list[int]:
+def _counts(args, route: str) -> list[int]:
     from . import zeta
+    if route == "charsum":
+        return zeta.counts_by_charsum(args.p, args.q, args.a, args.n,
+                                      _budget(args))
     curve = zeta.artin_schreier_curve(args.p, args.q, args.a)
     return [zeta.count_points(curve, n, _budget(args))
-            for n in range(1, upto + 1)]
+            for n in range(1, args.n + 1)]
 
 
 def _cmd_count(args):
-    from . import zeta
     if args.n < 1:
         raise SuperjacError(f"--n must be at least 1, got {args.n}")
-    naive = charsum = None
-    if args.route in ("naive", "both"):
-        naive = _counts_naive(args, args.n)
-    if args.route in ("charsum", "both"):
+    counts, refused = {"naive": None, "charsum": None}, []
+    for name in counts if args.route == "both" else (args.route,):
         try:
-            charsum = zeta.counts_by_charsum(args.p, args.q, args.a, args.n,
-                                             _budget(args))
-        except BudgetExceeded:
-            # both routes are compared only where the Gauss sums' field fits
-            if args.route == "charsum":
+            counts[name] = _counts(args, name)
+        except BudgetExceeded as e:
+            # under both, a refused route reads null unless both refuse
+            if args.route != "both":
                 raise
-    agree = None
-    if naive is not None and charsum is not None:
-        agree = naive == charsum
+            refused.append(f"{name}: {e}")
+    if len(refused) == 2:
+        raise BudgetExceeded("; ".join(refused))
+    naive, charsum = counts.values()
+    agree = None if None in (naive, charsum) else naive == charsum
     payload = {"p": args.p, "q": args.q, "a": args.a % args.p, "n": args.n,
-               "routes": {"naive": naive, "charsum": charsum},
-               "agree": agree}
+               "routes": counts, "agree": agree}
     return (1 if agree is False else 0), payload
 
 
@@ -244,10 +246,11 @@ _M, _P, _Q, _K = (("--" + name, _INT) for name in "mpqk")
 _A = ("--a", _INT)
 _A1 = ("--a", {"type": int, "default": 1})
 _EXT = ("--ext", {"type": int, "default": 1})
+_BUDGET = ("--budget", {"type": int, "help": "work cap: largest field order"})
 _F_HELP = {"help": "coefficients of F, constant first"}
-_CURVE = (_M, ("--f", {"required": True}))       # y^m = F(x)
-_AS = (_P, _Q, _A)                               # y^q = x^p - x + a
-_AS1 = (_P, _Q, _A1)                             # the same, a defaults to 1
+_CURVE = (_M, ("--f", {"required": True}))  # y^m = F(x)
+_AS = (_P, _Q, _A, _BUDGET)              # y^q = x^p - x + a, and a work cap
+_AS1 = (_P, _Q, _A1, _BUDGET)            # the same, a defaults to 1
 
 _COMMANDS = (
     ("genus", _cmd_genus, "genus of y^m = F(x)",
@@ -258,7 +261,9 @@ _COMMANDS = (
     ("proof-replay", _cmd_proof_replay,
      "machine certificate for the subgroup structure on a curve",
      (_M, ("--f", dict(required=True, **_F_HELP)),
-      ("--field", {"required": True, "help": "base field, e.g. 7, 5^2"}))),
+      ("--field", {"required": True, "help": "base field, e.g. 7, 5^2"}),
+      ("--seed", {"type": int, "default": 0,
+                  "help": "seed for randomized sub-procedures"}))),
     ("principal", _cmd_principal, "is sum a_i (R_i - inf) principal?",
      _CURVE + (("--coeffs", {"required": True,
                              "help": "a_1..a_(r-1), comma separated"}),
@@ -276,12 +281,12 @@ _COMMANDS = (
      "|J(GF(p^ext))| for y^q = x^p - x + a", _AS + (_EXT,)),
     ("torsion-test", _cmd_torsion_test,
      "q-torsion of y^(q^l) = x^p - x + a over GF(p)",
-     (_P, _Q, ("--l", {"type": int, "default": 1}), _A1)),
+     (_P, _Q, ("--l", {"type": int, "default": 1}), _A1, _BUDGET)),
     ("power-law", _cmd_power_law,
      "extension orders obey |J(GF(p^k'))| = |J(GF(p))|^k'", _AS1),
     ("picard", _cmd_picard,
      "brute-force class group of y^m = F(x) over GF(p^ext)",
-     _CURVE + (_P, _EXT)),
+     _CURVE + (_P, _EXT, _BUDGET)),
     ("conjecture-test", _cmd_conjecture_test,
      "compare J(GF(p^k)) with J(GF(p))^k as abstract groups", _AS1),
     ("rank-certify", _cmd_rank_certify,
@@ -299,11 +304,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="print canonical JSON instead of lines")
     common.add_argument("--cache-dir", default=None,
                         help="directory for the on-disk result cache")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized sub-procedures")
-    common.add_argument("--budget", type=int, default=None,
-                        help="work cap: the largest field order enumerated "
-                             "or summed over")
     common.add_argument("--verify-cache", action="store_true",
                         help="recompute on cache hits and compare")
 
@@ -344,7 +344,6 @@ def _emit(payload: dict, as_json: bool) -> None:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    as_json = args.json
 
     def run():
         # a refusal is a result like an answer, so the cache keeps it
@@ -355,10 +354,6 @@ def main(argv=None) -> int:
         return [code, payload]
 
     try:
-        # refused for every subcommand, whether or not its handler reads it
-        if args.budget is not None and args.budget < 1:
-            raise SuperjacError(
-                f"--budget must be at least 1, got {args.budget}")
         if args.cache_dir and args.cmd != "genus":
             cache = ResultCache(args.cache_dir, verify=args.verify_cache)
             params = {k: v for k, v in vars(args).items()
@@ -367,24 +362,13 @@ def main(argv=None) -> int:
             code, payload = cache.get_or_compute(args.cmd, params, run)
         else:
             code, payload = run()
-    except CheckFailed as e:
-        cert = e.certificate.to_dict() if e.certificate else None
-        _emit({"error": "check-failed", "tag": e.tag,
-               "certificate": cert}, as_json)
-        return 1
-    except HypothesisFailed as e:
-        _emit({"error": "hypothesis-failed", "failed": e.hyp_id,
-               "hypotheses": e.report.to_list() if e.report else None},
-              as_json)
-        return 1
-    except (EvidenceFailed, OracleMismatch, IncompleteEnumeration,
-            InvariantViolation, CacheMismatch) as e:
-        _emit({"error": type(e).__name__, "detail": str(e)}, as_json)
+    except CheckError as e:
+        _emit(e.payload(), args.json)
         return 1
     except SuperjacError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    _emit(payload, as_json)
+    _emit(payload, args.json)
     return code
 
 

@@ -49,7 +49,6 @@ from typing import NamedTuple
 
 from . import gf
 from .errors import (
-    BudgetExceeded,
     InvariantViolation,
     NotSeparable,
     PrecisionExhausted,
@@ -881,11 +880,9 @@ def _roots_by_degree(ctx, poly) -> dict[int, list[int]]:
     root scan per block of gf.ddf."""
     out: dict[int, list[int]] = {}
     for s, g in gf.ddf(ctx, poly).items():
+        # gf.field takes a prime of any size; a scan past the cap is refused
+        gf.require_fits(ctx.p, ctx.n * s)
         sctx = gf.field(ctx.p, ctx.n * s)
-        if sctx.order > gf.MAX_TABLE_CARD:
-            # only a prime field gets here: gf.field refuses the others
-            raise BudgetExceeded(f"root scan over {sctx.name()} exceeds "
-                                 f"the table cap {gf.MAX_TABLE_CARD}")
         emb = gf.embedding(ctx, sctx)
         roots = gf.proots(sctx, [emb.apply(c) for c in g])
         if len(roots) != len(g) - 1:

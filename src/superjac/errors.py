@@ -1,13 +1,21 @@
 """Exception taxonomy shared across the package.
 
-Every anticipated failure mode gets its own class so callers (and the CLI
-exit-code mapping) can react without string matching.  Anything not listed
-here is a genuine bug and surfaces as an ordinary exception.
+Every anticipated failure mode gets its own class so callers can react
+without string matching: the CLI exits 3 on a BudgetExceeded, 1 on a
+CheckError, printing its payload(), and 2 on the rest.  Anything not
+listed here is a genuine bug and surfaces as an ordinary exception.
 """
 
 
 class SuperjacError(Exception):
     """Base class for all package-specific errors."""
+
+
+class CheckError(SuperjacError):
+    """A check, oracle or hypothesis failed: the report is the payload."""
+
+    def payload(self) -> dict:
+        return {"error": type(self).__name__, "detail": str(self)}
 
 
 class BudgetExceeded(SuperjacError):
@@ -39,19 +47,19 @@ class UnsupportedBase(SuperjacError):
     """Operation not available over this base field."""
 
 
-class OracleMismatch(SuperjacError):
+class OracleMismatch(CheckError):
     """Two independent routes to the same value disagree."""
 
 
-class IncompleteEnumeration(SuperjacError):
+class IncompleteEnumeration(CheckError):
     """Class enumeration did not reach the predicted group order."""
 
 
-class InvariantViolation(SuperjacError):
+class InvariantViolation(CheckError):
     """A structural invariant (integrality, functional equation, ...) failed."""
 
 
-class CheckFailed(SuperjacError):
+class CheckFailed(CheckError):
     """A proof-replay sub-check failed; the tag names the check."""
 
     def __init__(self, tag: str, certificate=None):
@@ -59,8 +67,12 @@ class CheckFailed(SuperjacError):
         self.tag = tag
         self.certificate = certificate
 
+    def payload(self) -> dict:
+        cert = self.certificate and self.certificate.to_dict()
+        return {"error": "check-failed", "tag": self.tag, "certificate": cert}
 
-class HypothesisFailed(SuperjacError):
+
+class HypothesisFailed(CheckError):
     """A certificate hypothesis failed; the report carries the witness."""
 
     def __init__(self, hyp_id: str, report=None):
@@ -68,14 +80,18 @@ class HypothesisFailed(SuperjacError):
         self.hyp_id = hyp_id
         self.report = report
 
+    def payload(self) -> dict:
+        return {"error": "hypothesis-failed", "failed": self.hyp_id,
+                "hypotheses": self.report and self.report.to_list()}
+
 
 class CharacterUnavailable(SuperjacError):
     """Requested multiplicative character order does not divide p - 1."""
 
 
-class EvidenceFailed(SuperjacError):
+class EvidenceFailed(CheckError):
     """Numerical evidence contradicts a certified conclusion."""
 
 
-class CacheMismatch(SuperjacError):
+class CacheMismatch(CheckError):
     """Cache verification found a stored result differing from recomputation."""

@@ -15,6 +15,10 @@ exists even while they are built; smaller fields keep lists, whose entries are
 CPython's shared small ints and whose subscripts are cheaper (see
 _table_type).
 
+fits and require_fits are the package's one size rule: past the budget
+clipped to MAX_TABLE_CARD, GF(p^n) is refused as "GF(p^n) exceeds the
+table cap 4194304" or "GF(p^n) exceeds the budget B".
+
 nullspace row-reduces over a field of at most BYTES_CARD = 16 elements
 as byte strings: a packed element then fits 4 bits, so an entry of one
 row and one of another pack into one byte as (a << 4) | b, and a row
@@ -90,6 +94,21 @@ def _table_type(card: int):
     return lambda values: array("i", values)
 
 
+def fits(p: int, n: int, budget: int = MAX_TABLE_CARD) -> bool:
+    """Whether GF(p^n) is within the budget and the table cap."""
+    limit = min(budget, MAX_TABLE_CARD)
+    return n <= limit.bit_length() and p ** n <= limit
+
+
+def require_fits(p: int, n: int, budget: int = MAX_TABLE_CARD) -> None:
+    """Refuse GF(p^n) past ``fits``, naming the field and the limit."""
+    if not fits(p, n, budget):
+        name = f"GF({p}^{n})" if n > 1 else f"GF({p})"
+        if budget < MAX_TABLE_CARD:
+            raise BudgetExceeded(f"{name} exceeds the budget {budget}")
+        raise BudgetExceeded(f"{name} exceeds the table cap {MAX_TABLE_CARD}")
+
+
 def _find_defpoly(p: int, n: int) -> tuple[int, ...]:
     for v in range(p ** n):
         f = [v // p ** i % p for i in range(n)] + [1]
@@ -128,9 +147,7 @@ class FieldCtx:
             self._zech = None
             self._m1log = None
             return
-        if self.order > MAX_TABLE_CARD:
-            raise BudgetExceeded(
-                f"GF({p}^{n}) exceeds the table cap {MAX_TABLE_CARD}")
+        require_fits(p, n)
         self.defpoly = _find_defpoly(p, n)
         self.gen = self._find_generator()
         self._build_tables()
@@ -223,9 +240,7 @@ class FieldCtx:
         if self._exp is not None:
             return
         p = self.p
-        if p > MAX_TABLE_CARD:
-            raise BudgetExceeded(f"GF({p}) exceeds the table cap "
-                                 f"{MAX_TABLE_CARD}")
+        require_fits(p, 1)
         new = _table_type(p)
         exp = new([0]) * (p - 1)
         log = new([-1]) * p

@@ -322,9 +322,7 @@ def enumerate_places(curve: CurveSpec, max_deg: int):
     m = curve.m
     out = [curve.inf_place()]
     for w in range(1, max_deg + 1):
-        if base.p ** (base.n * w) > gf.MAX_TABLE_CARD:
-            raise BudgetExceeded(f"degree-{w} scan exceeds the table cap "
-                                 f"{gf.MAX_TABLE_CARD}")
+        gf.require_fits(base.p, base.n * w)
         xctx = gf.field(base.p, base.n * w)
         for x0 in xctx.elements():
             # keep only orbit-minimal coordinates of exact degree w

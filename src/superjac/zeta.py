@@ -25,9 +25,10 @@ semiprimitive, and nothing else (k = 1 when m | p - 1).
 them, by one rule: enumeration when m does not divide p - 1 and p^g
 fits the budget, else character sums, which ``zeta_numerator_charsum``
 alone sizes: past the budget it raises BudgetExceeded, naming GF(p^g)
-and GF(p^k).  The budget is clipped to the field-table cap, and the
-route and any refusal are decided from p, m and the budget alone,
-before any ring, histogram or field table is built.
+and GF(p^k).  Every size test is ``gf.fits``, which clips the budget to
+the field-table cap, and the route and any refusal are decided from p,
+m and the budget alone, before any ring, histogram or field table is
+built.
 
 Every character-sum P is checked against N_1 and N_2 by enumeration
 over GF(p) and GF(p^2), at each level within the budget.  Those counts
@@ -168,12 +169,12 @@ def count_points(curve: CurveSpec, n: int = 1,
                  budget: int = COUNT_BUDGET) -> int:
     """Projective point count over the degree-n extension, by enumeration.
 
-    One rational point at infinity, one point over each root of F, and
-    t = gcd(m, order - 1) points over each x where F(x) is a nonzero
-    t-th power, that is, where its log is divisible by t.  When t = 1,
-    y -> y^m permutes the field, so the count is order + 1 for every F
-    and no table is built (after the budget check, so that the same
-    calls refuse).  Otherwise the loop
+    GF(base^n) past the budget or the table cap is refused first, by
+    ``gf.require_fits``.  One rational point at infinity, one point over
+    each root of F, and t = gcd(m, order - 1) points over each x where
+    F(x) is a nonzero t-th power, that is, where its log is divisible
+    by t.  When t = 1, y -> y^m permutes the field, so the count is
+    order + 1 for every F and no table is built.  Otherwise the loop
     stays in the log domain: at x = g^k the term c_i x^i of F has log
     log(c_i) + i*k, and the terms are summed by Zech additions.  Logs
     are reduced only to index the Zech table, as t divides order - 1.
@@ -183,9 +184,8 @@ def count_points(curve: CurveSpec, n: int = 1,
         raise UnsupportedBase("point counts need a finite base field")
     if curve.d != 1:
         raise RequiresD1("naive counts assume one rational point at infinity")
+    gf.require_fits(base.p, base.n * n, budget)
     order = base.order ** n
-    if order > budget:
-        raise BudgetExceeded(f"enumeration over order {order} exceeds budget")
     t = math.gcd(curve.m, order - 1)
     if t == 1:
         return order + 1
@@ -276,10 +276,12 @@ def zeta_numerator_charsum(p: int, m: int, a: int,
     degrees = _character_degrees(p, m)
     k = max((k for d, k in degrees if semiprimitive(p, d) is None),
             default=0)
-    if not _fits(p, k, budget):
-        raise _refusal(p, m, budget, f"point counts need GF({p}^"
-                       f"{(p - 1) * (m - 1) // 2}), character sums "
-                       f"GF({p}^{k})")
+    if not gf.fits(p, k, budget):
+        # names both routes' fields: it says why each was skipped
+        raise BudgetExceeded(
+            f"y^{m} = x^{p} - x + a over GF({p}): point counts need "
+            f"GF({p}^{(p - 1) * (m - 1) // 2}), character sums GF({p}^{k}); "
+            f"the budget is {budget} and the table cap {gf.MAX_TABLE_CARD}")
     coeffs = [1]
     for d, k in degrees:
         G = orbit_gauss_sum(p, d, 1, 1, a)
@@ -316,7 +318,7 @@ def _check_low_counts(P: LPolynomial, curve: CurveSpec, budget: int) -> None:
     budget and the table cap."""
     p = curve.base.p
     for n in (1, 2):
-        if _fits(p, n, budget) and \
+        if gf.fits(p, n, budget) and \
                 P.point_count(n) != count_points(curve, n, budget):
             raise InvariantViolation(
                 f"N_{n} of the character-sum numerator disagrees with "
@@ -333,23 +335,11 @@ def artin_schreier_lpoly(p: int, m: int, a: int, budget: int = COUNT_BUDGET
     """
     _require_curve(p, m)
     g = (p - 1) * (m - 1) // 2
-    if (p - 1) % m and _fits(p, g, budget):
+    if (p - 1) % m and gf.fits(p, g, budget):
         curve = artin_schreier_curve(p, m, a)
         counts = [count_points(curve, n, budget) for n in range(1, g + 1)]
         return "point-count", lpoly_from_counts(p, counts, g)
     return "character-sum", zeta_numerator_charsum(p, m, a, budget)
-
-
-def _fits(p: int, n: int, budget: int) -> bool:
-    """Whether GF(p^n) is within the budget and the table cap."""
-    limit = min(budget, gf.MAX_TABLE_CARD)
-    return n <= limit.bit_length() and p ** n <= limit
-
-
-def _refusal(p: int, m: int, budget: int, need: str) -> BudgetExceeded:
-    return BudgetExceeded(
-        f"y^{m} = x^{p} - x + a over GF({p}): {need}; the budget is "
-        f"{budget} and the table cap {gf.MAX_TABLE_CARD}")
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +469,8 @@ def power_law_check(p: int, q: int, a: int = 1,
     if not primes.is_prime(q):
         raise SuperjacError(f"q must be prime, got {q}")
     _require_curve(p, q)
-    g = (p - 1) * (q - 1) // 2
-    if (p - 1) % q and not _fits(p, g, budget):
-        raise _refusal(p, q, budget, f"point counts need GF({p}^{g})")
+    if (p - 1) % q:
+        gf.require_fits(p, (p - 1) * (q - 1) // 2, budget)
     _, P = artin_schreier_lpoly(p, q, a, budget)
     return _power_law_report(P, p, q, a)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import superjac
-from superjac import curves, delta, gf, picard, rank, zeta
+from superjac import cli, curves, delta, errors, gf, picard, rank, zeta
 from superjac.cli import main
 
 SRC = str(Path(superjac.__file__).resolve().parents[1])
@@ -172,6 +172,26 @@ def test_count_routes(capsys) -> None:
                                   "--a", "1", "--n", "1", "--route",
                                   "charsum"])
     assert (code, doc["error"]) == (3, "budget-exceeded")
+    assert "GF(7^15)" in doc["detail"]
+
+    # GF(7^8) is past the table cap, the Gauss sums of order 3 are not:
+    # route=both degrades to charsum only
+    argv = ["count", "--p", "7", "--q", "3", "--a", "1", "--n", "8"]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert doc["routes"] == {"naive": None, "charsum": [
+        22, 22, 337, 2206, 17347, 117013, 823544, 5771662]}
+    assert doc["agree"] is None
+    code, doc = run_json(capsys, argv + ["--route", "naive"])
+    assert (code, doc["error"]) == (3, "budget-exceeded")
+    assert doc["detail"] == "GF(7^8) exceeds the table cap 4194304"
+
+    # refused by both routes: exit 3, naming each route's field
+    code, doc = run_json(capsys, ["count", "--p", "7", "--q", "31",
+                                  "--a", "1", "--n", "8"])
+    assert (code, doc["error"]) == (3, "budget-exceeded")
+    assert doc["detail"].startswith(
+        "naive: GF(7^8) exceeds the table cap 4194304; charsum: ")
     assert "GF(7^15)" in doc["detail"]
 
 
@@ -387,10 +407,9 @@ BAD_PARAMETERS = [
     ["count", "--p", "3", "--q", "2", "--a", "1", "--n", "-1"],
     ["zeta", "--p", "2", "--q", "7", "--a", "1", "--budget", "0"],
     ["zeta", "--p", "2", "--q", "7", "--a", "1", "--budget", "-1"],
-    # --budget below 1 is refused also where the handler never reads it
+    # --budget below 1 is refused on the charsum route too
     ["count", "--p", "3", "--q", "2", "--a", "1", "--n", "3", "--route",
      "charsum", "--budget", "0"],
-    ["gauss", "--p", "7", "--q", "3", "--a", "1", "--budget", "0"],
     # malformed integers name the bad token
     ["genus", "--m", "3", "--f", "1,x"],
     ["find-prime", "--m", "2", "--roots", "0,1,x", "--k", "10"],
@@ -420,6 +439,120 @@ BAD_PARAMETERS = [
 def test_bad_parameters_are_usage_errors(capsys, argv) -> None:
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# the smallest valid arguments of each subcommand
+VALID_ARGS = {
+    "genus": ["--m", "3", "--r", "5"],
+    "delta-structure": ["--m", "4", "--r", "6"],
+    "proof-replay": ["--m", "2", "--f", "0,24,-50,35,-10,1", "--field",
+                     "11"],
+    "principal": ["--m", "2", "--f", "0,24,-50,35,-10,1", "--coeffs",
+                  "2,0,0,0"],
+    "gauss": ["--p", "7", "--q", "3", "--a", "1"],
+    "count": ["--p", "3", "--q", "2", "--a", "1", "--n", "3"],
+    "zeta": ["--p", "2", "--q", "7", "--a", "1"],
+    "jacobian-order": ["--p", "2", "--q", "7", "--a", "1"],
+    "torsion-test": ["--p", "2", "--q", "5"],
+    "power-law": ["--p", "2", "--q", "5"],
+    "picard": ["--m", "3", "--f", "1,1,1", "--p", "2"],
+    "conjecture-test": ["--p", "2", "--q", "3"],
+    "rank-certify": ["--p", "3", "--q", "2", "--k", "10"],
+    "find-prime": ["--m", "2", "--roots", "0,1,2", "--k", "10"],
+}
+# the subcommands whose handlers pass a work cap on
+BUDGET_READERS = {"count", "zeta", "jacobian-order", "torsion-test",
+                  "power-law", "picard", "conjecture-test"}
+
+
+@pytest.mark.parametrize("name", [c[0] for c in cli._COMMANDS])
+def test_budget_and_seed_only_where_read(capsys, name) -> None:
+    argv = [name] + VALID_ARGS[name]
+    if name in BUDGET_READERS:
+        assert main(argv + ["--budget", "0"]) == 2
+        assert "--budget must be at least 1" in capsys.readouterr().err
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--budget", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --budget 5" in \
+            capsys.readouterr().err
+    if name == "proof-replay":
+        assert cli._parser().parse_args(argv + ["--seed", "3"]).seed == 3
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+class _Certificate:
+    def to_dict(self):
+        return {"verdict": "fail"}
+
+
+class _Report:
+    def to_list(self):
+        return [{"id": "H1", "ok": False}]
+
+
+# every class of errors, raised by a handler: its exit code and stdout
+ERROR_EXITS = {
+    "SuperjacError": (2, None),
+    "CheckError": (1, {"error": "CheckError", "detail": "boom"}),
+    "BudgetExceeded": (3, {"error": "budget-exceeded", "detail": "boom"}),
+    "PrecisionExhausted": (3, {"error": "budget-exceeded",
+                               "detail": "boom"}),
+    "UnsupportedCollision": (2, None),
+    "RequiresD1": (2, None),
+    "RequiresSplitRoots": (2, None),
+    "NotSeparable": (2, None),
+    "UnsupportedBase": (2, None),
+    "CharacterUnavailable": (2, None),
+    "OracleMismatch": (1, {"error": "OracleMismatch", "detail": "boom"}),
+    "IncompleteEnumeration": (1, {"error": "IncompleteEnumeration",
+                                  "detail": "boom"}),
+    "InvariantViolation": (1, {"error": "InvariantViolation",
+                               "detail": "boom"}),
+    "EvidenceFailed": (1, {"error": "EvidenceFailed", "detail": "boom"}),
+    "CacheMismatch": (1, {"error": "CacheMismatch", "detail": "boom"}),
+    "CheckFailed": (1, {"error": "check-failed", "tag": "boom",
+                        "certificate": {"verdict": "fail"}}),
+    "HypothesisFailed": (1, {"error": "hypothesis-failed", "failed": "boom",
+                             "hypotheses": [{"id": "H1", "ok": False}]}),
+}
+
+
+def test_error_table_covers_every_class() -> None:
+    classes = {name for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, Exception)}
+    assert classes == set(ERROR_EXITS)
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_EXITS))
+@pytest.mark.parametrize("as_json", [False, True], ids=["plain", "json"])
+def test_exit_code_follows_the_error_class(capsys, monkeypatch, name,
+                                           as_json) -> None:
+    cls = getattr(errors, name)
+    extra = {"CheckFailed": (_Certificate(),),
+             "HypothesisFailed": (_Report(),)}.get(name, ())
+
+    def raising(*_a, **_k):
+        raise cls("boom", *extra)
+    monkeypatch.setattr(delta, "delta_structure", raising)
+    code = main(["delta-structure", "--m", "3", "--r", "4"]
+                + ["--json"] * as_json)
+    out, err = capsys.readouterr()
+    want_code, payload = ERROR_EXITS[name]
+    assert code == want_code
+    if payload is None:
+        assert (out, err) == ("", "error: boom\n")
+    elif as_json:
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    else:
+        lines = []
+        cli._flatten("", payload, lines)
+        assert out == "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("argv,token", [

@@ -11,7 +11,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superjac import gf, primes
+from superjac import curves, gf, picard, primes, zeta
 from superjac.errors import (BudgetExceeded, InvariantViolation,
                              SuperjacError, UnsupportedBase)
 
@@ -234,6 +234,47 @@ def test_compatible_embedding_matches_full_scan(p, b):
 def test_table_cap_enforced():
     with pytest.raises(BudgetExceeded):
         gf.FieldCtx(2, 23)
+
+
+def test_fits_clips_the_budget_to_the_table_cap():
+    assert gf.fits(2, 22) and not gf.fits(2, 23)
+    assert not gf.fits(2, 23, budget=2 ** 30)
+    assert gf.fits(3, 4, budget=81) and not gf.fits(3, 4, budget=80)
+    # the degree guard answers before p^n is formed
+    assert not gf.fits(2, 10 ** 12)
+
+
+def _places_past_a_low_cap(monkeypatch):
+    # fits reads the cap at call time; a prime field past it needs no
+    # table, so the scan of GF(5) itself is what refuses
+    curve = zeta.artin_schreier_curve(5, 2, 1)
+    monkeypatch.setattr(gf, "MAX_TABLE_CARD", 4)
+    picard.enumerate_places(curve, 1)
+
+
+@pytest.mark.parametrize("ask,refusal", [
+    (lambda _: gf.field(2, 23),
+     r"GF\(2\^23\) exceeds the table cap 4194304"),
+    (lambda _: gf.field(4194319).dlog(2),
+     r"GF\(4194319\) exceeds the table cap 4194304"),
+    (lambda _: zeta.count_points(zeta.artin_schreier_curve(3, 2, 1), 4,
+                                 budget=80),
+     r"GF\(3\^4\) exceeds the budget 80"),
+    (lambda _: curves._roots_by_degree(gf.field(4194319), [1, 1]),
+     r"GF\(4194319\) exceeds the table cap 4194304"),
+    (_places_past_a_low_cap, r"GF\(5\) exceeds the table cap 4"),
+], ids=["extension", "prime-tables", "count", "root-scan", "places"])
+def test_every_size_refusal_is_the_one_rule(monkeypatch, ask, refusal):
+    asked = []
+    require_fits = gf.require_fits
+
+    def spy(*args):
+        asked.append(args)
+        return require_fits(*args)
+    monkeypatch.setattr(gf, "require_fits", spy)
+    with pytest.raises(BudgetExceeded, match=f"^{refusal}$"):
+        ask(monkeypatch)
+    assert asked
 
 
 def test_prime_field_table_cap_names_p_and_the_cap():

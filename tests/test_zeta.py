@@ -313,15 +313,26 @@ def test_count_points_refusals():
     with pytest.raises(RequiresD1):
         count_points(make_curve(6, gf.pfrom_roots(ctx, [0, 1, 2]), ctx), 1)
     c = artin_schreier_curve(3, 2, 1)
-    with pytest.raises(BudgetExceeded, match="order 81 exceeds budget"):
+    with pytest.raises(BudgetExceeded,
+                       match=r"GF\(3\^4\) exceeds the budget 80"):
         count_points(c, 4, budget=80)
     assert count_points(c, 4, budget=81) == _count_points_horner(c, 4)
     # a count known without a table still refuses past the budget
     c = artin_schreier_curve(2, 3, 1)
-    with pytest.raises(BudgetExceeded, match="order 8 exceeds budget"):
+    with pytest.raises(BudgetExceeded,
+                       match=r"GF\(2\^3\) exceeds the budget 7"):
         count_points(c, 3, budget=7)
     with pytest.raises(UnsupportedBase):
         count_points(make_curve(2, [1, 0, 0, 1]), 1)
+
+
+def test_count_points_clips_the_budget_to_the_table_cap():
+    # t = gcd(3, 2^23 - 1) = 1 would give 2^23 + 1 without a table, but
+    # a budget past the table cap is clipped to it, as on every route
+    c = make_curve(3, [1, 1, 1], gf.field(2))
+    with pytest.raises(BudgetExceeded,
+                       match=r"GF\(2\^23\) exceeds the table cap 4194304"):
+        count_points(c, 23, budget=2 ** 30)
 
 
 def test_bad_lpoly_shapes_are_typed():
