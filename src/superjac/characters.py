@@ -68,9 +68,9 @@ _KEYS_KEPT = 8
 def _histogram(p: int, n: int, L: int) -> dict[tuple[int, int], int]:
     """Counts of (Tr(w), log(w) mod L) over nonzero w in GF(p^n)."""
     ctx = gf.field(p, n)
-    # log tables first: past the cap they refuse GF(p), trace_table does not
+    # exp first: past the cap it refuses GF(p), trace_table does not
     # exp[k] = g^k walks the units in log order, so log(w) mod L is k mod L
-    exp = ctx.log_tables()[1]
+    exp = ctx.exp_log()[1]
     tr = ctx.trace_table()
     return Counter(zip(map(tr.__getitem__, exp), cycle(range(L))))
 

@@ -298,6 +298,18 @@ _COMMANDS = (
 )
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """One subcommand's parser.  It refuses what it does not declare
+    itself, so the error shows its own usage and not the top-level one,
+    which would list every subcommand."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error("unrecognized arguments: " + " ".join(extra))
+        return args, extra
+
+
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
@@ -312,7 +324,8 @@ def _parser() -> argparse.ArgumentParser:
         description="exact desk-scale computations on superelliptic "
                     "Jacobians: torsion structure, zeta functions, class "
                     "groups, rank certificates")
-    sub = top.add_subparsers(dest="cmd", required=True)
+    sub = top.add_subparsers(dest="cmd", required=True,
+                             parser_class=_SubcommandParser)
     for name, fn, helptext, options in _COMMANDS:
         sp = sub.add_parser(name, parents=[common], help=helptext)
         sp.set_defaults(func=fn)

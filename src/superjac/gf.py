@@ -5,9 +5,12 @@ sum(c_i * p**i) for its coefficient vector (c_0, ..., c_{n-1}).  Constants
 pack to themselves, so the prime subfield sits inside every extension as
 the identity on 0..p-1.  Extension contexts carry exp/log tables for a
 fixed generator g plus a Zech table (1 + g^k = g^zech[k]), making every
-field operation a couple of table lookups.  Prime-field contexts do their
-arithmetic directly modulo p and build the same three tables only when a
-discrete log or a log-domain loop asks for them.
+field operation a couple of table lookups.  The Zech table is built on
+first use, by the first add or log_tables call, so a caller that reads
+only exp and log (exp_log, as zeta.count_points does) never pays for it.
+Prime-field contexts do their arithmetic directly modulo p and build the
+same three tables only when a discrete log or a log-domain loop asks for
+them.
 
 The tables of a field with more than 256 elements are array("i")s of 4
 bytes per entry, filled in place, so no full-size list of boxed ints
@@ -17,7 +20,8 @@ _table_type).
 
 fits and require_fits are the package's one size rule: past the budget
 clipped to MAX_TABLE_CARD, GF(p^n) is refused as "GF(p^n) exceeds the
-table cap 4194304" or "GF(p^n) exceeds the budget B".
+table cap 4194304" or "GF(p^n) exceeds the budget B", the limit worded
+by limit_name.
 
 nullspace row-reduces over a field of at most BYTES_CARD = 16 elements
 as byte strings: a packed element then fits 4 bits, so an entry of one
@@ -48,6 +52,12 @@ squarefree, since X^(q^s) - X is, and every factor of g is divided out
 of S to its full multiplicity.  So S never keeps a factor of degree
 <= s, and once 2s exceeds deg S the remaining S is a single irreducible
 factor (any two factors, or one squared, would have degree >= 2s).
+
+Polynomials over a prime field are multiplied, divided and raised to
+powers on plain ints: products and remainders accumulate unreduced and
+are reduced mod p once, with no context call per coefficient.  That is
+the arithmetic of the defining-polynomial search (through ddf) and of
+the generator search.
 
 Deterministic choices, fixed once per (p, n):
   * defining polynomial: first monic irreducible of degree n, ordered by
@@ -100,13 +110,19 @@ def fits(p: int, n: int, budget: int = MAX_TABLE_CARD) -> bool:
     return n <= limit.bit_length() and p ** n <= limit
 
 
+def limit_name(budget: int = MAX_TABLE_CARD) -> str:
+    """The limit ``fits`` applies, as refusals name it: the budget when
+    one below the table cap was given, else the cap."""
+    if budget < MAX_TABLE_CARD:
+        return f"the budget {budget}"
+    return f"the table cap {MAX_TABLE_CARD}"
+
+
 def require_fits(p: int, n: int, budget: int = MAX_TABLE_CARD) -> None:
     """Refuse GF(p^n) past ``fits``, naming the field and the limit."""
     if not fits(p, n, budget):
         name = f"GF({p}^{n})" if n > 1 else f"GF({p})"
-        if budget < MAX_TABLE_CARD:
-            raise BudgetExceeded(f"{name} exceeds the budget {budget}")
-        raise BudgetExceeded(f"{name} exceeds the table cap {MAX_TABLE_CARD}")
+        raise BudgetExceeded(f"{name} exceeds {limit_name(budget)}")
 
 
 def _find_defpoly(p: int, n: int) -> tuple[int, ...]:
@@ -170,21 +186,27 @@ class FieldCtx:
     def _set_tables(self, exp, log) -> None:
         if log.count(-1) != 1:
             raise InvariantViolation("exp chain did not cover the units")
-        p = self.p
-        pm1 = p - 1
         self._exp = exp
         self._log = log
-        # zech[k] = log(1 + g^k): adding 1 steps the constant digit, and
-        # log[0] = -1 marks 1 + g^k = 0.  Built in slices of 4096, so no
-        # full-size list exists: an array fills from a list about twice
-        # as fast as from a generator.
-        new = _table_type(self.order)
-        zech = new([])
-        for s in range(0, len(exp), 1 << 12):
-            zech += new([log[e + 1 if e % p != pm1 else e - pm1]
-                         for e in exp[s:s + (1 << 12)]])
-        self._zech = zech
-        self._m1log = log[pm1]
+        self._zech = None
+        self._m1log = log[self.p - 1]
+
+    def _zech_table(self):
+        """The Zech table, built on the first call."""
+        if self._zech is None:
+            p, exp, log = self.p, self._exp, self._log
+            pm1 = p - 1
+            # zech[k] = log(1 + g^k): adding 1 steps the constant digit,
+            # and log[0] = -1 marks 1 + g^k = 0.  Built in slices of 4096,
+            # so no full-size list exists: an array fills from a list
+            # about twice as fast as from a generator.
+            new = _table_type(self.order)
+            zech = new([])
+            for s in range(0, len(exp), 1 << 12):
+                zech += new([log[e + 1 if e % p != pm1 else e - pm1]
+                             for e in exp[s:s + (1 << 12)]])
+            self._zech = zech
+        return self._zech
 
     def _chain_packed(self) -> tuple:
         # the multiply-by-g map of the module docstring
@@ -275,9 +297,12 @@ class FieldCtx:
             return b
         if b == 0:
             return a
+        zech = self._zech
+        if zech is None:
+            zech = self._zech_table()
         log = self._log
         la, lb = log[a], log[b]
-        z = self._zech[(lb - la) % (self.order - 1)]
+        z = zech[(lb - la) % (self.order - 1)]
         if z < 0:
             return 0
         return self._exp[(la + z) % (self.order - 1)]
@@ -426,12 +451,17 @@ class FieldCtx:
         being zero when that zech entry is -1.  The three tables are
         lists up to SMALL_TABLE_CARD elements and array("i")s past it;
         callers only index them.  A prime field builds its tables on the
-        first call.
+        first call, any field its Zech table.
         """
+        q1, exp, log = self.exp_log()
+        return q1, exp, log, self._zech_table(), self._m1log
+
+    def exp_log(self) -> tuple[int, list[int] | array, list[int] | array]:
+        """(order - 1, exp, log): log_tables without the Zech table,
+        which this does not build."""
         if self.n == 1:
             self._prime_tables()
-        return (self.order - 1, self._exp, self._log, self._zech,
-                self._m1log)
+        return self.order - 1, self._exp, self._log
 
     def byte_tables(self) -> tuple[bytes, list[bytes], list[int],
                                    list[int]]:
@@ -827,6 +857,14 @@ def pmul(ctx: FieldCtx, a, b) -> list[int]:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
+    if ctx.n == 1:
+        # plain ints, reduced once
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    out[j] += ai * bj
+        p = ctx.p
+        return pnorm([c % p for c in out])
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -841,6 +879,20 @@ def pdivmod(ctx: FieldCtx, a, b) -> tuple[list[int], list[int]]:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(a)
     q = [0] * max(0, len(r) - len(b) + 1)
+    if ctx.n == 1:
+        # plain ints: r is reduced mod p only where a quotient digit is
+        # read, and once at the end
+        p = ctx.p
+        inv_lead = pow(b[-1], p - 2, p)
+        low = b[:-1]
+        while len(r) >= len(b):
+            c = r.pop() * inv_lead % p
+            if c:
+                off = len(r) - len(low)
+                q[off] = c
+                for t, bt in enumerate(low, off):
+                    r[t] -= c * bt
+        return pnorm(q), pnorm([c % p for c in r])
     inv_lead = ctx.inv(b[-1])
     while len(r) >= len(b):
         c = ctx.mul(r[-1], inv_lead)

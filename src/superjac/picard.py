@@ -168,7 +168,7 @@ def _base_rows(base: gf.FieldCtx, ctx: gf.FieldCtx, cols) -> list:
         return list(zip(*cols))
     d = ctx.n // base.n
     tr = _trace_to_base(ctx, base)
-    q1, exp, log, _, _ = ctx.log_tables()
+    q1, exp, log = ctx.exp_log()
     rows = []
     for vals in zip(*cols):
         lv = [log[v] for v in vals]

@@ -18,9 +18,11 @@ one sum G_d over GF(p^k_d), k_d = ord_d(p), so P is built from the
 traces of the powers of one G_d per divisor d > 1 (see
 ``zeta_numerator_charsum``); the product itself is the test oracle.  A
 semiprimitive (p, d) gives G_d in Stickelberger's closed form, with no
-field table (``characters.orbit_gauss_sum``).  The enumeration costs
-p^g; the character sums cost p^k, k the largest k_d of a d that is not
-semiprimitive, and nothing else (k = 1 when m | p - 1).
+field table (``characters.orbit_gauss_sum``).  The enumeration needs
+the tables of GF(p^g) and about p^n / n evaluations of F at level n,
+one per Frobenius orbit (see ``count_points``); the character sums
+cost p^k, k the largest k_d of a d that is not semiprimitive, and
+nothing else (k = 1 when m | p - 1).
 ``artin_schreier_lpoly`` is the one entry point that picks between
 them, by one rule: enumeration when m does not divide p - 1 and p^g
 fits the budget, else character sums, which ``zeta_numerator_charsum``
@@ -167,17 +169,28 @@ def lpoly_from_counts(q: int, counts, genus: int | None = None) -> LPolynomial:
 
 def count_points(curve: CurveSpec, n: int = 1,
                  budget: int = COUNT_BUDGET) -> int:
-    """Projective point count over the degree-n extension, by enumeration.
+    """Projective point count over the degree-n extension, by enumeration
+    of one x per Frobenius orbit.
 
     GF(base^n) past the budget or the table cap is refused first, by
     ``gf.require_fits``.  One rational point at infinity, one point over
     each root of F, and t = gcd(m, order - 1) points over each x where
     F(x) is a nonzero t-th power, that is, where its log is divisible
     by t.  When t = 1, y -> y^m permutes the field, so the count is
-    order + 1 for every F and no table is built.  Otherwise the loop
-    stays in the log domain: at x = g^k the term c_i x^i of F has log
-    log(c_i) + i*k, and the terms are summed by Zech additions.  Logs
-    are reduced only to index the Zech table, as t divides order - 1.
+    order + 1 for every F and no table is built.
+
+    Otherwise F has its coefficients in the base GF(r), so
+    F(x^r) = F(x)^r, and F(x)^r is a root, or a nonzero t-th power,
+    exactly when F(x) is.  Every x of one orbit of x -> x^r therefore
+    adds the same, and F is evaluated once per orbit, weighted by the
+    orbit's size.  At x = g^k the map is k -> r*k mod (r^n - 1), which
+    rotates the n base-r digits of k, so the unit orbits are the
+    necklaces of ``_necklaces``, about r^n / n of them: the count costs
+    that many evaluations of F plus the exp/log chain of the field.
+    Each evaluation stays in the log domain: the term c_i x^i of F has log
+    log(c_i) + i*k, and the terms are summed through 1 + g^j read off
+    exp and log, so no Zech table is built.  Logs are reduced only to
+    index exp, as t divides order - 1.
     """
     base = curve.base
     if base is None:
@@ -190,26 +203,64 @@ def count_points(curve: CurveSpec, n: int = 1,
     if t == 1:
         return order + 1
     ext = gf.field(base.p, base.n * n)
-    q1, _, log, zech, _ = ext.log_tables()
+    q1, exp, log = ext.exp_log()
+    p = ext.p
+    pm1 = p - 1
     cs = curve.ext_coeffs(ext)
     (l0, i0), *rest = [(log[c], i) for i, c in enumerate(cs) if c]
     c0 = cs[0]
     # the point at infinity, then x = 0
     cnt = 1 + (1 if c0 == 0 else t if log[c0] % t == 0 else 0)
-    for k in range(q1):
+    for k, size in _necklaces(base.order, n):
         acc = l0 + i0 * k
         for lc, i in rest:
             e = lc + i * k
             if acc < 0:
                 acc = e
             else:
-                z = zech[(e - acc) % q1]
+                # log(1 + g^j) as the Zech table would hold it: adding 1
+                # steps the constant digit, and log[0] = -1 marks zero
+                v = exp[(e - acc) % q1]
+                z = log[v + 1 if v % p != pm1 else v - pm1]
                 acc = acc + z if z >= 0 else -1
         if acc < 0:
-            cnt += 1
+            cnt += size
         elif acc % t == 0:
-            cnt += t
+            cnt += t * size
     return cnt
+
+
+def _necklaces(r: int, n: int):
+    """(k, size) for every orbit of k -> r*k on Z/(r^n - 1): k the
+    orbit's least member, size its number of members.
+
+    Multiplying by r rotates the n base-r digits of k, so an orbit is a
+    necklace, k its least rotation read most significant digit first,
+    and size its period.  The Fredricksen-Kessler-Maiorana algorithm
+    visits every prenecklace w in increasing order, and w is a necklace
+    of period m when its longest Lyndon prefix has a length m dividing
+    n.  The last word, all digits r - 1, is r^n - 1 = 0 a second time and
+    is left out, so the sizes sum to r^n - 1.
+    """
+    last = r ** n - 1
+    w = [-1]            # digits, most significant first
+    vals = [0, -1]      # vals[i] is the value of w[:i]
+    while True:
+        w[-1] += 1
+        vals[-1] += 1
+        m = len(w)
+        while len(w) < n:
+            d = w[-m]
+            w.append(d)
+            vals.append(vals[-1] * r + d)
+        k = vals[-1]
+        if k == last:
+            return
+        if n % m == 0:
+            yield k, m
+        while w[-1] == r - 1:
+            w.pop()
+            vals.pop()
 
 
 def artin_schreier_curve(p: int, m: int, a: int) -> CurveSpec:
@@ -281,7 +332,7 @@ def zeta_numerator_charsum(p: int, m: int, a: int,
         raise BudgetExceeded(
             f"y^{m} = x^{p} - x + a over GF({p}): point counts need "
             f"GF({p}^{(p - 1) * (m - 1) // 2}), character sums GF({p}^{k}); "
-            f"the budget is {budget} and the table cap {gf.MAX_TABLE_CARD}")
+            f"the limit is {gf.limit_name(budget)}")
     coeffs = [1]
     for d, k in degrees:
         G = orbit_gauss_sum(p, d, 1, 1, a)

@@ -486,6 +486,40 @@ def test_budget_and_seed_only_where_read(capsys, name) -> None:
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
+def test_undeclared_flag_shows_the_subcommand_usage(capsys) -> None:
+    # gauss takes no --budget: the refusal shows gauss's own usage, not
+    # the top-level one with every subcommand's name
+    with pytest.raises(SystemExit) as exc:
+        main(["gauss", "--p", "7", "--q", "3", "--a", "2", "--n", "6",
+              "--budget", "10"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: superjac gauss")
+    assert "superjac gauss: error: unrecognized arguments: --budget 10" in err
+    assert "delta-structure" not in err
+
+
+def test_charsum_refusal_names_the_table_cap(capsys) -> None:
+    # no budget below the cap was given: the cap is the one limit named
+    code, doc = run_json(capsys, ["count", "--p", "7", "--q", "31", "--a",
+                                  "1", "--n", "8", "--route", "charsum"])
+    assert (code, doc["error"]) == (3, "budget-exceeded")
+    assert doc["detail"].endswith(
+        "character sums GF(7^15); the limit is the table cap 4194304")
+    assert doc["detail"].count("4194304") == 1
+    assert "budget" not in doc["detail"]
+
+
+def test_charsum_refusal_names_the_budget(capsys) -> None:
+    code, doc = run_json(capsys, ["count", "--p", "7", "--q", "31", "--a",
+                                  "1", "--n", "1", "--route", "charsum",
+                                  "--budget", "1000"])
+    assert (code, doc["error"]) == (3, "budget-exceeded")
+    assert doc["detail"].endswith(
+        "character sums GF(7^15); the limit is the budget 1000")
+    assert "table cap" not in doc["detail"]
+
+
 class _Certificate:
     def to_dict(self):
         return {"verdict": "fail"}

@@ -309,6 +309,23 @@ def test_poly_helpers_roundtrip():
     assert d == gf.pfrom_roots(K, [2])
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_prime_polynomial_arithmetic_matches_the_context_route(p):
+    # GF(p) polynomials run on plain ints; inside GF(p^2), where the
+    # prime field is the same 0..p-1, the helpers go through ctx.add and
+    # ctx.mul per coefficient, and must give the same lists
+    fp, ext = gf.field(p), gf.field(p, 2)
+    rng = random.Random(p)
+    for _ in range(60):
+        a = gf.pnorm([rng.randrange(p) for _ in range(rng.randrange(12))])
+        b = gf.pnorm([rng.randrange(p) for _ in range(rng.randrange(1, 8))])
+        b = b or [rng.randrange(1, p)]
+        e = rng.randrange(300)
+        assert gf.pmul(fp, a, b) == gf.pmul(ext, a, b)
+        assert gf.pdivmod(fp, a, b) == gf.pdivmod(ext, a, b)
+        assert gf.ppow_mod(fp, a, e, b) == gf.ppow_mod(ext, a, e, b)
+
+
 # (p, n, defpoly, gen) recorded before the defining-polynomial and generator
 # searches moved onto the shared polynomial helpers (ppow_mod, psub, pgcd).
 # Both are documented deterministic choices, and every packed value the
@@ -453,6 +470,34 @@ def test_prime_field_log_tables(p):
     for k in range(q1):
         assert (exp[zech[k]] if zech[k] >= 0 else 0) == (exp[k] + 1) % p
     assert m1 == log[p - 1]
+
+
+LAZY_ZECH_CASES = ([(p, n, first) for p, n in [(2, 4), (3, 2), (3, 5),
+                                                 (5, 3), (2, 9), (3, 10)]
+                    for first in ("add", "log_tables")]
+                   + [(p, 1, "log_tables") for p in (2, 7, 257)])
+
+
+@pytest.mark.parametrize("p,n,first", LAZY_ZECH_CASES)
+def test_zech_table_is_built_on_first_use(p, n, first, monkeypatch):
+    # a new field has exp and log but no Zech table; the first add (or
+    # log_tables) builds the one the eager rule built in __init__
+    monkeypatch.setattr(gf, "_CTX_CACHE", {})
+    K = gf.field(p, n)
+    q1, exp, log = K.exp_log()
+    assert K._zech is None
+    g = K.exp_gen(1)
+    if first == "add":
+        # 1 + g steps g's constant digit
+        assert K.add(1, g) == g - g % p + (g + 1) % p
+    else:
+        assert K.log_tables()[3] is K._zech
+    zech = K._zech
+    assert type(zech) is (list if p ** n <= gf.SMALL_TABLE_CARD else array)
+    assert list(zech) == _zech_loop(p, list(exp), list(log))
+    # later calls read the same table
+    K.add(g, g)
+    assert K.log_tables()[3] is K._zech is zech
 
 
 def test_table_build_holds_no_full_size_list():

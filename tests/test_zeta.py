@@ -335,6 +335,142 @@ def test_count_points_clips_the_budget_to_the_table_cap():
         count_points(c, 23, budget=2 ** 30)
 
 
+def _count_points_scan(curve, n=1, logs=None):
+    """Projective count by a full per-element scan: log F(x) at x = 0 and
+    at every unit g^k through the Zech table, -1 where F(x) = 0.  This is
+    the count's rule before it went once per Frobenius orbit, kept as the
+    oracle for the orbit count.  A dict passed as logs keeps the scan of
+    each F and level, which curves y^m = F(x) with any m share."""
+    base = curve.base
+    ext = gf.field(base.p, base.n * n)
+    key = (base.p, base.n, tuple(curve.coeffs), n)
+    got = None if logs is None else logs.get(key)
+    if got is None:
+        q1, _, log, zech, _ = ext.log_tables()
+        cs = curve.ext_coeffs(ext)
+        terms = [(log[c], i) for i, c in enumerate(cs) if c]
+        got = [log[cs[0]]]
+        for k in range(q1):
+            acc = -1
+            for lc, i in terms:
+                e = lc + i * k
+                if acc < 0:
+                    acc = e
+                else:
+                    z = zech[(e - acc) % q1]
+                    acc = acc + z if z >= 0 else -1
+            got.append(acc)
+        if logs is not None:
+            logs[key] = got
+    t = math.gcd(curve.m, ext.order - 1)
+    return 1 + sum(1 if v < 0 else t if v % t == 0 else 0 for v in got)
+
+
+GRID_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@pytest.mark.parametrize("p", GRID_PRIMES)
+def test_orbit_count_matches_the_scan_on_the_torsion_grid(p):
+    # every level n <= g with p^n <= 200000 of the torsion grid's pairs
+    # (p, q), on y^q = x^p - x + 1: one scan per level serves every q
+    logs = {}
+    seen = set()
+    for q in GRID_PRIMES:
+        if q == p:
+            continue
+        curve = artin_schreier_curve(p, q, 1)
+        for n in range(1, curve.genus + 1):
+            if p ** n > 200_000:
+                break
+            assert count_points(curve, n) == \
+                _count_points_scan(curve, n, logs), (p, q, n)
+            seen.add((q, n, math.gcd(q, p ** n - 1) > 1))
+    # both kinds of level: t = 1, where the count is p^n + 1 at once,
+    # and t > 1, where F is evaluated once per orbit
+    assert {t for _, _, t in seen} == {False, True}
+    if p == 3:
+        assert {(11, 5, True), (11, 10, True)} <= seen
+
+
+def _orbit_cases():
+    K3 = gf.field(3)
+    # F = (x^2 + 1)(x^3 - x + 1) over GF(3): its roots lie in GF(9) and
+    # GF(27), proper subfields of GF(3^6), on orbits shorter than n
+    F = gf.pmul(K3, [1, 0, 1], [1, 2, 0, 1])
+    for m in (2, 4, 7):
+        for n in range(1, 7):
+            yield f"subfield-roots-{m}-{n}", make_curve(m, F, K3), n
+    # bases GF(4) and GF(9), with coefficients outside the prime field:
+    # the orbits are those of x -> x^4 and x -> x^9, not of x -> x^p
+    K4 = gf.field(2, 2)
+    w4 = gf.FieldElem(K4, 2)
+    for n in range(1, 7):
+        yield f"gf4-{n}", make_curve(3, [w4, 1, 1], K4), n
+        yield f"gf4-5-{n}", make_curve(5, [1, w4, 0, 1], K4), n
+    K9 = gf.field(3, 2)
+    w9 = gf.FieldElem(K9, 4)
+    for n in range(1, 5):
+        yield f"gf9-{n}", make_curve(2, [w9, 2, 0, 1], K9), n
+        yield f"gf9-4-{n}", make_curve(4, [1, 0, w9, 0, 0, 1], K9), n
+
+
+ORBIT_CASES = list(_orbit_cases())
+
+
+@pytest.mark.parametrize("name,curve,n", ORBIT_CASES,
+                         ids=[c[0] for c in ORBIT_CASES])
+def test_orbit_count_matches_the_scan(name, curve, n):
+    assert count_points(curve, n) == _count_points_scan(curve, n)
+
+
+def test_orbit_cases_cover_the_shapes():
+    roots = {}
+    for name, curve, n in ORBIT_CASES:
+        if name.startswith("subfield-roots"):
+            # no root of F in GF(3), some in GF(3^n) for n = 2, 3, 6
+            ext = gf.field(3, n)
+            roots[n] = sum(curve.eval_F(ext, x) == 0 for x in ext.elements())
+    assert roots == {1: 0, 2: 2, 3: 3, 4: 2, 5: 0, 6: 5}
+    bases = {c.base.name() for _, c, _ in ORBIT_CASES}
+    assert bases == {"GF(3)", "GF(2^2)", "GF(3^2)"}
+    for _, curve, _ in ORBIT_CASES:
+        if curve.base.n > 1:
+            assert max(curve.coeffs) >= curve.base.p
+
+
+@pytest.mark.parametrize("r,n", [(2, 1), (2, 6), (2, 12), (3, 1), (3, 5),
+                                 (3, 10), (4, 3), (5, 4), (9, 2), (13, 3)])
+def test_necklaces_are_the_frobenius_orbits(r, n):
+    q1 = r ** n - 1
+    got = list(zeta_module._necklaces(r, n))
+    assert sum(size for _, size in got) == q1
+    seen = set()
+    for k, size in got:
+        # the leader is the least rotation of its n base-r digits ...
+        digits = [k // r ** i % r for i in range(n)]
+        words = [digits[j:] + digits[:j] for j in range(n)]
+        values = {sum(d * r ** i for i, d in enumerate(w)) for w in words}
+        assert k == min(values) and len(values) == size
+        # ... and those rotations are its orbit under k -> r * k
+        orbit = {k * r ** j % q1 for j in range(n)}
+        assert orbit == values
+        seen |= orbit
+    assert seen == set(range(q1))
+    assert [k for k, _ in got] == sorted({k for k, _ in got})
+
+
+def test_count_points_builds_no_zech_table(monkeypatch):
+    # the orbit count reads exp and log only; the Horner oracle's first
+    # add builds the Zech table
+    monkeypatch.setattr(gf, "_CTX_CACHE", {})
+    curve = artin_schreier_curve(3, 11, 1)
+    got = count_points(curve, 5)
+    K = gf.field(3, 5)
+    assert K._zech is None
+    assert got == _count_points_horner(curve, 5)
+    assert K._zech is not None
+
+
 def test_bad_lpoly_shapes_are_typed():
     with pytest.raises(InvariantViolation, match="2g"):
         lpoly(3, 1, (1, 3))
