@@ -30,11 +30,24 @@ Two families of multiplicative characters are used.
   (-1)^((p^s + 1)/d) otherwise (Berndt, Evans and Williams, Gauss and
   Jacobi Sums, Thm 11.6.3); no field is built.
 
+``closed_form`` is the one place that decides and computes the closed
+forms, on integers: the semiprimitive one above, the quadratic sum
+(d = 2, G^2 = p* zeta_p^(-2a)), and the index-2 sum of a prime
+d = 3 mod 4, d > 3, with <p> of index 2 in (Z/d)^* (Mbodj, Finite Fields
+Appl. 4, 1998; Yang and Xia, Sci. China Math. 53, 2010), whose
+A^2 + d B^2 = 4 p^h comes from Cornacchia's method.  The sizing and
+the power sums of ``zeta.zeta_numerator_charsum`` and the semiprimitive
+branch of ``orbit_gauss_sum`` read it.  The index-2 form fixes B only
+up to sign, that is the sum only up to complex conjugation, so it
+serves the power sums, which see only the Galois orbit, and not
+``orbit_gauss_sum``.
+
 Every other sum reads one histogram per field: the counts of
 (Tr(w), log(w) mod L) over the nonzero w, counted along the exp table,
-where log(g^k) = k, so no discrete log is taken.  Only the field-table
-cap bounds the level.  The histogram stays the oracle for the closed form
-in the tests.
+where log(g^k) = k, so no discrete log is taken; the trace table sums
+Frobenius conjugates digit by digit, so neither builds a Zech table.
+Only the field-table cap bounds the level.  The histogram stays the
+oracle for every closed form in the tests.
 
 ``modified_gauss_sum`` and ``hasse_davenport_ok`` keep their last
 eight sums and powers (-G_1)^n in ``functools.lru_cache``s keyed by
@@ -54,6 +67,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 from itertools import cycle
+from typing import NamedTuple
 
 from . import gf, primes
 from .cyclo import CycloInt, cyclo
@@ -143,6 +157,107 @@ def semiprimitive(p: int, d: int) -> int | None:
     return k // 2
 
 
+class ClosedForm(NamedTuple):
+    """G_d = z zeta_p^(-k a) with z known in closed form, where G_d is
+    the Gauss sum of order d over GF(p^k) at c = u = 1 (see
+    ``closed_form``)."""
+
+    kind: str   # "quadratic", "semiprimitive" or "index-2"
+    k: int      # ord_d(p)
+    t: int      # p* = z^2 when quadratic, else z + conj(z); z conj(z) = p^k
+
+
+@lru_cache(maxsize=None)
+def closed_form(p: int, d: int) -> ClosedForm | None:
+    """The closed form of the Gauss sums of order d over GF(p^k),
+    k = ord_d(p), or None when (p, d) has none; decided and computed on
+    integers, with no field, histogram or ring.
+
+    * d = 2: z = g is the quadratic Gauss sum, g^2 = p* = (-1)^((p-1)/2) p.
+    * semiprimitive (p, d): z = eps p^s (Stickelberger; Berndt, Evans and
+      Williams, Thm 11.6.3), the sum ``orbit_gauss_sum`` builds.
+    * prime d = 3 mod 4, d > 3, with <p> of index 2 in (Z/d)^*, so
+      k = (d - 1)/2: z = p^((k-h)/2) (A + B sqrt(-d))/2 with h = h(-d),
+      A^2 + d B^2 = 4 p^h, p prime to B, and A = -2 p^((k+h)/2) mod d
+      (Mbodj, Finite Fields Appl. 4, 1998; Yang and Xia, Sci. China
+      Math. 53, 2010); A and B come from ``_cornacchia``.  The sign of B
+      depends on the character and is left free: the two choices are
+      complex conjugates, so the Galois orbit of G_d, and with it every
+      trace and R_d, is the same.  Only z + conj(z) is kept, which is
+      all the power sums of ``zeta_numerator_charsum`` read; so this form
+      stays out of ``orbit_gauss_sum``, which must give the sum of each
+      u exactly.
+
+    In the last two cases, and for every u and nonzero c, chi is trivial
+    on GF(p)^*, since d does not divide p - 1; so psi_c gives the sum of
+    psi_1, and the shift by a adds zeta_p^(-c k a).
+    """
+    k = primes.multiplicative_order(p, d)
+    if d == 2:
+        return ClosedForm("quadratic", k, p if p % 4 == 1 else -p)
+    s = semiprimitive(p, d)
+    if s is not None:
+        eps = -1 if p > 2 and (p ** s + 1) // d % 2 else 1
+        return ClosedForm("semiprimitive", k, 2 * eps * p ** s)
+    if d > 3 and d % 4 == 3 and 2 * k == d - 1 and primes.is_prime(d):
+        h = _class_number(d)
+        A = _cornacchia(d, p, h)[0]
+        if (A + 2 * pow(p, (k + h) // 2, d)) % d:
+            A = -A
+        return ClosedForm("index-2", k, p ** ((k - h) // 2) * A)
+    return None
+
+
+@lru_cache(maxsize=None)
+def _class_number(d: int) -> int:
+    """h(-d) for a prime d = 3 mod 4, d > 3, by Dirichlet's formula
+    h = -(1/d) sum over 0 < x < d of x (x/d); h is odd (genus theory),
+    so (k - h)/2 is an integer for k = (d - 1)/2."""
+    return -sum(x if pow(x, (d - 1) // 2, d) == 1 else -x
+                for x in range(1, d)) // d
+
+
+def _cornacchia(d: int, p: int, h: int) -> tuple[int, int]:
+    """(A, B), A, B >= 0, with A^2 + d B^2 = 4 p^h and p prime to B, for
+    a prime d = 3 mod 4 and a prime p split in Q(sqrt(-d)), where h is
+    the class number h(-d).
+
+    (A + B sqrt(-d))/2 then generates P^h for one of the two primes P
+    over p; p prime to B says that it is not divisible by p, and with
+    the units +-1 that makes (A, B) unique up to signs.  Other solutions
+    exist when P has order below h, as p times a generator of
+    P^(h-1) conj(P).  Cornacchia's method for 4N, N = p^h (Cohen, A
+    Course in Computational Algebraic Number Theory, Alg. 1.5.3) finds
+    the one wanted: a root r of r^2 = -d mod 4N, taken mod p and lifted
+    to p^h by Hensel's lemma, gives the ideal (N, (r + sqrt(-d))/2), a
+    power P^h, and Euclid's algorithm on (2N, r) down to the first
+    remainder b <= 2 sqrt(N) reduces it to its generator: b = A and
+    (4N - b^2)/d = B^2.
+    """
+    N = p ** h
+    if p == 2:
+        # lift r^2 = -d from mod 8 (-d = 1 mod 8 as 2 splits) to 2^(h+2)
+        r = 1
+        for e in range(3, h + 2):
+            if (r * r + d) % (2 << e):
+                r += 1 << (e - 1)
+    else:
+        r = primes.sqrt_mod(-d, p)
+        while (r * r + d) % N:
+            r = (r - (r * r + d) * pow(2 * r, -1, N)) % N
+        # r odd: then r^2 = 1 = -d mod 4 as well
+        r += N * (r % 2 == 0)
+    a, b = 2 * N, r % (2 * N)
+    bound = math.isqrt(4 * N)
+    while b > bound:
+        a, b = b, a % b
+    B2, rem = divmod(4 * N - b * b, d)
+    B = math.isqrt(B2)
+    if rem or B * B != B2:
+        raise InvariantViolation(f"4 * {p}^{h} is not A^2 + {d} B^2")
+    return b, B
+
+
 def orbit_gauss_sum(p: int, M: int, c: int, u: int, a: int) -> CycloInt:
     """G_(c,O) = sum over nonzero w in GF(p^k) of
     zeta_M^(u log w) zeta_p^(c (Tr w - k a)), exactly in Z[zeta_(p*M)],
@@ -150,19 +265,16 @@ def orbit_gauss_sum(p: int, M: int, c: int, u: int, a: int) -> CycloInt:
     orbit O of u.  Every member of O gives the same sum.
 
     A semiprimitive (p, d) with c nonzero mod p takes Stickelberger's
-    closed form and builds no table; every other pair reads the
-    histogram of GF(p^k)."""
+    closed form from ``closed_form`` and builds no table; every other
+    pair reads the histogram of GF(p^k)."""
     d = M // math.gcd(u, M)
     k = primes.multiplicative_order(p, d)
-    s = semiprimitive(p, d)
-    if s is None or c % p == 0:
+    cf = closed_form(p, d)
+    if cf is None or cf.kind != "semiprimitive" or c % p == 0:
         return _gauss_sum(p, k, M, c % p, u % M, a % p)
-    # g(chi, psi_1) = eps p^s over GF(p^(2s)) (Berndt, Evans and Williams,
-    # Thm 11.6.3); chi is trivial on GF(p)^* since d | p^s + 1, so psi_c
-    # gives the same sum, and the shift by a adds zeta_p^(-c k a)
-    eps = -1 if p > 2 and (p ** s + 1) // d % 2 else 1
+    # z = eps p^s = t / 2 for every u of order d
     return cyclo(p * M).from_zeta_exponents(
-        {M * ((-c * k * a) % p): eps * p ** s})
+        {M * ((-c * k * a) % p): cf.t // 2})
 
 
 @lru_cache(maxsize=None)

@@ -402,20 +402,22 @@ class FieldCtx:
 
         The trace is F_p-linear, so Tr(sum c_i X^i) = sum c_i Tr(X^i):
         the n basis traces, each a sum of relative Frobenius conjugates,
-        give all p^n of them.  Traces to the prime field with p < 256
-        come as bytes, one byte per element: the table for the first
-        i + 1 basis traces is p copies of the one for the first i, copy c
-        shifted by c * Tr(X^i) through bytes.translate.  Other traces
-        come as a list.
+        give all p^n of them.  The conjugates are summed digit by digit
+        on their packed values, so a trace to the prime field builds no
+        Zech table.  Traces to the prime field with p < 256 come as
+        bytes, one byte per element: the table for the first i + 1 basis
+        traces is p copies of the one for the first i, copy c shifted by
+        c * Tr(X^i) through bytes.translate.  Other traces come as a
+        list.
         """
         p = self.p
         step = 1 if sub is None else sub.n
         basis = []
         for i in range(self.n):
-            acc = 0
-            for k in range(0, self.n, step):
-                acc = self.add(acc, self.frob(p ** i, k))
-            basis.append(acc)
+            conj = [self.coeffs(self.frob(p ** i, k))
+                    for k in range(0, self.n, step)]
+            basis.append(sum(sum(col) % p * p ** j
+                             for j, col in enumerate(zip(*conj))))
         if step == 1:
             if max(basis) >= p:
                 raise InvariantViolation("trace left the prime field")

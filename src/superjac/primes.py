@@ -137,3 +137,37 @@ def multiplicative_order(a: int, m: int) -> int:
         while order % q == 0 and pow(a, order // q, m) == 1:
             order //= q
     return order
+
+
+def totient(n: int) -> int:
+    """Euler's phi(n) for n >= 1."""
+    out = n
+    for ell in factorize(n):
+        out = out // ell * (ell - 1)
+    return out
+
+
+def sqrt_mod(a: int, p: int) -> int:
+    """Some x with x^2 = a mod an odd prime p, for a nonzero square a mod
+    p, by Tonelli and Shanks."""
+    a %= p
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise SuperjacError(f"{a} is not a nonzero square mod {p}")
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, x = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    # x^2 = a t, and t has order 2^i with i < s
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, x = t * c % p, x * b % p
+    return x

@@ -16,13 +16,17 @@ with G_(c,O) a Gauss sum over GF(p^k_O), k_O the orbit size.  The
 factors whose characters have one order d | m are Galois conjugates of
 one sum G_d over GF(p^k_d), k_d = ord_d(p), so P is built from the
 traces of the powers of one G_d per divisor d > 1 (see
-``zeta_numerator_charsum``); the product itself is the test oracle.  A
-semiprimitive (p, d) gives G_d in Stickelberger's closed form, with no
-field table (``characters.orbit_gauss_sum``).  The enumeration needs
+``zeta_numerator_charsum``); the product itself is the test oracle.
+Three kinds of order give G_d = z zeta_p^(-k_d a) with z in closed form
+(``characters.closed_form``): d = 2, where z^2 = p*; semiprimitive
+(p, d), where z = eps p^s (Stickelberger); and prime d = 3 mod 4,
+d > 3, with <p> of index 2 in (Z/d)^*, where z = p^((k-h)/2) (A +
+B sqrt(-d))/2 (Mbodj; Yang and Xia).  Their traces come from integers
+alone, with no field table, histogram or ring.  The enumeration needs
 the tables of GF(p^g) and about p^n / n evaluations of F at level n,
 one per Frobenius orbit (see ``count_points``); the character sums
-cost p^k, k the largest k_d of a d that is not semiprimitive, and
-nothing else (k = 1 when m | p - 1).
+cost p^k, k the largest k_d of an order with no closed form, and
+otherwise work of the order of the degree (p - 1)(m - 1) of P.
 ``artin_schreier_lpoly`` is the one entry point that picks between
 them, by one rule: enumeration when m does not divide p - 1 and p^g
 fits the budget, else character sums, which ``zeta_numerator_charsum``
@@ -39,7 +43,11 @@ N_1 and N_2 trivial.  Past that, a P rests on the Gauss-sum theorems,
 the typed checks inside ``zeta_numerator_charsum`` (norms, trace
 divisibility, integral Newton steps, the functional equation at the
 middle coefficient), the torsion iff of ``torsion_criterion``, and the
-tests, which compare it with the orbit product and with enumeration.
+tests, which compare it with the orbit product and with enumeration,
+and every closed form with the histogram.  A closed form has its norm
+and its trace divisibility by construction, so for those orders the
+checks that can fail are A^2 + d B^2 = 4 p^h, Newton's identities, the
+functional equation, N_1, N_2 and the iff.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ import math
 from dataclasses import dataclass
 
 from . import gf, primes
-from .characters import orbit_gauss_sum, semiprimitive
+from .characters import ClosedForm, closed_form, orbit_gauss_sum
 from .curves import CurveSpec, make_curve
 from .cyclo import _zmul
 from .errors import (
@@ -311,22 +319,33 @@ def zeta_numerator_charsum(p: int, m: int, a: int,
     its n = (p - 1) phi(d) / k_d, and R_d's functional equation
     e_(n-j) = p^(k_d n/2 - k_d j) e_j gives the rest.
 
-    The one sizing of the route: GF(p^k), k the largest k_d of a d that
-    is not semiprimitive, past the budget or the table cap is refused
-    before any ring, histogram or field table is built.
+    The traces come from integers alone when ``characters.closed_form``
+    knows G_d = z zeta_p^(-k a): for d = 2, for semiprimitive (p, d),
+    and for prime d = 3 mod 4 with <p> of index 2 (see
+    ``_closed_traces``).  Every other order builds G_d from the
+    histogram of GF(p^k_d) and multiplies it out in Z[zeta_pd].
 
-    Checks, all typed: G_d conj(G_d) = p^k_d, each trace divisible by
-    k_d, Newton's identities integral, the functional equation at the
-    middle coefficient, and N_1, N_2 of P against ``count_points`` at
-    each level whose field fits the budget and the table cap.  N_1 and
-    N_2 test the factors with k_d <= 2; a factor with k_d > 2 changes
-    neither, so there the check confirms only the trivial counts.
+    The one sizing of the route: GF(p^k), k the largest k_d of an order
+    with no closed form and at least 1, past the budget or the table cap
+    is refused before any ring, histogram or field table is built.  The
+    floor k >= 1 bounds the orders in closed form too: R_d has degree
+    (p - 1) phi(d) / k_d, so their work grows with p although they read
+    no field.
+
+    Checks, all typed: G_d conj(G_d) = p^k_d (on the ring route; a
+    closed form has that norm by construction, and A^2 + d B^2 = 4 p^h
+    is checked where it is solved), each trace divisible by k_d, Newton's
+    identities integral, the functional equation at the middle
+    coefficient, and N_1, N_2 of P against ``count_points`` at each level
+    whose field fits the budget and the table cap.  N_1 and N_2 test the
+    factors with k_d <= 2; a factor with k_d > 2 changes neither, so
+    there the check confirms only the trivial counts.
     """
     _require_curve(p, m)
     _require_a(p, a)
     degrees = _character_degrees(p, m)
-    k = max((k for d, k in degrees if semiprimitive(p, d) is None),
-            default=0)
+    k = max((k for d, k in degrees if closed_form(p, d) is None),
+            default=1)
     if not gf.fits(p, k, budget):
         # names both routes' fields: it says why each was skipped
         raise BudgetExceeded(
@@ -335,17 +354,13 @@ def zeta_numerator_charsum(p: int, m: int, a: int,
             f"the limit is {gf.limit_name(budget)}")
     coeffs = [1]
     for d, k in degrees:
-        G = orbit_gauss_sum(p, d, 1, 1, a)
-        if G.times_conjugate() != p ** k:
-            raise InvariantViolation(f"Gauss sum of order {d} must have "
-                                     f"norm {p}^{k}")
-        n = G.ctx.phi // k
+        n = (p - 1) * primes.totient(d) // k
         h = (n + 1) // 2
-        s, g = [], G
-        for j in range(1, h + 1):
-            if j > 1:
-                g = g * G
-            tr = g.trace()
+        cf = closed_form(p, d)
+        traces = _closed_traces(p, d, cf, a, h) if cf else \
+            _ring_traces(p, d, k, a, h)
+        s = []
+        for j, tr in enumerate(traces, 1):
             if tr % k:
                 raise InvariantViolation(
                     f"trace of G^{j} must be divisible by k = {k}")
@@ -362,6 +377,54 @@ def zeta_numerator_charsum(p: int, m: int, a: int,
     P = lpoly(p, (p - 1) * (m - 1) // 2, coeffs)
     _check_low_counts(P, artin_schreier_curve(p, m, a), budget)
     return P
+
+
+def _ring_traces(p: int, d: int, k: int, a: int, upto: int):
+    """Tr(G_d^j), j = 1..upto, for G_d built in Z[zeta_pd] from the
+    histogram of GF(p^k), after the check G_d conj(G_d) = p^k."""
+    G = orbit_gauss_sum(p, d, 1, 1, a)
+    if G.times_conjugate() != p ** k:
+        raise InvariantViolation(f"Gauss sum of order {d} must have "
+                                 f"norm {p}^{k}")
+    g = G
+    for j in range(1, upto + 1):
+        if j > 1:
+            g = g * G
+        yield g.trace()
+
+
+def _closed_traces(p: int, d: int, cf: ClosedForm, a: int,
+                   upto: int) -> list[int]:
+    """Tr(G_d^j), j = 1..upto, for G_d = z zeta_p^(-k a) in closed form.
+
+    For d = 2, z = g with g^2 = p*, so G^j is (p*)^(j/2) zeta_p^e for even
+    j, e = -j a, and for odd j the trace of g zeta_p^e is the sum over t
+    of (t/p) g zeta_p^(te) = (e/p) g^2.  Otherwise z lies in Q(zeta_d),
+    which is linearly disjoint from Q(zeta_p), so the trace is
+    Tr(z^j) Tr(zeta_p^(-j k a)), with Tr(z^j) = phi(d)/2 V_j over Q(zeta_d):
+    z is rational or lies in Q(sqrt(-d)), and V_j = z^j + conj(z)^j obeys
+    V_j = t V_(j-1) - p^k V_(j-2), t = z + conj(z).
+    """
+    def tr_p(e: int) -> int:
+        # Tr_(Q(zeta_p)/Q) zeta_p^e; (-1)^e when p = 2
+        return p - 1 if e % p == 0 else -1
+
+    if cf.kind == "quadratic":
+        out = []
+        for j in range(1, upto + 1):
+            e = -j * a
+            if j % 2 == 0:
+                out.append(cf.t ** (j // 2) * tr_p(e))
+            else:
+                r = pow(e, (p - 1) // 2, p)
+                out.append(cf.t ** ((j + 1) // 2) * (r if r < 2 else -1))
+        return out
+    half, pk = primes.totient(d) // 2, p ** cf.k
+    out, v0, v1 = [], 2, cf.t
+    for j in range(1, upto + 1):
+        out.append(half * v1 * tr_p(-j * cf.k * a))
+        v0, v1 = v1, cf.t * v1 - pk * v0
+    return out
 
 
 def _check_low_counts(P: LPolynomial, curve: CurveSpec, budget: int) -> None:

@@ -157,9 +157,11 @@ def test_criterion_06_torsion_iff_grid() -> None:
     ok = ok and evidenced.get((2, 5)) is True
     ok = ok and evidenced.get((2, 7)) is False
     ok = ok and evidenced.get((3, 2)) is False
-    # 8 pairs with q | p - 1, 9 enumerable ones and 13 more from
-    # character sums: 9 over GF(p^k), k = ord_q(p), within this budget,
-    # and 4 whose GF(p^k) is past it but whose (p, q) is semiprimitive
+    # 9 enumerable pairs, 8 with q | p - 1 (the 5 with q = 2 in closed
+    # form, 3 from histograms of GF(p)) and 13 more from character sums:
+    # 12 in closed form, 10 semiprimitive (4 of them with GF(p^k),
+    # k = ord_q(p), past this budget) and 2 of index 2, (5, 11) and
+    # (11, 7), and one, (3, 13), from the histogram of GF(27)
     ok = ok and len(evidenced) == 30
     report(6, f"q | #J(F_p) iff p | ord_q(p) on {len(evidenced)} "
               f"pairs within budget", ok)

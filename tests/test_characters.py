@@ -25,7 +25,7 @@ from superjac.characters import (
 )
 from superjac.cyclo import CycloCtx, cyclo
 from superjac.errors import (BudgetExceeded, CharacterUnavailable,
-                             SuperjacError)
+                             InvariantViolation, SuperjacError)
 
 
 def test_quadratic_sum_over_gf3_is_one_minus_zeta3():
@@ -405,3 +405,108 @@ def test_refused_calls_leave_the_power_memo(fresh_sum_caches):
     assert hasse_davenport_ok(5, 2, 2, 1, 1, 2)
     assert _kept()[1] == 4
     assert characters._hd_power(5, 2, 1, 1, 1, 2) is held
+
+
+def test_histogram_builds_no_zech_table(monkeypatch, fresh_sum_caches):
+    # the trace table sums Frobenius conjugates digit by digit, and the
+    # histogram walks exp: neither adds through the Zech table
+    monkeypatch.setattr(gf, "_CTX_CACHE", {})
+    characters._histogram(5, 6, 7)
+    assert gf.field(5, 6)._zech is None
+
+
+def _trace_by_add(ctx):
+    """Tr(w) for every w as the sum of its n Frobenius conjugates through
+    the field's own addition: the oracle for trace_table."""
+    out = []
+    for w in ctx.elements():
+        acc = 0
+        for k in range(ctx.n):
+            acc = ctx.add(acc, ctx.frob(w, k))
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(7, 1), (19, 1), (2, 4), (3, 7), (5, 5),
+                                 (11, 3), (2, 12)])
+def test_trace_table_matches_the_sum_of_conjugates(p, n):
+    # the fields of test_histogram_matches_per_unit_dlog
+    ctx = gf.field(p, n)
+    assert list(ctx.trace_table()) == _trace_by_add(ctx)
+
+
+# h(-d) for the primes d = 3 mod 4 below 100 (Cohen, A Course in
+# Computational Algebraic Number Theory, Appendix B.4)
+CLASS_NUMBERS = {7: 1, 11: 1, 19: 1, 23: 3, 31: 3, 43: 1, 47: 5, 59: 3,
+                 67: 1, 71: 7, 79: 5, 83: 3}
+
+
+def test_class_numbers():
+    assert {d: characters._class_number(d) for d in CLASS_NUMBERS} == \
+        CLASS_NUMBERS
+
+
+def _representations(d, p, h):
+    """Every (A, B), A, B >= 0, with A^2 + d B^2 = 4 p^h and p prime to
+    B, by a scan over B."""
+    N, out = p ** h, set()
+    for B in range(math.isqrt(4 * N // d) + 1):
+        A = math.isqrt(4 * N - d * B * B)
+        if A * A == 4 * N - d * B * B and B % p:
+            out.add((A, B))
+    return out
+
+
+def _split_primes(d, bound):
+    """The primes p < bound, p != d, split in Q(sqrt(-d))."""
+    return [p for p in range(2, bound) if primes.is_prime(p) and p != d
+            and (d % 8 == 7 if p == 2 else pow(-d, (p - 1) // 2, p) == 1)]
+
+
+@pytest.mark.parametrize("d", sorted(CLASS_NUMBERS))
+def test_cornacchia_matches_a_scan(d):
+    # 4 p^h with h = h(-d) has one representation with p prime to B up
+    # to sign, found by Cornacchia's method; some have A and B even, e.g.
+    # 44 = 4^2 + 7 2^2, and some have others with p | B, e.g.
+    # 4 59^3 = 396^2 + 23 170^2 = 708^2 + 23 118^2, where 118 = 2 59
+    h = CLASS_NUMBERS[d]
+    split = [p for p in _split_primes(d, 200) if 4 * p ** h <= 10 ** 9]
+    assert len(split) >= 3
+    for p in split:
+        assert {characters._cornacchia(d, p, h)} == \
+            _representations(d, p, h), p
+
+
+def test_cornacchia_refuses_powers_with_no_representation():
+    # below the class number, P^e is principal only when the order of P
+    # divides e: 4 2^e = A^2 + 23 B^2 has no solution with B odd at
+    # e = 1 or 2; (4, 0) at e = 2 is the element 2 = P conj(P)
+    for d in (23, 31, 47, 71):
+        h = CLASS_NUMBERS[d]
+        p = _split_primes(d, 100)[0]
+        for e in range(1, h):
+            if _representations(d, p, e):
+                assert {characters._cornacchia(d, p, e)} == \
+                    _representations(d, p, e)
+            else:
+                with pytest.raises(InvariantViolation,
+                                   match=f"4 \\* {p}\\^{e} is not"):
+                    characters._cornacchia(d, p, e)
+
+
+def test_cornacchia_finds_even_solutions():
+    assert characters._cornacchia(7, 11, 1) == (4, 2)
+
+
+def test_closed_form_kinds():
+    cf = characters.closed_form
+    assert cf(3, 2) == ("quadratic", 1, -3)
+    assert cf(13, 2) == ("quadratic", 1, 13)
+    # (5, 3) is semiprimitive: z = eps p^s = -5... with t = 2 z
+    assert cf(5, 3).kind == "semiprimitive" and cf(5, 3).k == 2
+    # ord_11(3) = 5: index 2, h(-11) = 1, A^2 + 11 B^2 = 12 at A = 1
+    assert cf(3, 11) == ("index-2", 5, 3 ** 2 * 1)
+    # no closed form: d = 3 with p = 1 mod 3, index 6, index 4, and a
+    # composite d that is not semiprimitive
+    assert [cf(p, d) for p, d in [(7, 3), (2, 31), (3, 13), (5, 12)]] == \
+        [None] * 4

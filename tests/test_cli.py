@@ -59,6 +59,29 @@ def test_torsion_test_contract(capsys) -> None:
     assert doc["ord"] == 4
 
 
+def test_torsion_test_reaches_index_two_orders(capsys) -> None:
+    # ord_31(7) = 15 = (31 - 1)/2: the Gauss sums of order 31 live over
+    # GF(7^15), past the table cap, and take the index-2 closed form
+    code, out = run(capsys, ["torsion-test", "--p", "7", "--q", "31"])
+    assert code == 0
+    assert "evidence_route: character-sum" in out.splitlines()
+    code, doc = run_json(capsys, ["torsion-test", "--p", "7", "--q", "31"])
+    assert (code, doc["has_torsion"], doc["q_valuation"]) == (0, False, 0)
+    assert doc["evidence_ok"] is True
+
+
+@pytest.mark.parametrize("p,q,n", [(3, 11, 10), (2, 23, 11), (3, 7, 6)],
+                         ids=["index-2-3-11", "index-2-2-23",
+                              "semiprimitive-3-7"])
+def test_closed_forms_agree_with_enumeration(capsys, p, q, n) -> None:
+    # up to N_n with n past the degree k_q = ord_q(p) of the factor of
+    # order q, so the enumeration tests it
+    code, out = run(capsys, ["count", "--p", str(p), "--q", str(q), "--a",
+                             "1", "--n", str(n), "--route", "both"])
+    assert code == 0
+    assert "agree: True" in out.splitlines()
+
+
 def test_torsion_test_exits_1_on_contradicting_evidence(capsys,
                                                        monkeypatch) -> None:
     # P(1) = 3 is prime to q = 5 although ord_5(2) = 4 is even
@@ -153,26 +176,27 @@ def test_count_routes(capsys) -> None:
     assert doc["routes"]["naive"] == doc["routes"]["charsum"] == [3, 5, 15]
     assert doc["agree"] is True
 
-    # the Gauss sums of order 31 live over GF(7^15), past the table cap;
-    # route=both degrades to naive only
-    code, doc = run_json(capsys, ["count", "--p", "7", "--q", "31",
+    # the Gauss sums of order 37 live over GF(7^9), past the table cap,
+    # and ord_37(7) = 9 gives them no closed form; route=both degrades to
+    # naive only
+    code, doc = run_json(capsys, ["count", "--p", "7", "--q", "37",
                                   "--a", "1", "--n", "1"])
     assert code == 0
     assert doc["routes"] == {"naive": [8], "charsum": None}
     assert doc["agree"] is None
 
-    # and where --budget refuses the Gauss sums: ord_7(2) = 3, and GF(2^3)
+    # and where --budget refuses the Gauss sums: ord_31(2) = 5, and GF(2^5)
     # is past a budget of 4 while GF(2) is not
-    code, doc = run_json(capsys, ["count", "--p", "2", "--q", "7", "--a",
+    code, doc = run_json(capsys, ["count", "--p", "2", "--q", "31", "--a",
                                   "1", "--n", "1", "--budget", "4"])
     assert code == 0
     assert doc["routes"] == {"naive": [3], "charsum": None}
 
-    code, doc = run_json(capsys, ["count", "--p", "7", "--q", "31",
+    code, doc = run_json(capsys, ["count", "--p", "7", "--q", "37",
                                   "--a", "1", "--n", "1", "--route",
                                   "charsum"])
     assert (code, doc["error"]) == (3, "budget-exceeded")
-    assert "GF(7^15)" in doc["detail"]
+    assert "GF(7^9)" in doc["detail"]
 
     # GF(7^8) is past the table cap, the Gauss sums of order 3 are not:
     # route=both degrades to charsum only
@@ -187,12 +211,12 @@ def test_count_routes(capsys) -> None:
     assert doc["detail"] == "GF(7^8) exceeds the table cap 4194304"
 
     # refused by both routes: exit 3, naming each route's field
-    code, doc = run_json(capsys, ["count", "--p", "7", "--q", "31",
+    code, doc = run_json(capsys, ["count", "--p", "7", "--q", "37",
                                   "--a", "1", "--n", "8"])
     assert (code, doc["error"]) == (3, "budget-exceeded")
     assert doc["detail"].startswith(
         "naive: GF(7^8) exceeds the table cap 4194304; charsum: ")
-    assert "GF(7^15)" in doc["detail"]
+    assert "GF(7^9)" in doc["detail"]
 
 
 def test_zeta_both_routes(capsys) -> None:
@@ -501,22 +525,22 @@ def test_undeclared_flag_shows_the_subcommand_usage(capsys) -> None:
 
 def test_charsum_refusal_names_the_table_cap(capsys) -> None:
     # no budget below the cap was given: the cap is the one limit named
-    code, doc = run_json(capsys, ["count", "--p", "7", "--q", "31", "--a",
+    code, doc = run_json(capsys, ["count", "--p", "7", "--q", "37", "--a",
                                   "1", "--n", "8", "--route", "charsum"])
     assert (code, doc["error"]) == (3, "budget-exceeded")
     assert doc["detail"].endswith(
-        "character sums GF(7^15); the limit is the table cap 4194304")
+        "character sums GF(7^9); the limit is the table cap 4194304")
     assert doc["detail"].count("4194304") == 1
     assert "budget" not in doc["detail"]
 
 
 def test_charsum_refusal_names_the_budget(capsys) -> None:
-    code, doc = run_json(capsys, ["count", "--p", "7", "--q", "31", "--a",
+    code, doc = run_json(capsys, ["count", "--p", "7", "--q", "37", "--a",
                                   "1", "--n", "1", "--route", "charsum",
                                   "--budget", "1000"])
     assert (code, doc["error"]) == (3, "budget-exceeded")
     assert doc["detail"].endswith(
-        "character sums GF(7^15); the limit is the budget 1000")
+        "character sums GF(7^9); the limit is the budget 1000")
     assert "table cap" not in doc["detail"]
 
 

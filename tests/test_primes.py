@@ -89,3 +89,22 @@ def test_bad_arguments_are_usage_errors(call):
     # typed, so the refusal survives python -O
     with pytest.raises(SuperjacError):
         call()
+
+
+def test_totient_counts_the_units():
+    for n in range(1, 200):
+        assert primes.totient(n) == sum(
+            1 for a in range(1, n + 1) if math.gcd(a, n) == 1), n
+
+
+def test_sqrt_mod_over_every_square():
+    # p = 3 mod 4, p = 5 mod 8, and p = 1 mod 8 with 2^s || p - 1 for
+    # s up to 6
+    for p in (3, 7, 13, 17, 41, 73, 97, 193, 257, 1009):
+        for a in range(1, p):
+            if pow(a, (p - 1) // 2, p) == 1:
+                x = primes.sqrt_mod(a, p)
+                assert x * x % p == a, (p, a)
+            else:
+                with pytest.raises(SuperjacError, match="square"):
+                    primes.sqrt_mod(a, p)

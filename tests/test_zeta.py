@@ -167,10 +167,11 @@ def test_torsion_iff_refuses_contradicting_evidence(monkeypatch):
 
 
 def test_torsion_budget_leaves_verdict():
-    # ord_23(2) = 11 is odd, so no Gauss sum of order 23 has a closed
-    # form, and GF(2^11) is past the budget
-    res = torsion_criterion(2, 23, budget=10)
-    assert res.k == 11 and not res.has_torsion  # pure arithmetic
+    # ord_31(2) = 5 is odd and <2> has index 6 in (Z/31)^*, so no Gauss
+    # sum of order 31 has a closed form, and GF(2^5) is past the budget
+    assert characters.closed_form(2, 31) is None
+    res = torsion_criterion(2, 31, budget=10)
+    assert res.k == 5 and not res.has_torsion  # pure arithmetic
     assert res.evidence_route is None and res.jacobian_order is None
 
 
@@ -548,21 +549,25 @@ def test_oracle_cases_cover_the_shapes():
     assert (2, 13) in ORACLE_CASES and (13, 7) in ORACLE_CASES
 
 
-@pytest.mark.parametrize("spoil,match", [
+@pytest.mark.parametrize("p,m,spoil,match", [
     # the wrong sign keeps the norm, integral power sums and the middle
-    # of the functional equation, but not N_2 on the k = 2 pair (5, 3)
-    (lambda g: -g, "N_2"),
-    (lambda g: g * 2, "norm 5\\^2"),
-    # times zeta_3 = zeta_15^5: the norm holds, the trace is odd
-    (lambda g: g * g.ctx.from_zeta_exponents({5: 1}), "divisible by k = 2"),
+    # of the functional equation, but not N_1 on the k = 1 pair (7, 3)
+    (7, 3, lambda g: -g, "N_1"),
+    (7, 3, lambda g: g * 2, "norm 7\\^1"),
+    # times zeta_62 on (2, 31), k = 5: the norm holds, and the trace of G
+    # is no longer divisible by k
+    (2, 31, lambda g: g * g.ctx.from_zeta_exponents({1: 1}),
+     "trace of G\\^1 must be divisible by k = 5"),
 ], ids=["sign", "norm", "trace"])
-def test_trace_route_keeps_its_guards(monkeypatch, spoil, match):
-    # every check is typed, so each holds under python -O too
+def test_trace_route_keeps_its_guards(monkeypatch, p, m, spoil, match):
+    # every check is typed, so each holds under python -O too; the order
+    # has no closed form, so its sum is built in the ring and spoiled
+    assert characters.closed_form(p, m) is None
     real = zeta_module.orbit_gauss_sum
     monkeypatch.setattr(zeta_module, "orbit_gauss_sum",
                         lambda *args: spoil(real(*args)))
     with pytest.raises(InvariantViolation, match=match):
-        zeta_numerator_charsum(5, 3, 1)
+        zeta_numerator_charsum(p, m, 1)
 
 
 def test_trace_route_guard_levels_follow_the_budget(monkeypatch):
@@ -644,11 +649,13 @@ def test_route_order():
     # enumeration wall refuses
     with pytest.raises(BudgetExceeded, match=r"GF\(3\^12\)"):
         power_law_check(3, 13, budget=200_000)
-    # (2, 13) takes its sum in closed form and needs no table at all;
-    # ord_47(2) = 23 is odd, so (2, 47) still needs GF(2^23)
+    # (2, 13) and (2, 47) take their sums in closed form, semiprimitive
+    # and index 2, and need no table at all; ord_31(2) = 5 is odd and <2>
+    # has index 6, so (2, 31) still needs GF(2^5)
     assert artin_schreier_lpoly(2, 13, 1, budget=10)[0] == "character-sum"
-    with pytest.raises(BudgetExceeded, match=r"GF\(2\^23\)"):
-        artin_schreier_lpoly(2, 47, 1, budget=10)
+    assert artin_schreier_lpoly(2, 47, 1, budget=10)[0] == "character-sum"
+    with pytest.raises(BudgetExceeded, match=r"GF\(2\^5\)"):
+        artin_schreier_lpoly(2, 31, 1, budget=10)
 
 
 @pytest.mark.parametrize("m", [1, 0, -2, 14])
@@ -746,3 +753,106 @@ def test_jacobian_order_invariants_are_typed():
     # under python -O
     with pytest.raises(InvariantViolation, match="positive"):
         LPolynomial(2, 1, (1, -3, 2)).jacobian_order(1)
+
+
+def _small_orders():
+    """(p, d, k) for p <= 23, d prime to p and p^k <= 2^16, k = ord_d(p):
+    d | p^s + 1 <= 2^8 + 1 for a semiprimitive (p, d), and an index-2
+    d = 2k + 1 is at most 33."""
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        for d in range(2, 2 ** 8 + 2):
+            if d % p:
+                k = primes.multiplicative_order(p, d)
+                if p ** k <= 2 ** 16:
+                    yield p, d, k
+
+
+def _kind(p, d, k):
+    """The closed form that (p, d) should have, by its definition."""
+    if d == 2:
+        return "quadratic"
+    if characters.semiprimitive(p, d) is not None:
+        return "semiprimitive"
+    if primes.is_prime(d) and d % 4 == 3 and d > 3 and 2 * k == d - 1:
+        return "index-2"
+    return None
+
+
+CLOSED_FORM_PAIRS = [(p, d) for p, d, k in _small_orders() if _kind(p, d, k)]
+
+
+def test_closed_form_pairs_cover_the_kinds():
+    kinds = {}
+    for p, d, k in _small_orders():
+        cf = characters.closed_form(p, d)
+        assert (cf and (cf.kind, cf.k)) == (_kind(p, d, k) and
+                                            (_kind(p, d, k), k)), (p, d)
+        if cf:
+            kinds.setdefault(cf.kind, []).append((p, d))
+    assert {kind: len(pairs) for kind, pairs in kinds.items()} == \
+        {"quadratic": 8, "semiprimitive": 68, "index-2": 6}
+    assert kinds["index-2"] == [(2, 7), (2, 23), (3, 11), (5, 11), (11, 7),
+                                (23, 7)]
+
+
+def _ramanujan(N, e):
+    """Tr(zeta_N^e) = mu(N/g) phi(N) / phi(N/g), g = gcd(e, N)."""
+    r = N // math.gcd(e, N)
+    fac = primes.factorize(r)
+    mu = 0 if any(v > 1 for v in fac.values()) else (-1) ** len(fac)
+    return mu * primes.totient(N) // primes.totient(r)
+
+
+@pytest.mark.parametrize("p,d", CLOSED_FORM_PAIRS,
+                         ids=[f"{p}-{d}" for p, d in CLOSED_FORM_PAIRS])
+def test_closed_traces_match_the_histogram(p, d, fresh_sum_caches):
+    # Tr(G_d^j) from integers against the traces of the powers of the sum
+    # read off the histogram of GF(p^k), for every a and every j that
+    # zeta_numerator_charsum asks.  G_a^j = G_0^j zeta_N^(-j k a d), so
+    # its trace is sum_i c_i Tr(zeta_N^(i - j k a d)) over the
+    # coefficients c_i of G_0^j
+    cf = characters.closed_form(p, d)
+    n = (p - 1) * primes.totient(d) // cf.k
+    h = (n + 1) // 2
+    G = characters._gauss_sum(p, cf.k, d, 1, 1, 0)
+    assert G * G.ctx.from_zeta_exponents({d * (-cf.k) % (p * d): 1}) == \
+        characters._gauss_sum(p, cf.k, d, 1, 1, 1)
+    N = G.ctx.N
+    traces = {a: [] for a in range(p)}
+    g = G
+    for j in range(1, h + 1):
+        for a in range(p):
+            shift = -j * cf.k * a * d
+            traces[a].append(sum(c * _ramanujan(N, i + shift)
+                                 for i, c in enumerate(g.coeffs) if c))
+        g = g * G
+    assert traces[0][0] == G.trace()
+    for a in range(p):
+        assert zeta_module._closed_traces(p, d, cf, a, h) == traces[a], a
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (13, 2), (5, 3), (3, 14), (5, 19),
+                                 (2, 47), (7, 31)])
+def test_closed_forms_build_no_ring_or_histogram(no_work, p, m):
+    # (3, 14) has orders 2, 7 and 14: quadratic and twice semiprimitive;
+    # the only fields built are GF(p) and GF(p^2), for N_1 and N_2
+    assert all(characters.closed_form(p, d) for d in range(2, m + 1)
+               if m % d == 0)
+    zeta_numerator_charsum(p, m, 1)
+    assert {n for _, n in gf._CTX_CACHE} <= {1, 2}
+
+
+def test_reach_on_the_primes_below_40(fresh_sum_caches):
+    # every ordered pair of distinct primes below 40 at the default budget:
+    # only (7, 37) and (23, 29) are refused, whose orders 37 and 29 have
+    # no closed form and fields GF(7^9) and GF(23^7) past the table cap;
+    # torsion_criterion raises on any pair where the iff fails
+    below_40 = [p for p in range(2, 40) if primes.is_prime(p)]
+    refused = []
+    for p, q in itertools.permutations(below_40, 2):
+        res = torsion_criterion(p, q)
+        if res.evidence_route is None:
+            refused.append((p, q))
+        else:
+            assert res.evidence_ok, (p, q)
+    assert refused == [(7, 37), (23, 29)]
