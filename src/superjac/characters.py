@@ -19,35 +19,34 @@ Two families of multiplicative characters are used.
   they double as a self-check of the histogram tables.  These
   sums feed the Hasse-Davenport identity grid.
 
-* Frobenius-orbit characters (``orbit_gauss_sum``) exist for every M
-  prime to p.  The nonzero residues u mod M fall into orbits under
-  u -> p*u; the orbit of u has k = ord_d(p) members, d = M / gcd(u, M),
-  and chi_u(w) = zeta_M^(u * log w) is a character of GF(p^k)^*, log
-  being the discrete log to that field's stored generator.  When
-  (p, d) is semiprimitive, that is d > 2 and p^s = -1 mod d for some
-  s, k = 2s and Stickelberger's theorem gives the sum in closed form,
-  eps * p^s * zeta_p^(-c k a) with eps = 1 for p = 2 and
-  (-1)^((p^s + 1)/d) otherwise (Berndt, Evans and Williams, Gauss and
-  Jacobi Sums, Thm 11.6.3); no field is built.
+* Frobenius-orbit characters exist for every M prime to p.  The
+  nonzero residues u mod M fall into orbits under u -> p*u; the orbit
+  of u has k = ord_d(p) members, d = M / gcd(u, M), and
+  chi_u(w) = zeta_M^(u * log w) is a character of GF(p^k)^*, log being
+  the discrete log to that field's stored generator.  The orbits of
+  one order d give Galois conjugates of one sum G_d, and
+  ``orbit_traces`` gives the traces of its powers.
 
 ``closed_form`` is the one place that decides and computes the closed
-forms, on integers: the semiprimitive one above, the quadratic sum
-(d = 2, G^2 = p* zeta_p^(-2a)), and the index-2 sum of a prime
+forms, on integers: the quadratic sum (d = 2, G^2 = p* zeta_p^(-2a)),
+the semiprimitive sum (d > 2 and p^s = -1 mod d; then k = 2s and
+Stickelberger's theorem gives eps * p^s * zeta_p^(-c k a), with eps = 1
+for p = 2 and (-1)^((p^s + 1)/d) otherwise; Berndt, Evans and Williams,
+Gauss and Jacobi Sums, Thm 11.6.3), and the index-2 sum of a prime
 d = 3 mod 4, d > 3, with <p> of index 2 in (Z/d)^* (Mbodj, Finite Fields
 Appl. 4, 1998; Yang and Xia, Sci. China Math. 53, 2010), whose
-A^2 + d B^2 = 4 p^h comes from Cornacchia's method.  The sizing and
-the power sums of ``zeta.zeta_numerator_charsum`` and the semiprimitive
-branch of ``orbit_gauss_sum`` read it.  The index-2 form fixes B only
-up to sign, that is the sum only up to complex conjugation, so it
-serves the power sums, which see only the Galois orbit, and not
-``orbit_gauss_sum``.
+A^2 + d B^2 = 4 p^h comes from Cornacchia's method.  ``orbit_traces``
+alone chooses between a closed form and the ring; the sizing of
+``zeta.zeta_numerator_charsum`` only asks whether a form exists.
 
 Every other sum reads one histogram per field: the counts of
 (Tr(w), log(w) mod L) over the nonzero w, counted along the exp table,
 where log(g^k) = k, so no discrete log is taken; the trace table sums
 Frobenius conjugates digit by digit, so neither builds a Zech table.
-Only the field-table cap bounds the level.  The histogram stays the
-oracle for every closed form in the tests.
+Only the field-table cap bounds the level.  In the tests the histogram
+stays the oracle of every closed form, and Weil's product of the orbit
+sums of every (c, u), each read off the histogram, the oracle of the
+traces; that product is no route.
 
 ``modified_gauss_sum`` and ``hasse_davenport_ok`` keep their last
 eight sums and powers (-G_1)^n in ``functools.lru_cache``s keyed by
@@ -175,7 +174,7 @@ def closed_form(p: int, d: int) -> ClosedForm | None:
 
     * d = 2: z = g is the quadratic Gauss sum, g^2 = p* = (-1)^((p-1)/2) p.
     * semiprimitive (p, d): z = eps p^s (Stickelberger; Berndt, Evans and
-      Williams, Thm 11.6.3), the sum ``orbit_gauss_sum`` builds.
+      Williams, Thm 11.6.3).
     * prime d = 3 mod 4, d > 3, with <p> of index 2 in (Z/d)^*, so
       k = (d - 1)/2: z = p^((k-h)/2) (A + B sqrt(-d))/2 with h = h(-d),
       A^2 + d B^2 = 4 p^h, p prime to B, and A = -2 p^((k+h)/2) mod d
@@ -184,13 +183,12 @@ def closed_form(p: int, d: int) -> ClosedForm | None:
       depends on the character and is left free: the two choices are
       complex conjugates, so the Galois orbit of G_d, and with it every
       trace and R_d, is the same.  Only z + conj(z) is kept, which is
-      all the power sums of ``zeta_numerator_charsum`` read; so this form
-      stays out of ``orbit_gauss_sum``, which must give the sum of each
-      u exactly.
+      all that the traces read.
 
     In the last two cases, and for every u and nonzero c, chi is trivial
     on GF(p)^*, since d does not divide p - 1; so psi_c gives the sum of
-    psi_1, and the shift by a adds zeta_p^(-c k a).
+    psi_1, and the shift by a adds zeta_p^(-c k a).  Only
+    ``orbit_traces`` reads a form's fields.
     """
     k = primes.multiplicative_order(p, d)
     if d == 2:
@@ -258,23 +256,61 @@ def _cornacchia(d: int, p: int, h: int) -> tuple[int, int]:
     return b, B
 
 
-def orbit_gauss_sum(p: int, M: int, c: int, u: int, a: int) -> CycloInt:
-    """G_(c,O) = sum over nonzero w in GF(p^k) of
-    zeta_M^(u log w) zeta_p^(c (Tr w - k a)), exactly in Z[zeta_(p*M)],
-    where k = ord_d(p), d = M / gcd(u, M), is the size of the Frobenius
-    orbit O of u.  Every member of O gives the same sum.
-
-    A semiprimitive (p, d) with c nonzero mod p takes Stickelberger's
-    closed form from ``closed_form`` and builds no table; every other
-    pair reads the histogram of GF(p^k)."""
-    d = M // math.gcd(u, M)
-    k = primes.multiplicative_order(p, d)
+def orbit_traces(p: int, d: int, a: int, upto: int) -> list[int]:
+    """Tr(G_d^j), j = 1..upto, for the Gauss sum G_d of order d over
+    GF(p^k), k = ord_d(p), at c = u = 1: from integers alone when
+    ``closed_form`` has a form for (p, d), and otherwise from G_d built in
+    Z[zeta_pd] from the histogram of GF(p^k), after the check
+    G_d conj(G_d) = p^k."""
     cf = closed_form(p, d)
-    if cf is None or cf.kind != "semiprimitive" or c % p == 0:
-        return _gauss_sum(p, k, M, c % p, u % M, a % p)
-    # z = eps p^s = t / 2 for every u of order d
-    return cyclo(p * M).from_zeta_exponents(
-        {M * ((-c * k * a) % p): cf.t // 2})
+    if cf is not None:
+        return _closed_traces(p, d, cf, a, upto)
+    k = primes.multiplicative_order(p, d)
+    # the histogram first: it refuses a field past the cap before the ring
+    G = _gauss_sum(p, k, d, 1, 1, a % p)
+    if G.times_conjugate() != p ** k:
+        raise InvariantViolation(f"Gauss sum of order {d} must have "
+                                 f"norm {p}^{k}")
+    out, g = [], G
+    for j in range(upto):
+        if j:
+            g = g * G
+        out.append(g.trace())
+    return out
+
+
+def _closed_traces(p: int, d: int, cf: ClosedForm, a: int,
+                   upto: int) -> list[int]:
+    """Tr(G_d^j), j = 1..upto, for G_d = z zeta_p^(-k a) in closed form.
+
+    For d = 2, z = g with g^2 = p*, so G^j is (p*)^(j/2) zeta_p^e for even
+    j, e = -j a, and for odd j the trace of g zeta_p^e is the sum over t
+    of (t/p) g zeta_p^(te) = (e/p) g^2.  Otherwise z lies in Q(zeta_d),
+    which is linearly disjoint from Q(zeta_p), so the trace is
+    Tr(z^j) Tr(zeta_p^(-j k a)), with Tr(z^j) = phi(d)/2 V_j over Q(zeta_d):
+    z is rational or lies in Q(sqrt(-d)), and V_j = z^j + conj(z)^j obeys
+    V_j = t V_(j-1) - p^k V_(j-2), t = z + conj(z).
+    """
+    def tr_p(e: int) -> int:
+        # Tr_(Q(zeta_p)/Q) zeta_p^e; (-1)^e when p = 2
+        return p - 1 if e % p == 0 else -1
+
+    if cf.kind == "quadratic":
+        out = []
+        for j in range(1, upto + 1):
+            e = -j * a
+            if j % 2 == 0:
+                out.append(cf.t ** (j // 2) * tr_p(e))
+            else:
+                r = pow(e, (p - 1) // 2, p)
+                out.append(cf.t ** ((j + 1) // 2) * (r if r < 2 else -1))
+        return out
+    half, pk = primes.totient(d) // 2, p ** cf.k
+    out, v0, v1 = [], 2, cf.t
+    for j in range(1, upto + 1):
+        out.append(half * v1 * tr_p(-j * cf.k * a))
+        v0, v1 = v1, cf.t * v1 - pk * v0
+    return out
 
 
 @lru_cache(maxsize=None)

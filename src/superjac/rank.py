@@ -192,8 +192,9 @@ def certify_rank(p: int, q: int, k: int) -> RankCertificate:
     ``zeta.torsion_criterion``, which requires q not to divide it.  Any
     failed hypothesis raises HypothesisFailed carrying the full report;
     q dividing |J(F_p)| would contradict a theorem, so the criterion's
-    iff check raises EvidenceFailed, and no evidence route within the
-    cap raises BudgetExceeded.
+    iff check raises EvidenceFailed, and no evidence route raises
+    BudgetExceeded with the criterion's refusal, which names the field
+    and the limit that stopped it.
     """
     rep = _theorem_hypotheses(p, q, k)
     if not rep.all_pass():
@@ -214,9 +215,8 @@ def certify_rank(p: int, q: int, k: int) -> RankCertificate:
     # not divide |J(F_p)|, and its iff check raises EvidenceFailed if it does
     res = zeta.torsion_criterion(p, q, a=a)
     if res.evidence_route is None:
-        raise BudgetExceeded(
-            f"|J(F_{p})| of y^{q} = x^{p} - x + {a} has no evidence route "
-            f"within the budget and table cap {zeta.COUNT_BUDGET}")
+        raise BudgetExceeded(f"|J(F_{p})| of y^{q} = x^{p} - x + {a} has no "
+                             f"evidence route: {res.refusal}")
     kr = k % p
     _verify_reduced_relation(p, q, a, kr)
     evidence = {

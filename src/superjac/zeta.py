@@ -7,7 +7,8 @@ come from P by exact power-sum transforms, never floating point.
 
 Two independent routes give P for the family y^m = x^p - x + a over
 GF(p), m prime to p: direct enumeration of GF(p^n) for n = 1..g, and
-Weil's Frobenius-orbit product of Gauss sums
+character sums.  The second rests on Weil's Frobenius-orbit product of
+Gauss sums
 
     P(T) = prod over c in F_p^* and orbits O of u -> p*u on Z/m - 0
            of (1 + G_(c,O) T^k_O),
@@ -16,13 +17,17 @@ with G_(c,O) a Gauss sum over GF(p^k_O), k_O the orbit size.  The
 factors whose characters have one order d | m are Galois conjugates of
 one sum G_d over GF(p^k_d), k_d = ord_d(p), so P is built from the
 traces of the powers of one G_d per divisor d > 1 (see
-``zeta_numerator_charsum``); the product itself is the test oracle.
+``zeta_numerator_charsum``), which ``characters.orbit_traces`` gives.
+The product itself is not a route: it is expanded only in the tests,
+from a histogram sum for every (c, u), as the oracle of the traces.
 Three kinds of order give G_d = z zeta_p^(-k_d a) with z in closed form
 (``characters.closed_form``): d = 2, where z^2 = p*; semiprimitive
 (p, d), where z = eps p^s (Stickelberger); and prime d = 3 mod 4,
 d > 3, with <p> of index 2 in (Z/d)^*, where z = p^((k-h)/2) (A +
 B sqrt(-d))/2 (Mbodj; Yang and Xia).  Their traces come from integers
-alone, with no field table, histogram or ring.  The enumeration needs
+alone, with no field table, histogram or ring; ``characters`` alone
+chooses a closed form or the ring, and this module only asks whether a
+form exists.  The enumeration needs
 the tables of GF(p^g) and about p^n / n evaluations of F at level n,
 one per Frobenius orbit (see ``count_points``); the character sums
 cost p^k, k the largest k_d of an order with no closed form, and
@@ -56,7 +61,7 @@ import math
 from dataclasses import dataclass
 
 from . import gf, primes
-from .characters import ClosedForm, closed_form, orbit_gauss_sum
+from .characters import closed_form, orbit_traces
 from .curves import CurveSpec, make_curve
 from .cyclo import _zmul
 from .errors import (
@@ -313,17 +318,15 @@ def zeta_numerator_charsum(p: int, m: int, a: int,
     for any m >= 2 prime to p, from one Gauss sum per d.
 
     The roots of R_d(X) = prod (1 + beta X) are the Galois conjugates of
-    G_d = ``orbit_gauss_sum(p, d, 1, 1, a)`` in Z[zeta_pd], each taken k_d
-    times, so their power sums are S_j = Tr(G_d^j) / k_d.  Newton's
+    the Gauss sum G_d of order d at c = u = 1 in Z[zeta_pd], each taken
+    k_d times, so their power sums are S_j = Tr(G_d^j) / k_d.  Newton's
     identities give the coefficients e_1..e_h of R_d, h = ceil(n/2) of
     its n = (p - 1) phi(d) / k_d, and R_d's functional equation
     e_(n-j) = p^(k_d n/2 - k_d j) e_j gives the rest.
 
-    The traces come from integers alone when ``characters.closed_form``
-    knows G_d = z zeta_p^(-k a): for d = 2, for semiprimitive (p, d),
-    and for prime d = 3 mod 4 with <p> of index 2 (see
-    ``_closed_traces``).  Every other order builds G_d from the
-    histogram of GF(p^k_d) and multiplies it out in Z[zeta_pd].
+    The traces come from ``characters.orbit_traces``: from integers
+    where ``characters.closed_form`` has a form, else from G_d built from
+    the histogram of GF(p^k_d) and multiplied out in Z[zeta_pd].
 
     The one sizing of the route: GF(p^k), k the largest k_d of an order
     with no closed form and at least 1, past the budget or the table cap
@@ -332,14 +335,15 @@ def zeta_numerator_charsum(p: int, m: int, a: int,
     (p - 1) phi(d) / k_d, so their work grows with p although they read
     no field.
 
-    Checks, all typed: G_d conj(G_d) = p^k_d (on the ring route; a
-    closed form has that norm by construction, and A^2 + d B^2 = 4 p^h
-    is checked where it is solved), each trace divisible by k_d, Newton's
-    identities integral, the functional equation at the middle
-    coefficient, and N_1, N_2 of P against ``count_points`` at each level
-    whose field fits the budget and the table cap.  N_1 and N_2 test the
-    factors with k_d <= 2; a factor with k_d > 2 changes neither, so
-    there the check confirms only the trivial counts.
+    Checks, all typed: G_d conj(G_d) = p^k_d (in ``orbit_traces``, on
+    the ring route; a closed form has that norm by construction, and
+    A^2 + d B^2 = 4 p^h is checked where it is solved), each trace
+    divisible by k_d, Newton's identities integral, the functional
+    equation at the middle coefficient, and N_1, N_2 of P against
+    ``count_points`` at each level whose field fits the budget and the
+    table cap.  N_1 and N_2 test the factors with k_d <= 2; a factor
+    with k_d > 2 changes neither, so there the check confirms only the
+    trivial counts.
     """
     _require_curve(p, m)
     _require_a(p, a)
@@ -356,11 +360,8 @@ def zeta_numerator_charsum(p: int, m: int, a: int,
     for d, k in degrees:
         n = (p - 1) * primes.totient(d) // k
         h = (n + 1) // 2
-        cf = closed_form(p, d)
-        traces = _closed_traces(p, d, cf, a, h) if cf else \
-            _ring_traces(p, d, k, a, h)
         s = []
-        for j, tr in enumerate(traces, 1):
+        for j, tr in enumerate(orbit_traces(p, d, a, h), 1):
             if tr % k:
                 raise InvariantViolation(
                     f"trace of G^{j} must be divisible by k = {k}")
@@ -377,54 +378,6 @@ def zeta_numerator_charsum(p: int, m: int, a: int,
     P = lpoly(p, (p - 1) * (m - 1) // 2, coeffs)
     _check_low_counts(P, artin_schreier_curve(p, m, a), budget)
     return P
-
-
-def _ring_traces(p: int, d: int, k: int, a: int, upto: int):
-    """Tr(G_d^j), j = 1..upto, for G_d built in Z[zeta_pd] from the
-    histogram of GF(p^k), after the check G_d conj(G_d) = p^k."""
-    G = orbit_gauss_sum(p, d, 1, 1, a)
-    if G.times_conjugate() != p ** k:
-        raise InvariantViolation(f"Gauss sum of order {d} must have "
-                                 f"norm {p}^{k}")
-    g = G
-    for j in range(1, upto + 1):
-        if j > 1:
-            g = g * G
-        yield g.trace()
-
-
-def _closed_traces(p: int, d: int, cf: ClosedForm, a: int,
-                   upto: int) -> list[int]:
-    """Tr(G_d^j), j = 1..upto, for G_d = z zeta_p^(-k a) in closed form.
-
-    For d = 2, z = g with g^2 = p*, so G^j is (p*)^(j/2) zeta_p^e for even
-    j, e = -j a, and for odd j the trace of g zeta_p^e is the sum over t
-    of (t/p) g zeta_p^(te) = (e/p) g^2.  Otherwise z lies in Q(zeta_d),
-    which is linearly disjoint from Q(zeta_p), so the trace is
-    Tr(z^j) Tr(zeta_p^(-j k a)), with Tr(z^j) = phi(d)/2 V_j over Q(zeta_d):
-    z is rational or lies in Q(sqrt(-d)), and V_j = z^j + conj(z)^j obeys
-    V_j = t V_(j-1) - p^k V_(j-2), t = z + conj(z).
-    """
-    def tr_p(e: int) -> int:
-        # Tr_(Q(zeta_p)/Q) zeta_p^e; (-1)^e when p = 2
-        return p - 1 if e % p == 0 else -1
-
-    if cf.kind == "quadratic":
-        out = []
-        for j in range(1, upto + 1):
-            e = -j * a
-            if j % 2 == 0:
-                out.append(cf.t ** (j // 2) * tr_p(e))
-            else:
-                r = pow(e, (p - 1) // 2, p)
-                out.append(cf.t ** ((j + 1) // 2) * (r if r < 2 else -1))
-        return out
-    half, pk = primes.totient(d) // 2, p ** cf.k
-    out, v0, v1 = [], 2, cf.t
-    for j in range(1, upto + 1):
-        out.append(half * v1 * tr_p(-j * cf.k * a))
-        v0, v1 = v1, cf.t * v1 - pk * v0
-    return out
 
 
 def _check_low_counts(P: LPolynomial, curve: CurveSpec, budget: int) -> None:
@@ -471,6 +424,9 @@ class TorsionResult:
     jacobian_order: int | None
     q_valuation: int | None
     evidence_ok: bool | None
+    # why the evidence route is None, naming the field and the limit; kept
+    # out of to_dict, so the payload is the same
+    refusal: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -493,7 +449,8 @@ def torsion_criterion(p: int, q: int, level: int = 1, a: int = 1,
     when m does not divide p - 1 and p^g fits the budget, else character
     sums, one Gauss sum per character order d | m, sized by
     ``zeta_numerator_charsum`` (k_d = 1 when m | p - 1).  Past the budget
-    the evidence route is None, decided before any work.  The
+    the evidence route is None, decided before any work, and ``refusal``
+    keeps the refusal's text.  The
     divisibility is an iff, so evidence that contradicts the criterion
     raises EvidenceFailed; for a P whose factors all have k_d > 2 this
     iff is, with the theorems behind the route, the only check beyond
@@ -511,11 +468,12 @@ def torsion_criterion(p: int, q: int, level: int = 1, a: int = 1,
     jorder = None
     qval = None
     ok = None
+    refusal = None
     try:
         route, P = artin_schreier_lpoly(p, q ** level, a, budget)
         jorder = P.evaluate(1)
-    except BudgetExceeded:
-        pass
+    except BudgetExceeded as exc:
+        refusal = str(exc)
     if jorder is not None:
         qval = 0
         t = jorder
@@ -526,7 +484,8 @@ def torsion_criterion(p: int, q: int, level: int = 1, a: int = 1,
         if not ok:
             raise EvidenceFailed(
                 f"criterion says {has} but v_{q}(|J|) = {qval}")
-    return TorsionResult(p, q, level, k, has, route, jorder, qval, ok)
+    return TorsionResult(p, q, level, k, has, route, jorder, qval, ok,
+                         refusal)
 
 
 @dataclass(frozen=True)

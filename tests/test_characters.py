@@ -20,7 +20,6 @@ from superjac.characters import (
     hasse_davenport_ok,
     modified_gauss_sum,
     nontrivial_pairs,
-    orbit_gauss_sum,
     semiprimitive,
 )
 from superjac.cyclo import CycloCtx, cyclo
@@ -166,15 +165,20 @@ SEMIPRIMITIVE = list(_semiprimitive_pairs())
 @pytest.mark.parametrize("p,d,s", SEMIPRIMITIVE,
                          ids=[f"{p}-{d}" for p, d, _ in SEMIPRIMITIVE])
 def test_closed_form_matches_histogram(p, d, s):
-    # every u of order d at c = a = 1, and every (c, a) at u = 1
+    # eps p^s zeta_p^(-c k a), with eps p^s = t / 2 read off closed_form,
+    # against the histogram sum for every u of order d at c = a = 1, and
+    # for every c != 0 and every a at u = 1
     k = 2 * s
     assert primes.multiplicative_order(p, d) == k
     assert pow(p, s, d) == d - 1
+    cf = characters.closed_form(p, d)
+    assert (cf.kind, cf.k) == ("semiprimitive", k)
     cases = {(1, u, 1) for u in range(1, d) if math.gcd(u, d) == 1}
-    cases |= {(c, 1, a) for c in range(p) for a in range(p)}
+    cases |= {(c, 1, a) for c in range(1, p) for a in range(p)}
+    ring = cyclo(p * d)
     for c, u, a in sorted(cases):
-        assert orbit_gauss_sum(p, d, c, u, a) == \
-            characters._gauss_sum(p, k, d, c, u, a), (c, u, a)
+        want = ring.from_zeta_exponents({d * (-c * k * a % p): cf.t // 2})
+        assert characters._gauss_sum(p, k, d, c, u, a) == want, (c, u, a)
 
 
 def _histogram_by_dlog(p, n, L):
@@ -214,10 +218,11 @@ def test_semiprimitive_pairs():
 def test_closed_form_builds_no_table(monkeypatch, fresh_sum_caches):
     # (7, 11): a sum over GF(7^10), past the table cap's reach of 7^7
     monkeypatch.setattr(gf, "_CTX_CACHE", {})
-    g = orbit_gauss_sum(7, 11, 1, 1, 1)
-    assert g * g.conjugate() == 7 ** 10
-    # eps = (-1)^((7^5 + 1)/11), zeta_7^(-k a) with k = 10, a = 1
-    assert g == cyclo(77).from_zeta_exponents({11 * (-10 % 7): 7 ** 5})
+    traces = characters.orbit_traces(7, 11, 1, 7)
+    # G = eps 7^5 zeta_7^(-k a), eps = (-1)^((7^5 + 1)/11) = 1, k = 10:
+    # Tr(G^j) = phi(11) 7^(5j) Tr(zeta_7^(-10 j)), and 7 | 10 j at j = 7
+    assert traces == [10 * 7 ** (5 * j) * (6 if j == 7 else -1)
+                      for j in range(1, 8)]
     assert not gf._CTX_CACHE
     assert characters._histogram.cache_info().currsize == 0
 

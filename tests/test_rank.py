@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import superjac
-from superjac import rank, zeta
+from superjac import gf, rank, zeta
 from superjac.errors import (BudgetExceeded, EvidenceFailed, HypothesisFailed,
                              SuperjacError)
 
@@ -99,6 +99,16 @@ def test_evidence_comes_from_the_torsion_criterion(monkeypatch, result,
     monkeypatch.setattr(zeta, "artin_schreier_lpoly", _route_gives(result))
     with pytest.raises(error):
         rank.certify_rank(3, 2, 10)
+
+
+def test_refusal_names_the_field_and_the_limit(monkeypatch):
+    # the criterion's own refusal is passed on, with the cap read when it
+    # refuses: GF(7) is past a table cap of 5
+    monkeypatch.setattr(gf, "MAX_TABLE_CARD", 5)
+    with pytest.raises(BudgetExceeded,
+                       match=r"character sums GF\(7\^1\); the limit is "
+                             r"the table cap 5$"):
+        rank.certify_rank(7, 3, 11)
 
 
 def test_evidence_orders_coprime_to_q_on_grid():

@@ -7,6 +7,7 @@ Anchor values, all hand-checked:
                               |J(GF(4))| = 25, |J(GF(16))| = 625
 """
 
+import collections
 import hashlib
 import itertools
 import json
@@ -504,12 +505,14 @@ def _frobenius_orbits(p, M):
 def _orbit_product(p, m, a):
     """P(T) = prod over c in F_p^* and Frobenius orbits O of u -> p*u on
     Z/m - 0 of (1 + G_(c,O) T^k_O), expanded in Z[zeta_pm]; kept as the
-    oracle for the one-sum trace route of zeta_numerator_charsum."""
+    oracle for the one-sum trace route of zeta_numerator_charsum.  Every
+    G_(c,O) is read off the histogram of GF(p^k_O), and no closed form is
+    asked, so the oracle shares nothing with the route but the histogram."""
     ring = cyclo(p * m)
     poly = [ring.from_int(1)]
     for u, k in _frobenius_orbits(p, m):
         for c in range(1, p):
-            g = characters.orbit_gauss_sum(p, m, c, u, a)
+            g = characters._gauss_sum(p, k, m, c, u, a)
             poly.extend([ring.from_int(0)] * k)
             for i in range(len(poly) - k - 1, -1, -1):
                 if not poly[i].is_zero():
@@ -540,13 +543,32 @@ def test_trace_route_matches_orbit_product(p, m):
 
 
 def test_oracle_cases_cover_the_shapes():
+    # the kind of every order d > 1 of every case, the route orbit_traces
+    # takes for it: the oracle checks each of them
     assert len(ORACLE_CASES) == 32
-    shapes = {(characters.semiprimitive(p, m) is not None,
-               primes.multiplicative_order(p, m)) for p, m in ORACLE_CASES}
-    # closed forms and histograms, at k = 1, 2 and past 2
-    assert {cf for cf, _ in shapes} == {False, True}
-    assert {min(k, 3) for _, k in shapes} == {1, 2, 3}
+    kinds = collections.Counter(
+        getattr(characters.closed_form(p, d), "kind", None)
+        for p, m in ORACLE_CASES for d in range(2, m + 1) if m % d == 0)
+    assert kinds == {"quadratic": 9, "semiprimitive": 17, "index-2": 4,
+                     None: 10}
+    # at k = 1, 2 and past 2
+    assert {min(primes.multiplicative_order(p, m), 3)
+            for p, m in ORACLE_CASES} == {1, 2, 3}
     assert (2, 13) in ORACLE_CASES and (13, 7) in ORACLE_CASES
+
+
+def test_orbit_product_reads_no_closed_form(monkeypatch):
+    # (3, 7) and (5, 13) are semiprimitive and (3, 11) is index 2: the
+    # oracle answers with closed_form gone, so it does not share the form
+    # that the route reads
+    want = {pm: zeta_numerator_charsum(*pm, 1).coeffs
+            for pm in [(3, 7), (5, 13), (3, 11)]}
+
+    def gone(*args):
+        raise AssertionError("the oracle asked for a closed form")
+    monkeypatch.setattr(characters, "closed_form", gone)
+    for (p, m), coeffs in want.items():
+        assert _orbit_product(p, m, 1) == coeffs, (p, m)
 
 
 @pytest.mark.parametrize("p,m,spoil,match", [
@@ -563,8 +585,8 @@ def test_trace_route_keeps_its_guards(monkeypatch, p, m, spoil, match):
     # every check is typed, so each holds under python -O too; the order
     # has no closed form, so its sum is built in the ring and spoiled
     assert characters.closed_form(p, m) is None
-    real = zeta_module.orbit_gauss_sum
-    monkeypatch.setattr(zeta_module, "orbit_gauss_sum",
+    real = characters._gauss_sum
+    monkeypatch.setattr(characters, "_gauss_sum",
                         lambda *args: spoil(real(*args)))
     with pytest.raises(InvariantViolation, match=match):
         zeta_numerator_charsum(p, m, 1)
@@ -712,7 +734,7 @@ def test_orbit_sum_refuses_before_the_ring(no_work):
     # the histogram's log tables refuse GF(p) itself; the context they
     # were asked of holds no table
     with pytest.raises(BudgetExceeded, match=f"GF\\({BIG}\\)"):
-        characters.orbit_gauss_sum(BIG, 3, 1, 1, 1)
+        characters.orbit_traces(BIG, 3, 1, 1)
     assert [key for key in gf._CTX_CACHE if key[0] == BIG] == [(BIG, 1)]
     assert gf._CTX_CACHE[BIG, 1]._exp is None
 
@@ -828,7 +850,7 @@ def test_closed_traces_match_the_histogram(p, d, fresh_sum_caches):
         g = g * G
     assert traces[0][0] == G.trace()
     for a in range(p):
-        assert zeta_module._closed_traces(p, d, cf, a, h) == traces[a], a
+        assert characters.orbit_traces(p, d, a, h) == traces[a], a
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (13, 2), (5, 3), (3, 14), (5, 19),
